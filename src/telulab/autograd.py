@@ -3,9 +3,13 @@
 Supports exactly what the desk-scale experiments need: dense layers,
 valid-padding stride-1 conv2d, 2x2 max pooling, flatten, and pointwise
 activations from :mod:`telulab.kernels`, trained with softmax
-cross-entropy.  Forward passes optionally record a tape of primitive
-operations; replaying the tape's vector-Jacobian products in reverse
-yields gradients for every parameter.
+cross-entropy.  Forward passes optionally record a tape; each recorded
+primitive keeps what its vector-Jacobian product needs (conv its im2col
+column matrix, an activation its f' from the fused kernel, max pooling
+its winner masks), and replaying the products in reverse yields gradients
+for every parameter.  Nothing reads the input batch's gradient, so layers
+before the first parametric one are not recorded and that layer computes
+no input gradient.
 
 Everything is float64 and deterministic: no RNG in forward/backward, and
 a fixed summation order.  The first non-finite value anywhere raises
@@ -192,7 +196,9 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite value in {context}")
 
 
-def _dense_forward(x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape]) -> Tensor:
+def _dense_forward(
+    x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape], grad_x: bool
+) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ConfigError(
             f"dense layer expects (batch, {w.data.shape[0]}), got {x.shape}"
@@ -202,36 +208,53 @@ def _dense_forward(x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape]) -> Ten
         x_data, w_data = x.data, w.data
 
         def vjp(g: np.ndarray):
-            return g @ w_data.T, x_data.T @ g, g.sum(axis=0)
+            gx = g @ w_data.T if grad_x else None
+            return gx, x_data.T @ g, g.sum(axis=0)
 
         tape.record(Node((x, w, b), out, vjp))
     return out
 
 
 def _conv2d_forward(
-    x: Tensor, w: Tensor, b: Tensor, spec: Conv2d, tape: Optional[Tape]
+    x: Tensor, w: Tensor, b: Tensor, spec: Conv2d, tape: Optional[Tape], grad_x: bool
 ) -> Tensor:
+    """Valid stride-1 convolution as one matmul per image on a column matrix.
+
+    ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
+    ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
+    """
     if x.data.ndim != 4 or x.data.shape[1] != spec.in_ch:
         raise ConfigError(
             f"conv2d expects (batch, {spec.in_ch}, H, W), got {x.shape}"
         )
     k = spec.k
-    if x.data.shape[2] < k or x.data.shape[3] < k:
+    n, c, h, wd = x.data.shape
+    if h < k or wd < k:
         raise ConfigError(f"conv2d kernel {k} larger than input {x.shape}")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    out_data = np.einsum("nchwij,ocij->nohw", win, w.data, optimize=True)
-    out = Tensor(out_data + b.data[None, :, None, None])
+    ho, wo = h - k + 1, wd - k + 1
+    cols6 = np.empty((n, c, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols6[:, :, i, j] = x.data[:, :, i : i + ho, j : j + wo]
+    cols = cols6.reshape(n, c * k * k, ho * wo)
+    w2 = w.data.reshape(spec.out_ch, c * k * k)
+    out_data = np.matmul(w2, cols).reshape(n, spec.out_ch, ho, wo)
+    out_data += b.data[None, :, None, None]
+    out = Tensor(out_data)
     if tape is not None:
-        x_data, w_data = x.data, w.data
 
         def vjp(g: np.ndarray):
-            gw = np.einsum("nchwij,nohw->ocij", win, g, optimize=True)
-            gpad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            gwin = np.lib.stride_tricks.sliding_window_view(gpad, (k, k), axis=(2, 3))
-            wflip = w_data[:, :, ::-1, ::-1]
-            gx = np.einsum("nohwij,ocij->nchw", gwin, wflip, optimize=True)
-            gb = g.sum(axis=(0, 2, 3))
-            return gx, gw, gb
+            g3 = g.reshape(n, spec.out_ch, ho * wo)
+            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+            gx = None
+            if grad_x:
+                # col2im: scatter-add each kernel offset's slab back onto x
+                gcols = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo)
+                gx = np.zeros((n, c, h, wd))
+                for i in range(k):
+                    for j in range(k):
+                        gx[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
+            return gx, gw.reshape(spec.out_ch, c, k, k), g.sum(axis=(0, 2, 3))
 
         tape.record(Node((x, w, b), out, vjp))
     return out
@@ -240,24 +263,28 @@ def _conv2d_forward(
 def _maxpool2_forward(x: Tensor, tape: Optional[Tape]) -> Tensor:
     if x.data.ndim != 4 or x.data.shape[2] % 2 or x.data.shape[3] % 2:
         raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
-    n, c, h, w = x.data.shape
-    windows = (
-        x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    idx = np.argmax(windows, axis=-1)  # first max wins: deterministic on ties
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    # the four corners of every 2x2 window, in window order
+    a, b = x.data[:, :, 0::2, 0::2], x.data[:, :, 0::2, 1::2]
+    c, d = x.data[:, :, 1::2, 0::2], x.data[:, :, 1::2, 1::2]
+    top, bottom = np.maximum(a, b), np.maximum(c, d)
+    out = Tensor(np.maximum(top, bottom))
     if tape is not None:
+        # the first maximum in window order takes the gradient: the top row
+        # wins ties with the bottom one, the left column with the right one
+        in_top = top >= bottom
+        a_wins, c_wins = a >= b, c >= d
+        masks = (
+            in_top & a_wins,
+            in_top & ~a_wins,
+            ~in_top & c_wins,
+            ~in_top & ~c_wins,
+        )
+        shape = x.data.shape
 
         def vjp(g: np.ndarray):
-            gwin = np.zeros_like(windows)
-            np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-            gx = (
-                gwin.reshape(n, c, h // 2, w // 2, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
+            gx = np.zeros(shape)
+            for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
+                np.copyto(gx[:, :, di::2, dj::2], g, where=mask)
             return (gx,)
 
         tape.record(Node((x,), out, vjp))
@@ -281,14 +308,16 @@ def _flatten_forward(x: Tensor, tape: Optional[Tape]) -> Tensor:
 def _activation_forward(
     x: Tensor, kind: ActivationKind, tape: Optional[Tape]
 ) -> Tensor:
-    out = Tensor(kernels.value(kind, x.data))
-    if tape is not None:
-        x_data = x.data
+    if tape is None:
+        return Tensor(kernels.value(kind, x.data))
+    f, d = kernels.value_and_derivative(kind, x.data)
+    out = Tensor(f)
 
-        def vjp(g: np.ndarray):
-            return (g * kernels.derivative(kind, x_data),)
+    def vjp(g: np.ndarray):
+        # the tape is single-use, so f' can take the product in place
+        return (np.multiply(g, d, out=d),)
 
-        tape.record(Node((x,), out, vjp))
+    tape.record(Node((x,), out, vjp))
     return out
 
 
@@ -308,23 +337,31 @@ def forward(
     tape = Tape(tuple(model.params)) if record else None
     x = Tensor(batch)
     p = 0
+    # nothing reads the input batch's gradient, so layers before the first
+    # parameter are not recorded and the first parametric layer skips its gx
+    grad_x = False
     # overflow is detected by the explicit finiteness checks, not by warnings
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for layer in model.layers:
+            rec = tape if grad_x else None
             if isinstance(layer, Dense):
-                x = _dense_forward(x, model.params[p], model.params[p + 1], tape)
-                p += 2
-            elif isinstance(layer, Conv2d):
-                x = _conv2d_forward(
-                    x, model.params[p], model.params[p + 1], layer, tape
+                x = _dense_forward(
+                    x, model.params[p], model.params[p + 1], tape, grad_x
                 )
                 p += 2
+                grad_x = True
+            elif isinstance(layer, Conv2d):
+                x = _conv2d_forward(
+                    x, model.params[p], model.params[p + 1], layer, tape, grad_x
+                )
+                p += 2
+                grad_x = True
             elif isinstance(layer, MaxPool2):
-                x = _maxpool2_forward(x, tape)
+                x = _maxpool2_forward(x, rec)
             elif isinstance(layer, Flatten):
-                x = _flatten_forward(x, tape)
+                x = _flatten_forward(x, rec)
             elif isinstance(layer, Activation):
-                x = _activation_forward(x, layer.kind, tape)
+                x = _activation_forward(x, layer.kind, rec)
             else:
                 raise ConfigError(f"unknown layer {layer!r}")
             _require_finite(x.data, f"output of {type(layer).__name__}")
@@ -446,15 +483,18 @@ def finite_difference_check(
 
 def save_params(model: Model, stem: Union[str, Path]) -> None:
     """Write parameters as ``<stem>.bin`` (flat little-endian float64) plus
-    ``<stem>.json`` shape manifest."""
+    ``<stem>.json`` shape manifest, each atomically."""
+    # imported here: reporting imports the harness, which imports this module
+    from .reporting import atomic_write_bytes, atomic_write_text
+
     stem = Path(stem)
     if model.params:
         flat = np.concatenate([p.data.reshape(-1) for p in model.params])
     else:
         flat = np.empty(0)
-    stem.with_suffix(".bin").write_bytes(flat.astype("<f8").tobytes())
+    atomic_write_bytes(stem.with_suffix(".bin"), flat.astype("<f8").tobytes())
     manifest = {"shapes": [list(p.shape) for p in model.params]}
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
+    atomic_write_text(stem.with_suffix(".json"), json.dumps(manifest, indent=2))
 
 
 def load_params(model: Model, stem: Union[str, Path]) -> None:
@@ -474,6 +514,8 @@ def load_params(model: Model, stem: Union[str, Path]) -> None:
         raise FormatError(
             f"checkpoint blob has {blob.size} values, expected {expected}"
         )
+    if not np.all(np.isfinite(blob)):
+        raise FormatError(f"checkpoint {stem} holds non-finite values")
     offset = 0
     values = []
     for s in shapes:

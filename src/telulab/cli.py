@@ -6,7 +6,8 @@ the output directory; stdout carries a short human-readable summary.
 
 Exit codes: 0 success (training divergence counts as success: it is
 data), 1 at least one property claim failed, 2 usage or configuration
-error.
+error, 3 any other error (a one-line ``error:`` message on stderr, never a
+traceback), so a crash is never mistaken for a failed claim.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from . import reporting
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _parse_kinds(names: list[str]) -> list[kernels.ActivationKind]:
@@ -315,6 +317,10 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

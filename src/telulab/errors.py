@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: configuration and usage
 problems exit 2, verification failures exit 1, divergence is data and
-exits 0.
+exits 0, and any other exception exits 3.
 """
 
 

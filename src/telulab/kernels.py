@@ -14,6 +14,7 @@ and Smish(x) = x*tanh(ln(1 + sigmoid(x))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "parse_kind",
     "value",
     "derivative",
+    "value_and_derivative",
     "second_derivative",
     "scalar_eval",
     "derivative_kinks",
@@ -55,15 +57,16 @@ _DISPLAY = {
     "elu": "ELU",
 }
 
-# exp(x) saturates tanh to exactly 1.0 in float64 well before x = 20, and
-# tanh(u) == u in float64 for u = exp(x) with x <= -20; branching there keeps
-# every evaluation overflow-free while agreeing with the direct formula to
-# the last bit.
+# exp(x) saturates tanh to exactly 1.0 in float64 well before x = 20, so
+# clamping the exponent there keeps every evaluation overflow-free while
+# agreeing with the direct formula to the last bit.
 _TELU_HI = 20.0
-_TELU_LO = -20.0
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+# tanh(t) is exactly +-1 in float64 once |x| >= 10, so t and t' are taken at
+# x clamped there: no result changes, and x**3 cannot overflow
+_GELU_SAT = 10.0
 
 
 @dataclass(frozen=True)
@@ -164,20 +167,29 @@ def _masked(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _telu_value(x):
-    mid = (x > _TELU_LO) & (x < _TELU_HI)
-    lo = x <= _TELU_LO
-    xm, xl = _masked(x, mid), _masked(x, lo)
-    out = np.where(x >= _TELU_HI, x, 0.0)
-    out = np.where(mid, xm * np.tanh(np.exp(xm)), out)
-    return np.where(lo, xl * np.exp(xl), out)
+    # x*tanh(exp(min(x, 20))) in one buffer; tanh(exp(20)) is exactly 1.0
+    th = np.minimum(x, _TELU_HI, out=np.empty_like(x))
+    np.exp(th, out=th)
+    np.tanh(th, out=th)
+    return np.multiply(x, th, out=th)
+
+
+def _telu_value_d1(x):
+    m = np.minimum(x, _TELU_HI, out=np.empty_like(x))
+    u = np.exp(m, out=np.empty_like(x))
+    th = np.tanh(u, out=np.empty_like(x))
+    # f' = th + m*u*(1 - th*th); at x >= 20 th is exactly 1.0, the product
+    # vanishes and f' is 1.0 with no branch
+    d = np.multiply(m, u, out=m)
+    np.multiply(th, th, out=u)
+    np.subtract(1.0, u, out=u)
+    d *= u
+    d += th
+    return np.multiply(x, th, out=th), d
 
 
 def _telu_d1(x):
-    mid = x < _TELU_HI
-    xm = _masked(x, mid)
-    u = np.exp(xm)
-    th = np.tanh(u)
-    return np.where(mid, th + xm * u * (1.0 - th * th), 1.0)
+    return _telu_value_d1(x)[1]
 
 
 def _telu_d2(x):
@@ -198,22 +210,30 @@ def _relu_d1(x):
     return np.where(x > 0.0, 1.0, 0.0)
 
 
-def _gelu_t(x):
-    return _GELU_C * (x + _GELU_A * x**3)
+def _gelu_clamp(x):
+    return np.clip(x, -_GELU_SAT, _GELU_SAT, out=np.empty_like(x))
+
+
+def _gelu_t(xc):
+    return _GELU_C * (xc + _GELU_A * xc**3)
 
 
 def _gelu_value(x):
-    return 0.5 * x * (1.0 + np.tanh(_gelu_t(x)))
+    return 0.5 * x * (1.0 + np.tanh(_gelu_t(_gelu_clamp(x))))
 
 
 def _gelu_d1(x):
-    t = _gelu_t(x)
-    tp = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    xc = _gelu_clamp(x)
+    t = _gelu_t(xc)
+    tp = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
     th = np.tanh(t)
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * tp
 
 
 def _gelu_d2(x):
+    # beyond the clamp the leading (1 - th*th) is exactly 0 and the other
+    # factor stays negative, so every term may use the clamped x
+    x = _gelu_clamp(x)
     t = _gelu_t(x)
     tp = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
     tpp = 6.0 * _GELU_C * _GELU_A * x
@@ -305,33 +325,38 @@ def _elu_d2(x, alpha):
     return np.where(neg, alpha * np.exp(_masked(x, neg)), 0.0)
 
 
-_VALUE = {
-    "telu": _telu_value,
-    "relu": _relu_value,
-    "gelu": _gelu_value,
-    "silu": _silu_value,
-    "mish": _mish_value,
-    "logish": _logish_value,
-    "smish": _smish_value,
-}
+@dataclass(frozen=True)
+class _Forms:
+    """The closed forms of one kind, each called as ``fn(x, alpha)``.
 
-_D1 = {
-    "telu": _telu_d1,
-    "relu": _relu_d1,
-    "gelu": _gelu_d1,
-    "silu": _silu_d1,
-    "mish": _mish_d1,
-    "logish": _logish_d1,
-    "smish": _smish_d1,
-}
+    ``d2`` is None where f'' is not provided; ``value_d1`` returns (f, f')
+    from one shared pass, and defaults to calling ``value`` then ``d1``.
+    """
 
-_D2 = {
-    "telu": _telu_d2,
-    "gelu": _gelu_d2,
-    "silu": _silu_d2,
-    "mish": _mish_d2,
-    "logish": _logish_d2,
-    "smish": _smish_d2,
+    value: Callable
+    d1: Callable
+    d2: Optional[Callable]
+    value_d1: Optional[Callable] = None
+
+
+def _plain(fn):
+    """Adapt a form of a kind without parameters to the ``(x, alpha)`` call."""
+    return None if fn is None else lambda x, alpha: fn(x)
+
+
+def _forms(value, d1, d2=None, value_d1=None) -> _Forms:
+    return _Forms(_plain(value), _plain(d1), _plain(d2), _plain(value_d1))
+
+
+_FORMS = {
+    "telu": _forms(_telu_value, _telu_d1, _telu_d2, _telu_value_d1),
+    "relu": _forms(_relu_value, _relu_d1),
+    "gelu": _forms(_gelu_value, _gelu_d1, _gelu_d2),
+    "silu": _forms(_silu_value, _silu_d1, _silu_d2),
+    "mish": _forms(_mish_value, _mish_d1, _mish_d2),
+    "logish": _forms(_logish_value, _logish_d1, _logish_d2),
+    "smish": _forms(_smish_value, _smish_d1, _smish_d2),
+    "elu": _Forms(_elu_value, _elu_d1, _elu_d2),
 }
 
 
@@ -349,9 +374,7 @@ def _finish(out: np.ndarray, scalar: bool):
 def value(kind: ActivationKind, x):
     """f(x) for the given kind; overflow-safe over at least [-500, 500]."""
     arr, scalar = _prepare(x)
-    if kind.tag == "elu":
-        return _finish(_elu_value(arr, kind.alpha), scalar)
-    return _finish(_VALUE[kind.tag](arr), scalar)
+    return _finish(_FORMS[kind.tag].value(arr, kind.alpha), scalar)
 
 
 def derivative(kind: ActivationKind, x):
@@ -361,21 +384,30 @@ def derivative(kind: ActivationKind, x):
     :func:`scalar_eval` or :func:`derivative_kinks` to detect that case.
     """
     arr, scalar = _prepare(x)
-    if kind.tag == "elu":
-        return _finish(_elu_d1(arr, kind.alpha), scalar)
-    return _finish(_D1[kind.tag](arr), scalar)
+    return _finish(_FORMS[kind.tag].d1(arr, kind.alpha), scalar)
+
+
+def value_and_derivative(kind: ActivationKind, x):
+    """(f(x), f'(x)), bit-identical to :func:`value` and :func:`derivative`
+    but sharing one pass where the kind has a fused form (TeLU)."""
+    arr, scalar = _prepare(x)
+    forms = _FORMS[kind.tag]
+    if forms.value_d1 is not None:
+        f, d = forms.value_d1(arr, kind.alpha)
+    else:
+        f, d = forms.value(arr, kind.alpha), forms.d1(arr, kind.alpha)
+    return _finish(f, scalar), _finish(d, scalar)
 
 
 def second_derivative(kind: ActivationKind, x):
     """Closed-form f''(x); undefined for ReLU (raises)."""
     arr, scalar = _prepare(x)
-    if kind.tag == "relu":
+    d2 = _FORMS[kind.tag].d2
+    if d2 is None:
         raise UnsupportedOperationError(
             "second derivative of ReLU is not provided (distributional at 0)"
         )
-    if kind.tag == "elu":
-        return _finish(_elu_d2(arr, kind.alpha), scalar)
-    return _finish(_D2[kind.tag](arr), scalar)
+    return _finish(d2(arr, kind.alpha), scalar)
 
 
 def scalar_eval(kind: ActivationKind, x: float) -> ScalarEval:
@@ -391,7 +423,7 @@ def scalar_eval(kind: ActivationKind, x: float) -> ScalarEval:
 
 
 def has_second_derivative(kind: ActivationKind) -> bool:
-    return kind.tag != "relu"
+    return _FORMS[kind.tag].d2 is not None
 
 
 def derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:

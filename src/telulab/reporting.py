@@ -23,6 +23,7 @@ from .harness import GridCell, LandscapeSurface, TrialResult, TrialSummary, conc
 from .properties import PropertyReport, report_to_dict
 
 __all__ = [
+    "atomic_write_bytes",
     "atomic_write_text",
     "write_property_report",
     "write_kernel_table",
@@ -46,12 +47,25 @@ METRIC_DEFINITIONS = {
 }
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
+def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
+    """Write through a temp file beside ``path``, then rename it into place.
+
+    The temp name carries the writer's pid, so concurrent writers of one
+    target never share a temp file; a failed write leaves the target as it
+    was and removes its temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _fmt(value) -> str:

@@ -13,6 +13,10 @@ from telulab.autograd import (
     Flatten,
     MaxPool2,
     Model,
+    Tape,
+    Tensor,
+    _conv2d_forward,
+    _maxpool2_forward,
     backward,
     build_model,
     finite_difference_check,
@@ -22,7 +26,7 @@ from telulab.autograd import (
     softmax_cross_entropy,
 )
 from telulab.errors import ConfigError, DataError, DivergenceError, FormatError
-from telulab.kernels import ALL_KINDS, RELU, TELU
+from telulab.kernels import ALL_KINDS, GELU, RELU, TELU
 
 TANH_E = 0.9913289158005998378
 TANH_1 = 0.76159415595576488812
@@ -156,6 +160,26 @@ class TestFiniteDifferenceOracle:
         labels = rng.integers(0, 3, size=4)
         assert finite_difference_check(model, batch, labels, h=1e-6) < 1e-4
 
+    def test_two_conv_gradients_match(self):
+        # the second conv is not the first layer, so its input gradient runs
+        # through col2im into the first conv's weight gradient
+        model = build_model(
+            [
+                Conv2d(2, 3, 3),
+                Activation(GELU),
+                Conv2d(3, 2, 4),
+                Activation(TELU),
+                MaxPool2(),
+                Flatten(),
+                Dense(2 * 2 * 2, 3),
+            ],
+            seed=6,
+        )
+        rng = np.random.default_rng(13)
+        batch = rng.normal(size=(3, 2, 9, 9))
+        labels = rng.integers(0, 3, size=3)
+        assert finite_difference_check(model, batch, labels, h=1e-6) < 1e-4
+
     def test_randomized_small_models(self):
         # 20 seeds x random hidden widths, all under 200 parameters
         for seed in range(20):
@@ -223,6 +247,60 @@ class TestConvAgainstDirectSum:
         out, _ = forward(model, x)
         np.testing.assert_array_equal(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
+    def test_backward_matches_naive_loops(self):
+        rng = np.random.default_rng(22)
+        n, c, o, k, hw = 2, 3, 4, 3, 6
+        x = rng.normal(size=(n, c, hw, hw))
+        w = rng.normal(size=(o, c, k, k))
+        g = rng.normal(size=(n, o, hw - k + 1, hw - k + 1))
+        tape = Tape(())
+        _conv2d_forward(
+            Tensor(x), Tensor(w), Tensor(np.zeros(o)), Conv2d(c, o, k), tape, True
+        )
+        gx, gw, gb = tape.nodes[0].vjp(g)
+        want_gx, want_gw = np.zeros_like(x), np.zeros_like(w)
+        for i in range(n):
+            for p in range(hw - k + 1):
+                for q in range(hw - k + 1):
+                    for oc in range(o):
+                        gval = g[i, oc, p, q]
+                        want_gw[oc] += gval * x[i, :, p : p + k, q : q + k]
+                        want_gx[i, :, p : p + k, q : q + k] += gval * w[oc]
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    def test_first_layer_computes_no_input_gradient(self):
+        model = build_model([Conv2d(1, 2, 3), Flatten(), Dense(8, 2)], seed=1)
+        out, tape = forward(model, np.ones((1, 1, 4, 4)), record=True)
+        gx, gw, _ = tape.nodes[0].vjp(np.ones((1, 2, 2, 2)))
+        assert gx is None and gw.shape == (2, 1, 3, 3)
+
+    def test_maxpool_backward_ties_go_to_first_in_window_order(self):
+        # windows, in order (0,0) (0,1) (1,0) (1,1): all tied; the top-right
+        # ties the bottom row; the bottom row ties; only the last is largest
+        windows = [
+            [[2.0, 2.0], [2.0, 2.0]],
+            [[1.0, 3.0], [3.0, 3.0]],
+            [[1.0, 2.0], [3.0, 3.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+        ]
+        x = np.block([[np.array(windows[0]), np.array(windows[1])],
+                      [np.array(windows[2]), np.array(windows[3])]])
+        tape = Tape(())
+        out = _maxpool2_forward(Tensor(x[None, None]), tape)
+        np.testing.assert_array_equal(out.data[0, 0], [[2.0, 3.0], [3.0, 1.0]])
+        (gx,) = tape.nodes[0].vjp(np.array([[[[10.0, 20.0], [30.0, 40.0]]]]))
+        np.testing.assert_array_equal(
+            gx[0, 0],
+            [
+                [10.0, 0.0, 0.0, 20.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [30.0, 0.0, 0.0, 40.0],
+            ],
+        )
+
     def test_maxpool_odd_size_rejected(self):
         model = Model((MaxPool2(),), [])
         with pytest.raises(ConfigError):
@@ -254,3 +332,33 @@ class TestCheckpoints:
         stem.with_suffix(".bin").write_bytes(blob[:-8])
         with pytest.raises(FormatError):
             load_params(model, stem)
+
+    def test_nonfinite_values_rejected(self, tmp_path):
+        model = build_model([Dense(3, 5)], seed=4)
+        stem = tmp_path / "ckpt"
+        save_params(model, stem)
+        blob = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8").copy()
+        for bad in (np.nan, np.inf):
+            blob[3] = bad
+            stem.with_suffix(".bin").write_bytes(blob.tobytes())
+            with pytest.raises(FormatError):
+                load_params(model, stem)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import telulab.reporting as reporting
+
+        model = build_model([Dense(3, 5)], seed=4)
+        stem = tmp_path / "ckpt"
+        save_params(model, stem)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reporting.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_params(build_model([Dense(3, 5)], seed=5), stem)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+        clone = build_model([Dense(3, 5)], seed=99)
+        load_params(clone, stem)
+        np.testing.assert_array_equal(clone.params[0].data, model.params[0].data)

@@ -55,6 +55,16 @@ class TestExitCodes:
     def test_unknown_activation_usage_error(self, tmp_path):
         assert main(["verify", "--activations", "nosuch", "--out", str(tmp_path)]) == 2
 
+    def test_unexpected_error_exits_three_with_one_line(self, tmp_path, capsys):
+        # --out names an existing file: an OSError, neither usage nor claim
+        existing = tmp_path / "taken"
+        existing.write_text("x")
+        code = main(["verify", "--activations", "telu", "--out", str(existing)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileExistsError:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_bad_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

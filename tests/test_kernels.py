@@ -219,3 +219,111 @@ class TestParsing:
     def test_round_trip(self):
         for k in [*ALL_KINDS, elu(2.0)]:
             assert parse_kind(k.spec_string()) == k
+
+
+# --- seeded sweep: overflow safety, fused kernel, FD agreement, TeLU oracle ---
+
+EDGE_VALUES = np.array(
+    [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        np.nextafter(20.0, 0.0),
+        20.0,
+        np.nextafter(20.0, 40.0),
+        np.nextafter(-20.0, 0.0),
+        -20.0,
+        np.nextafter(-20.0, -40.0),
+        1e300,
+        -1e300,
+        1.7e308,
+        -1.7e308,
+    ]
+)
+
+
+def _sweep() -> np.ndarray:
+    rng = np.random.default_rng(20240205)
+    return np.concatenate(
+        [rng.uniform(-500.0, 500.0, 20000), rng.normal(0.0, 8.0, 20000)]
+    )
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _piecewise_telu_value(x):
+    # frozen copy of the original piecewise TeLU kernel: the oracle
+    mid = (x > -20.0) & (x < 20.0)
+    lo = x <= -20.0
+    xm, xl = np.where(mid, x, 0.0), np.where(lo, x, 0.0)
+    out = np.where(x >= 20.0, x, 0.0)
+    out = np.where(mid, xm * np.tanh(np.exp(xm)), out)
+    return np.where(lo, xl * np.exp(xl), out)
+
+
+def _piecewise_telu_d1(x):
+    mid = x < 20.0
+    xm = np.where(mid, x, 0.0)
+    u = np.exp(xm)
+    th = np.tanh(u)
+    return np.where(mid, th + xm * u * (1.0 - th * th), 1.0)
+
+
+class TestKernelSweep:
+    XS = np.concatenate([_sweep(), EDGE_VALUES])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
+    def test_no_overflow_or_invalid(self, kind):
+        with np.errstate(over="raise", invalid="raise"):
+            for fn in (kernels.value, kernels.derivative, kernels.value_and_derivative):
+                for out in np.atleast_2d(fn(kind, self.XS)):
+                    assert np.all(np.isfinite(out))
+                for x in EDGE_VALUES:
+                    assert np.all(np.isfinite(fn(kind, float(x))))
+            if kernels.has_second_derivative(kind):
+                # f'' is swept over [-500, 500] only: TeLU and Mish f''
+                # still overflow at +-1.7e308
+                assert np.all(np.isfinite(kernels.second_derivative(kind, _sweep())))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
+    def test_fused_matches_separate_bit_for_bit(self, kind):
+        f, d = kernels.value_and_derivative(kind, self.XS)
+        np.testing.assert_array_equal(_bits(f), _bits(kernels.value(kind, self.XS)))
+        np.testing.assert_array_equal(
+            _bits(d), _bits(kernels.derivative(kind, self.XS))
+        )
+        for x in EDGE_VALUES:
+            fs, ds = kernels.value_and_derivative(kind, float(x))
+            assert isinstance(fs, float) and isinstance(ds, float)
+            assert _bits(fs) == _bits(kernels.value(kind, float(x)))
+            assert _bits(ds) == _bits(kernels.derivative(kind, float(x)))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
+    def test_derivative_matches_central_difference(self, kind):
+        xs = _sweep()
+        h = 1e-6 * np.maximum(1.0, np.abs(xs))
+        for k in kernels.derivative_kinks(kind):
+            keep = np.abs(xs - k) > 10 * h
+            xs, h = xs[keep], h[keep]
+        fd = (kernels.value(kind, xs + h) - kernels.value(kind, xs - h)) / (2 * h)
+        closed = kernels.derivative(kind, xs)
+        err = np.abs(closed - fd) / np.maximum(1.0, np.abs(closed))
+        assert err.max() < 1e-6, f"{kind.display_name}: worst {err.max():.2e}"
+
+    def test_telu_matches_piecewise_formulas_bit_for_bit(self):
+        np.testing.assert_array_equal(
+            _bits(kernels.value(TELU, self.XS)), _bits(_piecewise_telu_value(self.XS))
+        )
+        np.testing.assert_array_equal(
+            _bits(kernels.derivative(TELU, self.XS)), _bits(_piecewise_telu_d1(self.XS))
+        )
+        for x in EDGE_VALUES:
+            assert _bits(kernels.value(TELU, float(x))) == _bits(
+                _piecewise_telu_value(np.asarray(x))
+            )
+            assert _bits(kernels.derivative(TELU, float(x))) == _bits(
+                _piecewise_telu_d1(np.asarray(x))
+            )
