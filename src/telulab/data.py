@@ -2,9 +2,11 @@
 
 Bit-exact readers for the CIFAR-10/100 binary formats, a deterministic
 train/validation split, a synthetic Gaussian-blob generator for fast
-tests, and seeded batch iteration.  Pixel bytes are scaled by 1/255 into
-[0, 1]; no standardization or augmentation is applied (a loader writes
-what is on disk, nothing more).
+tests, and seeded batch iteration.  CIFAR pixels are kept as the uint8
+bytes read from disk, and a split is an index array into that one store,
+not a copy.  Float64 features exist one batch at a time: bytes are scaled
+by 1/255 into [0, 1], then standardized when the dataset carries
+per-channel statistics.  No augmentation is applied.
 
 CIFAR-10 records are 3073 bytes: one label byte (0..9) then 3072 pixel
 bytes as three 1024-byte channel planes (R, G, B), each plane row-major
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -49,33 +51,74 @@ class DataMeta:
     split_tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Features plus integer labels; immutable after load.
+    """Examples held as one stored array plus row indices; immutable.
 
-    ``images`` is (N, 3, 32, 32) for CIFAR and (N, dim) for synthetic
-    blobs; values are float64, CIFAR pixels scaled into [0, 1].
+    ``store`` (the ``images`` argument) is what was loaded: the uint8
+    pixel bytes (N, 3, 32, 32) for CIFAR, float64 features (N, dim) for
+    synthetic blobs.  ``rows`` picks this dataset's examples out of
+    ``store``, in order (None: all rows), so splits share the store.
+    ``labels`` has one entry per example of this dataset.  Features are
+    built per batch by ``features``: uint8 bytes are scaled by 1/255
+    (float stores pass through unscaled), then, when ``mean`` and ``std``
+    are set, standardized as (x - mean) / std.
     """
 
-    images: np.ndarray
+    store: np.ndarray
     labels: np.ndarray
     meta: DataMeta
+    rows: Optional[np.ndarray]
+    mean: Optional[np.ndarray]
+    std: Optional[np.ndarray]
 
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.labels):
+    def __init__(self, images, labels, meta, rows=None, mean=None, std=None):
+        fields = dict(store=images, labels=labels, meta=meta, rows=rows, mean=mean, std=std)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        n = len(images) if rows is None else len(rows)
+        if n != len(labels):
             raise FormatError("images and labels must have equal length")
-        if len(self.images) == 0:
+        if n == 0:
             raise FormatError("dataset must be non-empty")
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    @property
+    def images(self) -> np.ndarray:
+        """Every example as one float64 array, built like a batch."""
+        return self.features(self.store_rows(np.arange(len(self))))
+
+    def store_rows(self, positions: np.ndarray) -> np.ndarray:
+        """Rows of ``store`` holding the examples at ``positions``."""
+        return positions if self.rows is None else self.rows[positions]
+
+    def features(self, store_rows: np.ndarray) -> np.ndarray:
+        """Float64 features of the store rows in an index array; the
+        gather copies, so the scaling below never writes to ``store``."""
+        x = self.store[store_rows]
+        if x.dtype == np.uint8:
+            x = x.astype(np.float64)
+            x /= 255.0
+        if self.mean is not None:
+            x -= self.mean
+            x /= self.std
+        return x
+
     def take(self, indices: np.ndarray, split_tag: str) -> "Dataset":
         return Dataset(
-            images=self.images[indices],
-            labels=self.labels[indices],
-            meta=replace(self.meta, split_tag=split_tag),
+            self.store,
+            self.labels[indices],
+            replace(self.meta, split_tag=split_tag),
+            self.store_rows(indices),
+            self.mean,
+            self.std,
         )
+
+    def standardized(self, mean: np.ndarray, std: np.ndarray) -> "Dataset":
+        """The same examples, standardized per batch by (mean, std)."""
+        return Dataset(self.store, self.labels, self.meta, self.rows, mean, std)
 
 
 @dataclass(frozen=True)
@@ -109,9 +152,8 @@ def _read_records(
         raise FormatError(
             f"{path.name}: label {labels.max()} out of range [0, {num_classes})"
         )
-    pixels = records[:, record_len - 3072 :]
-    images = pixels.reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-    return images, labels
+    pixels = records[:, record_len - 3072 :].reshape(-1, 3, 32, 32)
+    return pixels, labels
 
 
 def _gather(
@@ -132,9 +174,9 @@ def _gather(
         if missing:
             raise FormatError(f"{path}: missing {', '.join(missing)}")
     parts = [_read_records(f, record_len, label_index, num_classes) for f in files]
-    images = np.concatenate([p[0] for p in parts])
+    pixels = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
-    return Dataset(images, labels, DataMeta(name, num_classes, split_tag))
+    return Dataset(pixels, labels, DataMeta(name, num_classes, split_tag))
 
 
 def load_cifar10(path: Union[str, Path], split_tag: str = "train") -> Dataset:
@@ -231,7 +273,8 @@ def batch_iter(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (images, labels) batches; the final short batch is included.
 
-    With ``shuffle`` the order is a pure function of (seed, epoch), so an
+    Each batch's float64 images are built from the store on demand, so an
+    epoch never holds more than one batch of them.  With ``shuffle`` the order is a pure function of (seed, epoch), so an
     epoch's batch stream can be replayed exactly.
     """
     if batch < 1:
@@ -240,6 +283,7 @@ def batch_iter(
         order = generator(seed, TAG_BATCH, epoch).permutation(len(ds))
     else:
         order = np.arange(len(ds))
+    rows = ds.store_rows(order)
     for start in range(0, len(ds), batch):
-        idx = order[start : start + batch]
-        yield ds.images[idx], ds.labels[idx]
+        stop = start + batch
+        yield ds.features(rows[start:stop]), ds.labels[order[start:stop]]

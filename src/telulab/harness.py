@@ -14,6 +14,7 @@ raised to the caller.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -105,14 +106,26 @@ class DatasetSpec:
 
 
 def _standardized(splits: tuple[Dataset, Dataset, Dataset]) -> tuple[Dataset, Dataset, Dataset]:
-    train = splits[0]
-    axes = (0, 2, 3) if train.images.ndim == 4 else (0,)
-    mean = train.images.mean(axis=axes, keepdims=True)
-    std = train.images.std(axis=axes, keepdims=True)
+    """Attach the train split's per-channel (per-feature for blobs) mean
+    and std to all three splits; batches are then standardized on demand.
+
+    The statistics follow np.mean/np.std's own steps in place on one
+    transient float64 copy of the train split, so they are bit-identical
+    to ``x.mean(axis)`` and ``x.std(axis)`` without a second copy.
+    """
+    x = splits[0].images
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+    count = math.prod(x.shape[a] for a in axes)
+    mean = np.add.reduce(x, axis=axes, keepdims=True)
+    mean /= count
+    x -= mean
+    x *= x
+    var = np.add.reduce(x, axis=axes, keepdims=True)
+    del x
+    var /= count
+    std = np.sqrt(var)
     std = np.where(std > 0.0, std, 1.0)
-    return tuple(
-        replace(ds, images=(ds.images - mean) / std) for ds in splits
-    )
+    return tuple(ds.standardized(mean, std) for ds in splits)
 
 
 def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -481,12 +494,7 @@ def landscape_slice(
             raise ConfigError("landscape needs a dataset or an explicit loss_fn")
 
         def loss_fn(m: Model) -> float:
-            total = 0.0
-            for xb, yb in data_mod.batch_iter(dataset, _EVAL_BATCH, shuffle=False):
-                logits, _ = forward(m, xb, record=False)
-                loss, _ = softmax_cross_entropy(logits, yb)
-                total += loss * len(yb)
-            return total / len(dataset)
+            return _evaluate(m, dataset)[1]
 
     d1, d2 = draw_directions(model, seed)
     alphas = np.linspace(-radius, radius, grid_n)
@@ -527,9 +535,7 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
     if not 1 <= n_samples <= len(dataset):
         raise ConfigError("n_samples must be in [1, dataset size]")
     accum = [np.zeros_like(p.data) for p in model.params]
-    for i in range(n_samples):
-        x = dataset.images[i : i + 1]
-        y = dataset.labels[i : i + 1]
+    for x, y in itertools.islice(data_mod.batch_iter(dataset, 1), n_samples):
         logits, tape = forward(model, x, record=True)
         _, ce_grad = softmax_cross_entropy(logits, y)
         # d(log p)/d(logits) = -d(CE)/d(logits); squaring drops the sign

@@ -61,12 +61,18 @@ _DISPLAY = {
 # clamping the exponent there keeps every evaluation overflow-free while
 # agreeing with the direct formula to the last bit.
 _TELU_HI = 20.0
+# exp(x) is exactly 0.0 below about -745.13, so f'' = u*(...) is exactly
+# -0.0 there; clamping x at -746 keeps 2*x*u*th from overflowing
+_TELU_LO = -746.0
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 # tanh(t) is exactly +-1 in float64 once |x| >= 10, so t and t' are taken at
 # x clamped there: no result changes, and x**3 cannot overflow
 _GELU_SAT = 10.0
+# tanh(softplus(x)) is exactly 1.0 once x >= 20, so Mish f'' takes x clamped
+# there: the leading (1 - w*w) is 0 and the other factor stays negative
+_MISH_SAT = 20.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,7 @@ def _telu_d1(x):
 
 def _telu_d2(x):
     mid = x < _TELU_HI
-    xm = _masked(x, mid)
+    xm = np.maximum(_masked(x, mid), _TELU_LO)
     u = np.exp(xm)
     th = np.tanh(u)
     sech2 = 1.0 - th * th
@@ -266,6 +272,7 @@ def _mish_d1(x):
 
 
 def _mish_d2(x):
+    x = np.minimum(x, _MISH_SAT)
     w = np.tanh(_softplus(x))
     s = _sigmoid(x)
     sp = s * (1.0 - s)

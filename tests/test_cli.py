@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from telulab import properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -64,6 +65,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: FileExistsError:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_quadrature_failure_exits_three_not_claim_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unstable(*args, **kwargs):
+            raise ArithmeticError("quadrature failed to stabilize")
+
+        monkeypatch.setattr(properties, "_composite_gl", unstable)
+        code = main(["verify", "--activations", "telu", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: ArithmeticError: quadrature failed to stabilize\n"
 
     def test_bad_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -272,6 +272,23 @@ def _piecewise_telu_d1(x):
     return np.where(mid, th + xm * u * (1.0 - th * th), 1.0)
 
 
+def _unclamped_telu_d2(x):
+    # frozen copies of the f'' formulas before their overflow clamps
+    mid = x < 20.0
+    xm = np.where(mid, x, 0.0)
+    u = np.exp(xm)
+    th = np.tanh(u)
+    sech2 = 1.0 - th * th
+    return np.where(mid, u * sech2 * (2.0 + xm - 2.0 * xm * u * th), 0.0)
+
+
+def _unclamped_mish_d2(x):
+    w = np.tanh(kernels._softplus(x))
+    s = kernels._sigmoid(x)
+    sp = s * (1.0 - s)
+    return (1.0 - w * w) * (2.0 * s + x * (sp - 2.0 * w * s * s))
+
+
 class TestKernelSweep:
     XS = np.concatenate([_sweep(), EDGE_VALUES])
 
@@ -284,9 +301,27 @@ class TestKernelSweep:
                 for x in EDGE_VALUES:
                     assert np.all(np.isfinite(fn(kind, float(x))))
             if kernels.has_second_derivative(kind):
-                # f'' is swept over [-500, 500] only: TeLU and Mish f''
-                # still overflow at +-1.7e308
-                assert np.all(np.isfinite(kernels.second_derivative(kind, _sweep())))
+                assert np.all(np.isfinite(kernels.second_derivative(kind, self.XS)))
+                for x in EDGE_VALUES:
+                    assert np.isfinite(kernels.second_derivative(kind, float(x)))
+
+    @pytest.mark.parametrize(
+        "kind, oracle",
+        [(TELU, _unclamped_telu_d2), (MISH, _unclamped_mish_d2)],
+        ids=["telu", "mish"],
+    )
+    def test_second_derivative_clamp_changes_no_finite_result(self, kind, oracle):
+        around = [-746.0, -745.5, -745.0, 19.0, 20.0, 21.0]
+        xs = np.concatenate(
+            [self.XS, around, np.nextafter(around, -np.inf), np.nextafter(around, np.inf)]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = oracle(xs)
+        finite = np.isfinite(old)
+        assert not finite.all()  # the oracle overflows at an edge value
+        np.testing.assert_array_equal(
+            _bits(kernels.second_derivative(kind, xs)[finite]), _bits(old[finite])
+        )
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
     def test_fused_matches_separate_bit_for_bit(self, kind):
