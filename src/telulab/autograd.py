@@ -1,15 +1,23 @@
-"""Minimal dense-tensor engine with reverse-mode automatic differentiation.
+"""Minimal float64 engine for a sequential layer stack, with backprop.
 
 Supports exactly what the desk-scale experiments need: dense layers,
 valid-padding stride-1 conv2d, 2x2 max pooling, flatten, and pointwise
 activations from :mod:`telulab.kernels`, trained with softmax
-cross-entropy.  Forward passes optionally record a tape; each recorded
-primitive keeps what its vector-Jacobian product needs (conv its im2col
-column matrix, an activation its f' from the fused kernel, max pooling
-its winner masks), and replaying the products in reverse yields gradients
-for every parameter.  Nothing reads the input batch's gradient, so layers
-before the first parametric one are not recorded and that layer computes
-no input gradient.
+cross-entropy.  A model is a strict stack, so each layer descriptor owns
+its math: ``init(rng)`` draws its parameter arrays, and
+``forward(x, params, record, grad_x)`` returns its output plus, when
+recording, a backward step that maps the output gradient to the input
+gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
+keeps only what its product needs (conv its im2col column matrix, an
+activation its f' from the fused kernel, max pooling its winner masks).
+
+:func:`forward` loops over the stack and returns the logits array plus,
+when recording, a :class:`Tape`: the recorded steps with their parameter
+tensors and the output shape.  :func:`backward` passes one gradient back
+through the steps and drops each as it goes, so no cache outlives its
+backward.  Nothing reads the input batch's gradient, so layers before the
+first parametric one are not recorded and that layer computes no input
+gradient.
 
 Everything is float64 and deterministic: no RNG in forward/backward, and
 a fixed summation order.  The first non-finite value anywhere raises
@@ -21,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -51,7 +59,8 @@ __all__ = [
 
 
 class Tensor:
-    """A dense float64 array; parameters and intermediate values alike."""
+    """A float64 parameter array in a hashable box: optimizers and gradient
+    dicts key on the box, so the array inside can be replaced."""
 
     __slots__ = ("data",)
 
@@ -70,34 +79,38 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+# A backward step maps the output gradient to (input gradient or None,
+# parameter gradients in parameter order).
+Step = Callable[[np.ndarray], tuple[Optional[np.ndarray], tuple[np.ndarray, ...]]]
+
+
 @dataclass
-class Node:
-    """One recorded primitive: inputs, output, and its VJP."""
-
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    vjp: Callable[[np.ndarray], tuple[Optional[np.ndarray], ...]]
-
-
 class Tape:
-    """Ordered record of primitives from one forward pass.
+    """The backward steps of one recorded forward pass, in execution order,
+    each with its layer's parameters, plus the output shape.  Single-use:
+    backward consumes the steps."""
 
-    Nodes are appended in execution order, so the list is topologically
-    sorted by construction; backward walks it once in reverse.  A tape is
-    single-use.
-    """
-
-    def __init__(self, params: tuple[Tensor, ...]):
-        self.nodes: list[Node] = []
-        self.params = params
-        self.output: Optional[Tensor] = None
-        self.consumed = False
-
-    def record(self, node: Node) -> None:
-        self.nodes.append(node)
+    steps: list[tuple[Step, tuple[Tensor, ...]]]
+    output_shape: tuple[int, ...]
+    consumed: bool = False
 
 
-# --- layer descriptors -------------------------------------------------------
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+# --- layers ---------------------------------------------------------------------
+
+
+class _Parameterless:
+    """Base of the layers without parameters: their backward step only
+    carries the input gradient, so they record only when it is needed."""
+
+    n_params: ClassVar[int] = 0
+
+    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
+        return []
 
 
 @dataclass(frozen=True)
@@ -105,27 +118,137 @@ class Dense:
     in_dim: int
     out_dim: int
 
+    n_params: ClassVar[int] = 2
+
+    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
+        w = _kaiming_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
+        return [w, np.zeros(self.out_dim)]
+
+    def forward(self, x, params, record, grad_x):
+        w, b = params
+        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ConfigError(f"dense layer expects (batch, {w.shape[0]}), got {x.shape}")
+        y = x @ w + b
+        if not record:
+            return y, None
+
+        def step(g):
+            gx = g @ w.T if grad_x else None
+            return gx, (x.T @ g, g.sum(axis=0))
+
+        return y, step
+
 
 @dataclass(frozen=True)
 class Conv2d:
+    """Valid stride-1 convolution as one matmul per image on a column matrix.
+
+    ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
+    ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
+    """
+
     in_ch: int
     out_ch: int
     k: int
 
+    n_params: ClassVar[int] = 2
+
+    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
+        shape = (self.out_ch, self.in_ch, self.k, self.k)
+        w = _kaiming_uniform(rng, shape, self.in_ch * self.k * self.k)
+        return [w, np.zeros(self.out_ch)]
+
+    def forward(self, x, params, record, grad_x):
+        w, b = params
+        if x.ndim != 4 or x.shape[1] != self.in_ch:
+            raise ConfigError(f"conv2d expects (batch, {self.in_ch}, H, W), got {x.shape}")
+        k = self.k
+        n, c, h, wd = x.shape
+        if h < k or wd < k:
+            raise ConfigError(f"conv2d kernel {k} larger than input {x.shape}")
+        ho, wo = h - k + 1, wd - k + 1
+        cols6 = np.empty((n, c, k, k, ho, wo))
+        for i in range(k):
+            for j in range(k):
+                cols6[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
+        cols = cols6.reshape(n, c * k * k, ho * wo)
+        w2 = w.reshape(self.out_ch, c * k * k)
+        y = np.matmul(w2, cols).reshape(n, self.out_ch, ho, wo)
+        y += b[None, :, None, None]
+        if not record:
+            return y, None
+
+        def step(g):
+            g3 = g.reshape(n, self.out_ch, ho * wo)
+            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+            gx = None
+            if grad_x:
+                # col2im: scatter-add each kernel offset's slab back onto x
+                gcols = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo)
+                gx = np.zeros((n, c, h, wd))
+                for i in range(k):
+                    for j in range(k):
+                        gx[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
+            return gx, (gw.reshape(w.shape), g.sum(axis=(0, 2, 3)))
+
+        return y, step
+
 
 @dataclass(frozen=True)
-class MaxPool2:
-    pass
+class MaxPool2(_Parameterless):
+    def forward(self, x, params, record, grad_x):
+        if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+            raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
+        # the four corners of every 2x2 window, in window order
+        a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+        c, d = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+        top, bottom = np.maximum(a, b), np.maximum(c, d)
+        y = np.maximum(top, bottom)
+        if not (record and grad_x):
+            return y, None
+        # the first maximum in window order takes the gradient: the top row
+        # wins ties with the bottom one, the left column with the right one
+        in_top = top >= bottom
+        a_wins, c_wins = a >= b, c >= d
+        masks = (
+            in_top & a_wins,
+            in_top & ~a_wins,
+            ~in_top & c_wins,
+            ~in_top & ~c_wins,
+        )
+        shape = x.shape
+
+        def step(g):
+            gx = np.zeros(shape)
+            for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
+                np.copyto(gx[:, :, di::2, dj::2], g, where=mask)
+            return gx, ()
+
+        return y, step
 
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(_Parameterless):
+    def forward(self, x, params, record, grad_x):
+        if x.ndim < 2:
+            raise ConfigError(f"flatten expects a batch dimension, got {x.shape}")
+        shape = x.shape
+        y = x.reshape(shape[0], -1)
+        if not (record and grad_x):
+            return y, None
+        return y, lambda g: (g.reshape(shape), ())
 
 
 @dataclass(frozen=True)
-class Activation:
+class Activation(_Parameterless):
     kind: ActivationKind
+
+    def forward(self, x, params, record, grad_x):
+        if not (record and grad_x):
+            return kernels.value(self.kind, x), None
+        y, d = kernels.value_and_derivative(self.kind, x)
+        # the tape is single-use, so f' can take the product in place
+        return y, lambda g: (np.multiply(g, d, out=d), ())
 
 
 LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
@@ -134,8 +257,8 @@ LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
 class Model:
     """An ordered stack of layers plus their parameter tensors.
 
-    Parameters are stored in layer order as (weight, bias) pairs for the
-    parametric layers; ``param_of`` maps a layer index to its slice.
+    Parameters are stored in layer order, ``layer.n_params`` per layer:
+    (weight, bias) for the parametric layers, none for the others.
     """
 
     def __init__(self, layers: tuple[LayerSpec, ...], params: list[Tensor]):
@@ -157,38 +280,21 @@ class Model:
             p.data = np.ascontiguousarray(v, dtype=np.float64)
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Model:
     """Instantiate parameters for the layer stack.
 
     Weights are Kaiming-uniform with fan-in scaling, biases zero, drawn
     from the Philox stream keyed by (seed, init-tag, layer index).
     """
-    params: list[Tensor] = []
-    for i, layer in enumerate(layers):
-        if isinstance(layer, Dense):
-            rng = generator(seed, TAG_INIT, i)
-            w = _kaiming_uniform(rng, (layer.in_dim, layer.out_dim), layer.in_dim)
-            params.append(Tensor(w))
-            params.append(Tensor(np.zeros(layer.out_dim)))
-        elif isinstance(layer, Conv2d):
-            rng = generator(seed, TAG_INIT, i)
-            fan_in = layer.in_ch * layer.k * layer.k
-            w = _kaiming_uniform(
-                rng, (layer.out_ch, layer.in_ch, layer.k, layer.k), fan_in
-            )
-            params.append(Tensor(w))
-            params.append(Tensor(np.zeros(layer.out_ch)))
-        elif not isinstance(layer, (MaxPool2, Flatten, Activation)):
-            raise ConfigError(f"unknown layer descriptor {layer!r}")
+    params = [
+        Tensor(a)
+        for i, layer in enumerate(layers)
+        for a in layer.init(generator(seed, TAG_INIT, i))
+    ]
     return Model(tuple(layers), params)
 
 
-# --- primitive forward/backward ----------------------------------------------
+# --- model-level operations -----------------------------------------------------
 
 
 def _require_finite(arr: np.ndarray, context: str) -> None:
@@ -196,146 +302,18 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite value in {context}")
 
 
-def _dense_forward(
-    x: Tensor, w: Tensor, b: Tensor, tape: Optional[Tape], grad_x: bool
-) -> Tensor:
-    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ConfigError(
-            f"dense layer expects (batch, {w.data.shape[0]}), got {x.shape}"
-        )
-    out = Tensor(x.data @ w.data + b.data)
-    if tape is not None:
-        x_data, w_data = x.data, w.data
-
-        def vjp(g: np.ndarray):
-            gx = g @ w_data.T if grad_x else None
-            return gx, x_data.T @ g, g.sum(axis=0)
-
-        tape.record(Node((x, w, b), out, vjp))
-    return out
-
-
-def _conv2d_forward(
-    x: Tensor, w: Tensor, b: Tensor, spec: Conv2d, tape: Optional[Tape], grad_x: bool
-) -> Tensor:
-    """Valid stride-1 convolution as one matmul per image on a column matrix.
-
-    ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
-    ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
-    """
-    if x.data.ndim != 4 or x.data.shape[1] != spec.in_ch:
-        raise ConfigError(
-            f"conv2d expects (batch, {spec.in_ch}, H, W), got {x.shape}"
-        )
-    k = spec.k
-    n, c, h, wd = x.data.shape
-    if h < k or wd < k:
-        raise ConfigError(f"conv2d kernel {k} larger than input {x.shape}")
-    ho, wo = h - k + 1, wd - k + 1
-    cols6 = np.empty((n, c, k, k, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            cols6[:, :, i, j] = x.data[:, :, i : i + ho, j : j + wo]
-    cols = cols6.reshape(n, c * k * k, ho * wo)
-    w2 = w.data.reshape(spec.out_ch, c * k * k)
-    out_data = np.matmul(w2, cols).reshape(n, spec.out_ch, ho, wo)
-    out_data += b.data[None, :, None, None]
-    out = Tensor(out_data)
-    if tape is not None:
-
-        def vjp(g: np.ndarray):
-            g3 = g.reshape(n, spec.out_ch, ho * wo)
-            gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-            gx = None
-            if grad_x:
-                # col2im: scatter-add each kernel offset's slab back onto x
-                gcols = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo)
-                gx = np.zeros((n, c, h, wd))
-                for i in range(k):
-                    for j in range(k):
-                        gx[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
-            return gx, gw.reshape(spec.out_ch, c, k, k), g.sum(axis=(0, 2, 3))
-
-        tape.record(Node((x, w, b), out, vjp))
-    return out
-
-
-def _maxpool2_forward(x: Tensor, tape: Optional[Tape]) -> Tensor:
-    if x.data.ndim != 4 or x.data.shape[2] % 2 or x.data.shape[3] % 2:
-        raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
-    # the four corners of every 2x2 window, in window order
-    a, b = x.data[:, :, 0::2, 0::2], x.data[:, :, 0::2, 1::2]
-    c, d = x.data[:, :, 1::2, 0::2], x.data[:, :, 1::2, 1::2]
-    top, bottom = np.maximum(a, b), np.maximum(c, d)
-    out = Tensor(np.maximum(top, bottom))
-    if tape is not None:
-        # the first maximum in window order takes the gradient: the top row
-        # wins ties with the bottom one, the left column with the right one
-        in_top = top >= bottom
-        a_wins, c_wins = a >= b, c >= d
-        masks = (
-            in_top & a_wins,
-            in_top & ~a_wins,
-            ~in_top & c_wins,
-            ~in_top & ~c_wins,
-        )
-        shape = x.data.shape
-
-        def vjp(g: np.ndarray):
-            gx = np.zeros(shape)
-            for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
-                np.copyto(gx[:, :, di::2, dj::2], g, where=mask)
-            return (gx,)
-
-        tape.record(Node((x,), out, vjp))
-    return out
-
-
-def _flatten_forward(x: Tensor, tape: Optional[Tape]) -> Tensor:
-    if x.data.ndim < 2:
-        raise ConfigError(f"flatten expects a batch dimension, got {x.shape}")
-    shape = x.data.shape
-    out = Tensor(x.data.reshape(shape[0], -1))
-    if tape is not None:
-
-        def vjp(g: np.ndarray):
-            return (g.reshape(shape),)
-
-        tape.record(Node((x,), out, vjp))
-    return out
-
-
-def _activation_forward(
-    x: Tensor, kind: ActivationKind, tape: Optional[Tape]
-) -> Tensor:
-    if tape is None:
-        return Tensor(kernels.value(kind, x.data))
-    f, d = kernels.value_and_derivative(kind, x.data)
-    out = Tensor(f)
-
-    def vjp(g: np.ndarray):
-        # the tape is single-use, so f' can take the product in place
-        return (np.multiply(g, d, out=d),)
-
-    tape.record(Node((x,), out, vjp))
-    return out
-
-
-# --- model-level operations -----------------------------------------------------
-
-
 def forward(
     model: Model, batch: np.ndarray, record: bool = False
-) -> tuple[Tensor, Optional[Tape]]:
-    """Run the layer stack on ``batch``; optionally record a tape.
+) -> tuple[np.ndarray, Optional[Tape]]:
+    """Run the layer stack on ``batch``; return the logits and, when
+    ``record``, the tape.
 
     Shape mismatches raise :class:`ConfigError` before any arithmetic;
     any non-finite output raises :class:`DivergenceError`.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    _require_finite(batch, "input batch")
-    tape = Tape(tuple(model.params)) if record else None
-    x = Tensor(batch)
+    x = np.ascontiguousarray(batch, dtype=np.float64)
+    _require_finite(x, "input batch")
+    steps: list[tuple[Step, tuple[Tensor, ...]]] = []
     p = 0
     # nothing reads the input batch's gradient, so layers before the first
     # parameter are not recorded and the first parametric layer skips its gx
@@ -343,82 +321,50 @@ def forward(
     # overflow is detected by the explicit finiteness checks, not by warnings
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for layer in model.layers:
-            rec = tape if grad_x else None
-            if isinstance(layer, Dense):
-                x = _dense_forward(
-                    x, model.params[p], model.params[p + 1], tape, grad_x
-                )
-                p += 2
-                grad_x = True
-            elif isinstance(layer, Conv2d):
-                x = _conv2d_forward(
-                    x, model.params[p], model.params[p + 1], layer, tape, grad_x
-                )
-                p += 2
-                grad_x = True
-            elif isinstance(layer, MaxPool2):
-                x = _maxpool2_forward(x, rec)
-            elif isinstance(layer, Flatten):
-                x = _flatten_forward(x, rec)
-            elif isinstance(layer, Activation):
-                x = _activation_forward(x, layer.kind, rec)
-            else:
-                raise ConfigError(f"unknown layer {layer!r}")
-            _require_finite(x.data, f"output of {type(layer).__name__}")
-    if tape is not None:
-        tape.output = x
-    return x, tape
+            params = tuple(model.params[p : p + layer.n_params])
+            x, step = layer.forward(x, [t.data for t in params], record, grad_x)
+            if step is not None:
+                steps.append((step, params))
+            p += layer.n_params
+            grad_x = grad_x or layer.n_params > 0
+            _require_finite(x, f"output of {type(layer).__name__}")
+    return x, (Tape(steps, x.shape) if record else None)
 
 
 def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
-    """Replay the tape's VJPs in reverse; returns gradient per parameter.
+    """Pass ``loss_grad`` back through the tape's steps in reverse; returns
+    the gradient per parameter.
 
     The tape is single-use: a second call raises.
     """
     if tape.consumed:
         raise RuntimeError("tape already consumed by a previous backward pass")
-    if tape.output is None:
-        raise RuntimeError("tape has no recorded output")
-    loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    if loss_grad.shape != tape.output.data.shape:
+    g = np.asarray(loss_grad, dtype=np.float64)
+    if g.shape != tape.output_shape:
         raise ConfigError(
-            f"loss gradient shape {loss_grad.shape} does not match output "
-            f"{tape.output.data.shape}"
+            f"loss gradient shape {g.shape} does not match output {tape.output_shape}"
         )
-    tape.consumed = True
-
-    grads: dict[int, np.ndarray] = {id(tape.output): loss_grad}
+    steps, tape.steps, tape.consumed = tape.steps, [], True
+    grads: dict[Tensor, np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for node in reversed(tape.nodes):
-            g_out = grads.pop(id(node.output), None)
-            if g_out is None:
-                continue
-            for tensor, g_in in zip(node.inputs, node.vjp(g_out)):
-                if g_in is None:
-                    continue
-                key = id(tensor)
-                if key in grads:
-                    grads[key] = grads[key] + g_in
-                else:
-                    grads[key] = g_in
-
-    out: dict[Tensor, np.ndarray] = {}
-    for p in tape.params:
-        g = grads.get(id(p))
-        out[p] = np.zeros_like(p.data) if g is None else g
-        _require_finite(out[p], "parameter gradient")
-    return out
+        while steps:
+            step, params = steps.pop()
+            g, param_grads = step(g)
+            for p, pg in zip(params, param_grads):
+                _require_finite(pg, "parameter gradient")
+                grads[p] = pg
+    return grads
 
 
 def softmax_cross_entropy(
-    logits: Union[Tensor, np.ndarray], labels: np.ndarray
+    logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient w.r.t. logits.
 
     Stabilized by row-max subtraction; the gradient is
     (softmax - onehot) / batch_size.
     """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, float)
+    z = np.asarray(logits, float)
     if z.ndim != 2:
         raise ConfigError(f"logits must be (batch, classes), got {z.shape}")
     labels = np.asarray(labels)

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .rng import TAG_BATCH, TAG_BLOBS, TAG_SPLIT, generator
 
 __all__ = [
@@ -197,11 +197,17 @@ def load_cifar100(path: Union[str, Path], split_tag: str = "train") -> Dataset:
 
 
 def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
+    """Pixels in [0, 1] as bytes; anything else (a standardized split, say)
+    would wrap around in the uint8 cast, so it raises instead."""
+    # min and max propagate NaN, which fails both comparisons
+    if not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise DataError("pixel values must be finite and in [0, 1] to write CIFAR bytes")
     return np.rint(images * 255.0).astype(np.uint8).reshape(len(images), 3072)
 
 
 def write_cifar10(ds: Dataset, path: Union[str, Path]) -> None:
-    """Write a dataset back to the CIFAR-10 binary record format."""
+    """Write a dataset back to the CIFAR-10 binary record format; pixels
+    outside [0, 1] raise :class:`DataError` before the file is opened."""
     records = np.empty((len(ds), 3073), dtype=np.uint8)
     records[:, 0] = ds.labels
     records[:, 1:] = _pixels_to_bytes(ds.images)
@@ -209,7 +215,8 @@ def write_cifar10(ds: Dataset, path: Union[str, Path]) -> None:
 
 
 def write_cifar100(ds: Dataset, path: Union[str, Path], coarse=None) -> None:
-    """Write a dataset back to the CIFAR-100 binary record format."""
+    """Write a dataset back to the CIFAR-100 binary record format; pixels
+    outside [0, 1] raise :class:`DataError` before the file is opened."""
     records = np.empty((len(ds), 3074), dtype=np.uint8)
     records[:, 0] = 0 if coarse is None else coarse
     records[:, 1] = ds.labels

@@ -18,6 +18,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,6 +141,12 @@ def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
             spec.split.test, b.classes, b.dim, b.spread, b.seed, tag="test"
         )
     else:
+        if Path(spec.path).is_file():
+            # a single file would serve as its own test split
+            raise ConfigError(
+                f"dataset.path must name the {spec.name} archive directory "
+                f"(train and test files), not the single file {spec.path}"
+            )
         loader = (
             data_mod.load_cifar10 if spec.name == "cifar10" else data_mod.load_cifar100
         )
@@ -236,7 +243,7 @@ def _evaluate(model: Model, ds: Dataset, batch: int = _EVAL_BATCH) -> tuple[floa
         logits, _ = forward(model, xb, record=False)
         loss, _ = softmax_cross_entropy(logits, yb)
         loss_sum += loss * len(yb)
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == yb))
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
     return 100.0 * correct / len(ds), loss_sum / len(ds)
 
 
@@ -322,6 +329,29 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
         return list(pool.map(run_trial, configs))
 
 
+def _seeded(cfg: TrainConfig, seeds: list[int]) -> list[TrainConfig]:
+    """One config per seed; seeds must be distinct and non-empty."""
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    return [replace(cfg, seed=s) for s in seeds]
+
+
+def _summarize(cfg: TrainConfig, trials: list[TrialResult]) -> TrialSummary:
+    """Aggregate one configuration's trials across seeds."""
+    accs = np.array([t.test_acc for t in trials])
+    return TrialSummary(
+        activation=cfg.activation.spec_string(),
+        optimizer=cfg.optimizer.kind,
+        mean_test_acc=float(np.mean(accs)),
+        std_test_acc=float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
+        mean_conc=float(np.mean([conc_metric(t) for t in trials])),
+        divergence_count=sum(t.diverged for t in trials),
+        n_trials=len(trials),
+    )
+
+
 def replicate(
     cfg: TrainConfig, seeds: list[int], jobs: int = 1
 ) -> tuple[TrialSummary, list[TrialResult]]:
@@ -331,22 +361,8 @@ def replicate(
     part of the measurement.  Sample standard deviation uses the n-1
     denominator (0.0 when n = 1).
     """
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    trials = _run_trials([replace(cfg, seed=s) for s in seeds], jobs)
-    accs = np.array([t.test_acc for t in trials])
-    summary = TrialSummary(
-        activation=cfg.activation.spec_string(),
-        optimizer=cfg.optimizer.kind,
-        mean_test_acc=float(np.mean(accs)),
-        std_test_acc=float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-        mean_conc=float(np.mean([conc_metric(t) for t in trials])),
-        divergence_count=sum(t.diverged for t in trials),
-        n_trials=len(trials),
-    )
-    return summary, trials
+    trials = _run_trials(_seeded(cfg, seeds), jobs)
+    return _summarize(cfg, trials), trials
 
 
 @dataclass(frozen=True)
@@ -400,16 +416,18 @@ def grid_search(
     Ties break toward the lower (lr, weight_decay, gamma) triple so the
     selection is deterministic.
     """
+    configs = grid.configs()
+    # every (cell x seed) trial goes through one pool, in cell-major order
+    trials = _run_trials([c for cfg in configs for c in _seeded(cfg, seeds)], jobs)
     cells = []
-    for cfg in grid.configs():
-        summary, trials = replicate(cfg, seeds, jobs=jobs)
-        mean_best_valid = float(np.mean([t.best_valid_acc for t in trials]))
+    for i, cfg in enumerate(configs):
+        cell_trials = trials[i * len(seeds) : (i + 1) * len(seeds)]
         cells.append(
             GridCell(
                 config=cfg,
-                mean_best_valid=mean_best_valid,
-                summary=summary,
-                trials=tuple(trials),
+                mean_best_valid=float(np.mean([t.best_valid_acc for t in cell_trials])),
+                summary=_summarize(cfg, cell_trials),
+                trials=tuple(cell_trials),
             )
         )
     best = min(

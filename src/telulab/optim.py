@@ -94,14 +94,15 @@ def lr_at_epoch(schedule: LrSchedule, epoch: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter auxiliary buffers plus the AdamW step counter."""
+    """Per-parameter auxiliary buffers, keyed by the parameter, plus the
+    AdamW step counter."""
 
     cfg: OptimizerConfig
-    buffers: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    buffers: dict[Tensor, dict[str, np.ndarray]] = field(default_factory=dict)
     t: int = 0
 
     def _buf(self, p: Tensor, name: str) -> np.ndarray:
-        slot = self.buffers.setdefault(id(p), {})
+        slot = self.buffers.setdefault(p, {})
         if name not in slot:
             slot[name] = np.zeros_like(p.data)
         return slot[name]

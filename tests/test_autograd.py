@@ -13,10 +13,6 @@ from telulab.autograd import (
     Flatten,
     MaxPool2,
     Model,
-    Tape,
-    Tensor,
-    _conv2d_forward,
-    _maxpool2_forward,
     backward,
     build_model,
     finite_difference_check,
@@ -46,17 +42,17 @@ class TestForward:
     def test_identity_weights_relu(self):
         model = dense_model(np.eye(2), [0.0, 0.0], RELU)
         logits, _ = forward(model, np.array([[1.0, -1.0]]))
-        np.testing.assert_array_equal(logits.data, [[1.0, 0.0]])
+        np.testing.assert_array_equal(logits, [[1.0, 0.0]])
 
     def test_telu_zero_input(self):
         model = dense_model(np.eye(2), [0.0, 0.0], TELU)
         logits, _ = forward(model, np.array([[0.0, 0.0]]))
-        np.testing.assert_array_equal(logits.data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(logits, [[0.0, 0.0]])
 
     def test_telu_sum_chain(self):
         model = dense_model([[1.0], [1.0]], [0.0], TELU)
         logits, _ = forward(model, np.array([[1.0, 0.0]]))
-        assert logits.data[0, 0] == pytest.approx(TANH_E, rel=1e-15)
+        assert logits[0, 0] == pytest.approx(TANH_E, rel=1e-15)
 
     def test_shape_mismatch_rejected(self):
         model = dense_model(np.eye(2), [0.0, 0.0])
@@ -79,21 +75,21 @@ class TestBackward:
         # y = telu(w * x), x = 1, w = 0: dy/dw = x * f'(0) = tanh(1)
         model = dense_model([[0.0]], [0.0], TELU)
         logits, tape = forward(model, np.array([[1.0]]), record=True)
-        grads = backward(tape, np.ones_like(logits.data))
+        grads = backward(tape, np.ones_like(logits))
         assert grads[model.params[0]][0, 0] == pytest.approx(TANH_1, rel=1e-15)
 
     def test_relu_inactive_region_zero_grad(self):
         model = dense_model([[-1.0]], [0.0], RELU)
         logits, tape = forward(model, np.array([[2.0]]), record=True)
-        grads = backward(tape, np.ones_like(logits.data))
+        grads = backward(tape, np.ones_like(logits))
         assert grads[model.params[0]][0, 0] == 0.0
 
     def test_tape_single_use(self):
         model = dense_model(np.eye(2), [0.0, 0.0])
         logits, tape = forward(model, np.ones((1, 2)), record=True)
-        backward(tape, np.ones_like(logits.data))
+        backward(tape, np.ones_like(logits))
         with pytest.raises(RuntimeError):
-            backward(tape, np.ones_like(logits.data))
+            backward(tape, np.ones_like(logits))
 
     def test_loss_grad_shape_checked(self):
         model = dense_model(np.eye(2), [0.0, 0.0])
@@ -217,7 +213,7 @@ class TestDeterminismAndInit:
         batch = np.linspace(-1, 1, 8).reshape(2, 4)
         out1, _ = forward(model, batch)
         out2, _ = forward(model, batch)
-        np.testing.assert_array_equal(out1.data, out2.data)
+        np.testing.assert_array_equal(out1, out2)
 
     def test_bias_starts_zero(self):
         model = build_model([Dense(4, 8)], seed=0)
@@ -239,13 +235,13 @@ class TestConvAgainstDirectSum:
                         expected[n, o, p, q] = (
                             np.sum(x[n, :, p : p + 3, q : q + 3] * w[o]) + b[o]
                         )
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_maxpool_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         model = Model((MaxPool2(),), [])
         out, _ = forward(model, x)
-        np.testing.assert_array_equal(out.data, [[[[5.0, 7.0], [13.0, 15.0]]]])
+        np.testing.assert_array_equal(out, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
     def test_backward_matches_naive_loops(self):
         rng = np.random.default_rng(22)
@@ -253,11 +249,8 @@ class TestConvAgainstDirectSum:
         x = rng.normal(size=(n, c, hw, hw))
         w = rng.normal(size=(o, c, k, k))
         g = rng.normal(size=(n, o, hw - k + 1, hw - k + 1))
-        tape = Tape(())
-        _conv2d_forward(
-            Tensor(x), Tensor(w), Tensor(np.zeros(o)), Conv2d(c, o, k), tape, True
-        )
-        gx, gw, gb = tape.nodes[0].vjp(g)
+        _, step = Conv2d(c, o, k).forward(x, [w, np.zeros(o)], True, True)
+        gx, (gw, gb) = step(g)
         want_gx, want_gw = np.zeros_like(x), np.zeros_like(w)
         for i in range(n):
             for p in range(hw - k + 1):
@@ -273,7 +266,9 @@ class TestConvAgainstDirectSum:
     def test_first_layer_computes_no_input_gradient(self):
         model = build_model([Conv2d(1, 2, 3), Flatten(), Dense(8, 2)], seed=1)
         out, tape = forward(model, np.ones((1, 1, 4, 4)), record=True)
-        gx, gw, _ = tape.nodes[0].vjp(np.ones((1, 2, 2, 2)))
+        (step, params), _, _ = tape.steps
+        assert params == tuple(model.params[:2])
+        gx, (gw, _) = step(np.ones((1, 2, 2, 2)))
         assert gx is None and gw.shape == (2, 1, 3, 3)
 
     def test_maxpool_backward_ties_go_to_first_in_window_order(self):
@@ -287,10 +282,10 @@ class TestConvAgainstDirectSum:
         ]
         x = np.block([[np.array(windows[0]), np.array(windows[1])],
                       [np.array(windows[2]), np.array(windows[3])]])
-        tape = Tape(())
-        out = _maxpool2_forward(Tensor(x[None, None]), tape)
-        np.testing.assert_array_equal(out.data[0, 0], [[2.0, 3.0], [3.0, 1.0]])
-        (gx,) = tape.nodes[0].vjp(np.array([[[[10.0, 20.0], [30.0, 40.0]]]]))
+        out, step = MaxPool2().forward(x[None, None], [], True, True)
+        np.testing.assert_array_equal(out[0, 0], [[2.0, 3.0], [3.0, 1.0]])
+        gx, param_grads = step(np.array([[[[10.0, 20.0], [30.0, 40.0]]]]))
+        assert param_grads == ()
         np.testing.assert_array_equal(
             gx[0, 0],
             [

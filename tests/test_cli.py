@@ -261,6 +261,14 @@ class TestGridCommand:
         best = json.loads((out / "best_config.json").read_text())
         assert set(best) == {"lr", "weight_decay", "gamma"}
 
+    def test_parallel_jobs_match_sequential(self, blob_cfg, tmp_path):
+        out1, out2 = tmp_path / "seq", tmp_path / "par"
+        assert main(["grid", "--config", str(blob_cfg), "--out", str(out1)]) == 0
+        argv = ["grid", "--config", str(blob_cfg), "--jobs", "2", "--out", str(out2)]
+        assert main(argv) == 0
+        for name in ("results.csv", "grid_cells.csv", "best_config.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_grid_requires_section(self, blob_cfg, tmp_path):
         cfg = json.loads(Path(blob_cfg).read_text())
         del cfg["grid"]
@@ -351,3 +359,28 @@ class TestFisherCommand:
         assert all(float(r["fisher_diag"]) >= 0.0 for r in rows)
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["probe"]["samples"] == 40
+
+
+class TestDatasetPath:
+    def test_single_cifar_file_is_a_usage_error(self, blob_cfg, tmp_path, capsys):
+        # one file would serve as its own test split
+        records = np.zeros((10, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(10)
+        single = tmp_path / "data_batch_1.bin"
+        single.write_bytes(records.tobytes())
+        cfg = json.loads(Path(blob_cfg).read_text())
+        cfg["model"]["layers"] = [
+            {"type": "flatten"},
+            {"type": "dense", "in": 3072, "out": 10},
+        ]
+        cfg["dataset"] = {
+            "name": "cifar10",
+            "path": str(single),
+            "split": {"train": 8, "valid": 2, "seed": 0},
+        }
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.path ") and err.count("\n") == 1

@@ -16,7 +16,7 @@ from telulab.data import (
     write_cifar10,
     write_cifar100,
 )
-from telulab.errors import ConfigError, FormatError
+from telulab.errors import ConfigError, DataError, FormatError
 
 
 def make_cifar10_fixture(tmp_path, labels, fill):
@@ -88,6 +88,37 @@ class TestCifar10:
         ds = load_cifar10(path)
         assert ds.images.min() >= 0.0
         assert ds.images.max() <= 1.0
+
+
+class TestCifarWriters:
+    def test_standardized_split_rejected_without_a_file(self, tmp_path):
+        path = make_cifar10_fixture(tmp_path, labels=[0, 1, 2], fill=[0, 128, 255])
+        ds = load_cifar10(path)
+        mean = np.full((1, 3, 1, 1), 0.5)
+        std = np.full((1, 3, 1, 1), 0.25)
+        for write in (write_cifar10, write_cifar100):
+            dst = tmp_path / f"{write.__name__}.bin"
+            with pytest.raises(DataError):
+                write(ds.standardized(mean, std), dst)
+            assert not dst.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12])
+    def test_nonfinite_or_out_of_range_pixel_rejected(self, tmp_path, bad):
+        images = np.full((2, 3, 32, 32), 0.5)
+        images[1, 2, 31, 31] = bad
+        ds = Dataset(images, np.array([0, 1]), DataMeta("cifar10", 10, "train"))
+        dst = tmp_path / "out.bin"
+        with pytest.raises(DataError):
+            write_cifar10(ds, dst)
+        assert not dst.exists()
+
+    def test_range_ends_round_trip_bytewise(self, tmp_path):
+        path = make_cifar10_fixture(tmp_path, labels=[4, 9], fill=[0, 255])
+        ds = load_cifar10(path)
+        assert ds.images.min() == 0.0 and ds.images.max() == 1.0
+        dst = tmp_path / "dst.bin"
+        write_cifar10(ds, dst)
+        assert dst.read_bytes() == path.read_bytes()
 
 
 class TestCifar100:

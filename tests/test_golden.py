@@ -1,0 +1,130 @@
+"""Golden artifact hashes: ``train`` and ``fisher --samples 0`` on two small
+setups write byte-identical CSVs from one change of the engine to the next.
+
+The setups are the blobs MLP used across the CLI tests and a tiny generated
+CIFAR-10 archive run through every layer type of the reference CNN (conv,
+activation, pool, flatten, dense) with ``standardize`` on.
+
+The hashes hold for the numpy/BLAS environment they were recorded in: a
+different numpy or BLAS build may legitimately move the last bits of a
+matmul.  A change that moves bits on purpose (a new summation order, say)
+re-records them and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from telulab.cli import main
+
+BLOBS = {
+    "model": {
+        "layers": [
+            {"type": "dense", "in": 16, "out": 24},
+            {"type": "activation"},
+            {"type": "dense", "in": 24, "out": 4},
+        ]
+    },
+    "activation": "telu",
+    "optimizer": {"kind": "sgd", "lr": 0.1, "weight_decay": 0.0003},
+    "schedule": {"gamma": 0.2, "milestones": [6, 8]},
+    "epochs": 4,
+    "batch": 64,
+    "dataset": {
+        "name": "blobs",
+        "blobs": {"n": 600, "classes": 4, "dim": 16, "spread": 0.08, "seed": 0},
+        "split": {"train": 480, "valid": 120, "test": 120, "seed": 0},
+    },
+    "seeds": [0],
+}
+
+CIFAR = {
+    "model": {
+        "layers": [
+            {"type": "conv2d", "in_ch": 3, "out_ch": 4, "k": 3},
+            {"type": "activation"},
+            {"type": "maxpool2"},
+            {"type": "conv2d", "in_ch": 4, "out_ch": 4, "k": 4},
+            {"type": "activation"},
+            {"type": "maxpool2"},
+            {"type": "flatten"},
+            {"type": "dense", "in": 144, "out": 16},
+            {"type": "activation"},
+            {"type": "dense", "in": 16, "out": 10},
+        ]
+    },
+    "activation": "gelu",
+    "optimizer": {"kind": "momentum", "lr": 0.01, "momentum": 0.9, "weight_decay": 0.0005},
+    "schedule": {"gamma": 1.0, "milestones": []},
+    "epochs": 2,
+    "batch": 8,
+    "dataset": {
+        "name": "cifar10",
+        "split": {"train": 24, "valid": 6, "seed": 1},
+        "standardize": True,
+    },
+    "seeds": [0],
+}
+
+GOLDEN = {
+    "blobs/train/results.csv": (
+        "2d09f92e2b67b77055b24397748fc0a5fdfac928092db294f78a5f7f195ff68b"
+    ),
+    "blobs/train/curves.csv": (
+        "b965cc4b3aad4125ce56e3cee56c4b495c7395e5de5bbb1c236e1d13e6e4c742"
+    ),
+    "blobs/fisher/fisher.csv": (
+        "2e0e96bc30f8404ad56a9d5d9111a7622f518341743872972b6a23da4c0e40f0"
+    ),
+    "cifar/train/results.csv": (
+        "4d0debc46e2620517468fade7dd9778de3fcb2639c8946048e213c1f5052490f"
+    ),
+    "cifar/train/curves.csv": (
+        "0c76dc1f5843eaf49a831249879b7c30a58717851a50b7dd0e4e72b87188e194"
+    ),
+    "cifar/fisher/fisher.csv": (
+        "4baac625a5b60c31231421eee5f06cf9f298164f1ebed99b17e54e5e38360c00"
+    ),
+}
+
+
+def _write_archive(path):
+    """CIFAR-10 archive directory of seeded random records: 6 per train
+    file, 10 in the test file."""
+    rng = np.random.default_rng(2024)
+    path.mkdir()
+    files = [(f"data_batch_{i}.bin", 6) for i in range(1, 6)] + [("test_batch.bin", 10)]
+    for name, n in files:
+        records = rng.integers(0, 256, size=(n, 3073), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, size=n)
+        (path / name).write_bytes(records.tobytes())
+
+
+def artifact_hashes(tmp_path):
+    """sha256 of every golden artifact, keyed like ``GOLDEN``."""
+    _write_archive(tmp_path / "archive")
+    cifar = json.loads(json.dumps(CIFAR))
+    cifar["dataset"]["path"] = str(tmp_path / "archive")
+    out = {}
+    for name, cfg in (("blobs", BLOBS), ("cifar", cifar)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(cfg))
+        for command, extra, files in (
+            ("train", [], ("results.csv", "curves.csv")),
+            ("fisher", ["--samples", "0"], ("fisher.csv",)),
+        ):
+            run_dir = tmp_path / name / command
+            argv = [command, "--config", str(config), "--out", str(run_dir), *extra]
+            assert main(argv) == 0
+            for f in files:
+                digest = hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+                out[f"{name}/{command}/{f}"] = digest
+    return out
+
+
+def test_artifacts_match_recorded_hashes(tmp_path):
+    got = artifact_hashes(tmp_path)
+    assert sorted(got) == sorted(GOLDEN)
+    for key, want in GOLDEN.items():
+        assert got[key] == want, key

@@ -15,12 +15,14 @@ from telulab.autograd import (
     softmax_cross_entropy,
 )
 from telulab.data import SplitSpec, synthetic_blobs
-from telulab.errors import ConfigError
+from telulab.errors import ConfigError, DivergenceError
+import telulab.harness as harness
 from telulab.harness import (
     BlobsSpec,
     DatasetSpec,
     GridSpec,
     TrainConfig,
+    _evaluate,
     conc_metric,
     draw_directions,
     empirical_fisher_diag,
@@ -179,6 +181,23 @@ class TestGridSearch:
         assert means[0.5] == means[0.2]
         assert best.schedule.gamma == 0.2
 
+    def test_all_trials_share_one_run(self, monkeypatch):
+        # one _run_trials call (so one pool with --jobs) for every cell x seed
+        calls = []
+        run_trials = harness._run_trials
+
+        def counted(configs, jobs):
+            calls.append([(c.optimizer.lr, c.seed) for c in configs])
+            return run_trials(configs, jobs)
+
+        monkeypatch.setattr(harness, "_run_trials", counted)
+        base = blob_config(epochs=1)
+        grid = GridSpec(base=base, lr=(0.1, 0.03), weight_decay=(0.0003,), gamma=(0.2,))
+        _, cells = grid_search(grid, [0, 1])
+        assert calls == [[(0.1, 0), (0.1, 1), (0.03, 0), (0.03, 1)]]
+        assert [[t.seed for t in c.trials] for c in cells] == [[0, 1], [0, 1]]
+        assert [c.trials[0].lr for c in cells] == [0.1, 0.03]
+
     def test_grid_size_and_schedule_lr_tracks_optimizer(self):
         base = blob_config(epochs=2)
         grid = GridSpec(
@@ -297,6 +316,26 @@ class TestLandscape:
         landscape_slice(model, train, 3, 1.0, seed=0)
         for orig, now in zip(before, model.params):
             np.testing.assert_array_equal(orig, now.data)
+
+    def test_diverging_cells_are_inf_and_center_exact(self):
+        # two stacked dense layers scaled by 1e200 give logits near 1e400:
+        # every perturbed forward overflows and raises DivergenceError
+        model = build_model([Dense(4, 8), Dense(8, 3)], seed=2)
+        ds = synthetic_blobs(30, classes=3, dim=4, spread=0.2, seed=5)
+        before = model.copy_param_values()
+        d1, _ = draw_directions(model, seed=7)
+        model.set_param_values([t + 1e200 * u for t, u in zip(before, d1)])
+        with pytest.raises(DivergenceError):
+            forward(model, ds.images)
+        model.set_param_values(before)
+
+        surface = landscape_slice(model, ds, grid_n=3, radius=1e200, seed=7)
+        off_center = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+        for i, j in off_center:
+            assert surface.losses[i, j] == math.inf, (i, j)
+        assert surface.losses[1, 1] == _evaluate(model, ds)[1]
+        for orig, now in zip(before, model.params):
+            assert orig.tobytes() == now.data.tobytes()
 
     def test_even_grid_rejected(self):
         model = toy_quadratic_model()
