@@ -27,6 +27,7 @@ a fixed summation order.  The first non-finite value anywhere raises
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Optional, Union
@@ -362,7 +363,9 @@ def softmax_cross_entropy(
     """Mean cross-entropy over the batch and its gradient w.r.t. logits.
 
     Stabilized by row-max subtraction; the gradient is
-    (softmax - onehot) / batch_size.
+    (softmax - onehot) / batch_size.  A non-finite loss (finite logits
+    whose row spread exceeds the float range) or gradient raises
+    :class:`DivergenceError`.
     """
     z = np.asarray(logits, float)
     if z.ndim != 2:
@@ -373,7 +376,8 @@ def softmax_cross_entropy(
     if labels.min() < 0 or labels.max() >= z.shape[1]:
         raise DataError("label out of range for the logit width")
 
-    shifted = z - z.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # caught by the finite-loss check below
+        shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
     rows = np.arange(z.shape[0])
     loss = float(np.mean(logsumexp - shifted[rows, labels]))
@@ -384,6 +388,8 @@ def softmax_cross_entropy(
     grad[rows, labels] -= 1.0
     grad /= z.shape[0]
     _require_finite(grad, "loss gradient")
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
     return loss, grad
 
 

@@ -4,6 +4,13 @@ Subcommands: verify, kernels, train, replicate, grid, landscape, fisher.
 Each run writes its machine-readable artifacts plus a metadata.json into
 the output directory; stdout carries a short human-readable summary.
 
+:func:`main` runs every command the same way: it loads the run spec when
+the command takes ``--config`` (applying each ``--set``), calls the
+command, and writes ``metadata.json`` once from the fields the command
+returns plus, for config commands, the resolved config.  ``--out`` is
+created when the first artifact is written, so a run that fails before
+writing anything leaves no output directory behind.
+
 Exit codes: 0 success (training divergence counts as success: it is
 data), 1 at least one property claim failed, 2 usage or configuration
 error, 3 any other error (a one-line ``error:`` message on stderr, never a
@@ -21,16 +28,16 @@ import numpy as np
 
 from . import __version__, kernels
 from .autograd import build_model, load_params, save_params
-from .config import load_run_spec, parse_overrides, run_spec_to_dict
+from .config import load_run_spec, run_spec_to_dict
 from .errors import ConfigError, DataError, DomainError, FormatError
 from .harness import (
     empirical_fisher_diag,
+    fit,
     grid_search,
     landscape_slice,
     materialize_datasets,
     replicate,
     run_trial,
-    train_model,
 )
 from .properties import verify_activation
 from . import reporting
@@ -41,28 +48,12 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_kinds(names: list[str]) -> list[kernels.ActivationKind]:
-    return [kernels.parse_kind(n) for n in names]
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_verify(args) -> int:
-    kinds = _parse_kinds(args.activations)
-    out = _out_dir(args)
+def cmd_verify(args, spec, out: Path) -> tuple[int, dict]:
+    kinds = [kernels.parse_kind(n) for n in args.activations]
     reports = []
     for kind in kinds:
         reports.extend(verify_activation(kind))
     reporting.write_property_report(reports, out / "property_report.json")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "verify",
-        {"activations": [k.spec_string() for k in kinds]},
-    )
     failed = [r for r in reports if r.verdict == "fails"]
     for r in reports:
         line = f"{r.claim_id}: {r.verdict} (measured={r.measured:.6g})"
@@ -70,16 +61,16 @@ def cmd_verify(args) -> int:
             line += f" witness={r.witness}"
         print(line)
     print(f"{len(reports) - len(failed)}/{len(reports)} claims hold")
-    return EXIT_CLAIM_FAILED if failed else EXIT_OK
+    code = EXIT_CLAIM_FAILED if failed else EXIT_OK
+    return code, {"config": {"activations": [k.spec_string() for k in kinds]}}
 
 
-def cmd_kernels(args) -> int:
-    kinds = _parse_kinds(args.activations)
+def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
+    kinds = [kernels.parse_kind(n) for n in args.activations]
     if args.step <= 0:
         raise ConfigError("--step must be positive")
     if args.hi <= args.lo:
         raise ConfigError("--hi must exceed --lo")
-    out = _out_dir(args)
     n = int(round((args.hi - args.lo) / args.step)) + 1
     xs = args.lo + args.step * np.arange(n)
     rows = []
@@ -94,64 +85,42 @@ def cmd_kernels(args) -> int:
             rows.append((kind.spec_string(), float(xs[i]), float(f[i]),
                          float(d1[i]), d2[i]))
     reporting.write_kernel_table(rows, out / "kernels.csv")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "kernels",
-        {
-            "activations": [k.spec_string() for k in kinds],
-            "lo": args.lo,
-            "hi": args.hi,
-            "step": args.step,
-        },
-    )
     print(f"wrote {len(rows)} rows for {len(kinds)} activation(s)")
-    return EXIT_OK
+    config = {
+        "activations": [k.spec_string() for k in kinds],
+        "lo": args.lo,
+        "hi": args.hi,
+        "step": args.step,
+    }
+    return EXIT_OK, {"config": config}
 
 
-def cmd_train(args) -> int:
-    spec = load_run_spec(args.config, parse_overrides(args.set))
-    out = _out_dir(args)
+def cmd_train(args, spec, out: Path) -> tuple[int, dict]:
     result = run_trial(spec.train)
     reporting.write_results_csv([result], out / "results.csv")
     reporting.write_curves_csv([result], out / "curves.csv")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "train",
-        run_spec_to_dict(spec),
-        wall_time_seconds={str(result.seed): result.wall_time},
-    )
     status = "diverged" if result.diverged else "ok"
     print(
         f"{result.activation} {result.optimizer}: test {result.test_acc:.2f} "
         f"best-valid {result.best_valid_acc:.2f} ({status})"
     )
-    return EXIT_OK
+    return EXIT_OK, {"wall_time_seconds": {str(result.seed): result.wall_time}}
 
 
-def cmd_replicate(args) -> int:
-    spec = load_run_spec(args.config, parse_overrides(args.set))
-    out = _out_dir(args)
+def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
     summary, trials = replicate(spec.train, list(spec.seeds), jobs=args.jobs)
     reporting.write_results_csv(trials, out / "results.csv")
     reporting.write_curves_csv(trials, out / "curves.csv")
     reporting.write_summary_json(summary, out / "summary.json")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "replicate",
-        run_spec_to_dict(spec),
-        wall_time_seconds={str(t.seed): t.wall_time for t in trials},
-    )
     print(f"{summary.activation} {summary.optimizer}: {summary.cell()}")
     if summary.divergence_count:
         print(f"divergences: {summary.divergence_count}/{summary.n_trials}")
-    return EXIT_OK
+    return EXIT_OK, {"wall_time_seconds": {str(t.seed): t.wall_time for t in trials}}
 
 
-def cmd_grid(args) -> int:
-    spec = load_run_spec(args.config, parse_overrides(args.set))
+def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
     if spec.grid is None:
         raise ConfigError("grid: section required for the grid command")
-    out = _out_dir(args)
     print(f"grid: {spec.grid.size()} configuration(s) x {len(spec.seeds)} seed(s)")
     t0 = time.perf_counter()
     best, cells = grid_search(spec.grid, list(spec.seeds), jobs=args.jobs)
@@ -164,87 +133,56 @@ def cmd_grid(args) -> int:
         "gamma": best.schedule.gamma,
     }
     reporting.write_best_config_json(best_dict, out / "best_config.json")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "grid",
-        run_spec_to_dict(spec),
-        wall_time_seconds={"total": time.perf_counter() - t0},
-    )
+    wall = {"total": time.perf_counter() - t0}
     print(
         f"best: lr={best.optimizer.lr:g} wd={best.optimizer.weight_decay:g} "
         f"gamma={best.schedule.gamma:g}"
     )
-    return EXIT_OK
+    return EXIT_OK, {"wall_time_seconds": wall}
 
 
-def _model_for_probe(spec, args):
-    """Trained model per config, or a fresh one loaded from a checkpoint."""
+def _probe_target(spec, args):
+    """The model to probe (trained per config, or loaded from a checkpoint
+    with no training record) and the train split; data is loaded once."""
+    splits = materialize_datasets(spec.train.dataset)
     if args.checkpoint:
         model = build_model(spec.train.layers, spec.train.seed)
         load_params(model, args.checkpoint)
-        return model, None
-    model, result = train_model(spec.train)
-    return model, result
+        return model, None, splits[0]
+    model, result = fit(spec.train, splits)
+    return model, result, splits[0]
 
 
-def cmd_landscape(args) -> int:
-    spec = load_run_spec(args.config, parse_overrides(args.set))
-    out = _out_dir(args)
-    model, result = _model_for_probe(spec, args)
-    train_ds, _, _ = materialize_datasets(spec.train.dataset)
+def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
+    model, result, train_ds = _probe_target(spec, args)
     surface = landscape_slice(
         model, train_ds, args.grid_n, args.radius, args.direction_seed
     )
     reporting.write_landscape_csv(surface, out / "landscape.csv")
     if args.save_checkpoint:
         save_params(model, out / "model")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "landscape",
-        run_spec_to_dict(spec),
-        probe={
-            "grid_n": args.grid_n,
-            "radius": args.radius,
-            "direction_seed": args.direction_seed,
-            "checkpoint": args.checkpoint,
-        },
-        trained=result is not None,
-    )
     center = surface.losses[args.grid_n // 2, args.grid_n // 2]
     print(f"landscape {args.grid_n}x{args.grid_n}, center loss {center:.6f}")
-    return EXIT_OK
+    probe = {
+        "grid_n": args.grid_n,
+        "radius": args.radius,
+        "direction_seed": args.direction_seed,
+        "checkpoint": args.checkpoint,
+    }
+    return EXIT_OK, {"probe": probe, "trained": result is not None}
 
 
-def cmd_fisher(args) -> int:
-    spec = load_run_spec(args.config, parse_overrides(args.set))
-    out = _out_dir(args)
-    model, result = _model_for_probe(spec, args)
-    train_ds, _, _ = materialize_datasets(spec.train.dataset)
+def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
+    model, result, train_ds = _probe_target(spec, args)
     n = args.samples or len(train_ds)
     values = empirical_fisher_diag(model, train_ds, n)
     reporting.write_fisher_csv(values, out / "fisher.csv")
-    reporting.write_metadata(
-        out / "metadata.json",
-        "fisher",
-        run_spec_to_dict(spec),
-        probe={"samples": n, "checkpoint": args.checkpoint},
-        trained=result is not None,
-    )
     print(
         f"fisher diagonal over {n} samples: mean {values.mean():.3e} "
         f"max {values.max():.3e}"
     )
-    return EXIT_OK
-
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="run-config JSON file")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY.PATH=VALUE",
-        help="override a config entry (repeatable), e.g. optimizer.lr=0.05",
-    )
+    probe = {"samples": n, "checkpoint": args.checkpoint}
+    return EXIT_OK, {"probe": probe, "trained": result is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,38 +194,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the numeric property claims")
-    p.add_argument("--activations", nargs="+", required=True)
-    p.add_argument("--out", default="out/verify")
-    p.set_defaults(fn=cmd_verify)
+    def command(name, fn, about, config: bool) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(fn=fn)
+        p.add_argument("--out", default=f"out/{name}")
+        if config:
+            p.add_argument("--config", required=True, help="run-config JSON file")
+            p.add_argument(
+                "--set",
+                action="append",
+                metavar="KEY.PATH=VALUE",
+                help="override a config entry (repeatable), e.g. optimizer.lr=0.05",
+            )
+        return p
 
-    p = sub.add_parser("kernels", help="tabulate f, f', f'' on a grid")
+    p = command("verify", cmd_verify, "run the numeric property claims", config=False)
+    p.add_argument("--activations", nargs="+", required=True)
+
+    p = command("kernels", cmd_kernels, "tabulate f, f', f'' on a grid", config=False)
     p.add_argument("--activations", nargs="+", required=True)
     p.add_argument("--lo", type=float, default=-4.0)
     p.add_argument("--hi", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--out", default="out/kernels")
-    p.set_defaults(fn=cmd_kernels)
 
-    p = sub.add_parser("train", help="run a single training trial")
-    _add_config_args(p)
-    p.add_argument("--out", default="out/train")
-    p.set_defaults(fn=cmd_train)
+    command("train", cmd_train, "run a single training trial", config=True)
 
-    p = sub.add_parser("replicate", help="run the config across its seeds")
-    _add_config_args(p)
-    p.add_argument("--out", default="out/replicate")
+    p = command("replicate", cmd_replicate, "run the config across its seeds", config=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=cmd_replicate)
 
-    p = sub.add_parser("grid", help="hyperparameter grid search")
-    _add_config_args(p)
-    p.add_argument("--out", default="out/grid")
+    p = command("grid", cmd_grid, "hyperparameter grid search", config=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=cmd_grid)
 
-    p = sub.add_parser("landscape", help="loss surface around a trained model")
-    _add_config_args(p)
+    p = command("landscape", cmd_landscape, "loss surface around a trained model", config=True)
     p.add_argument("--grid-n", "--grid", dest="grid_n", type=int, default=41)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--direction-seed", type=int, default=0)
@@ -297,15 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also save the probed parameters beside the surface",
     )
-    p.add_argument("--out", default="out/landscape")
-    p.set_defaults(fn=cmd_landscape)
 
-    p = sub.add_parser("fisher", help="empirical Fisher diagonal probe")
-    _add_config_args(p)
+    p = command("fisher", cmd_fisher, "empirical Fisher diagonal probe", config=True)
     p.add_argument("--samples", type=int, default=0, help="0 = full train split")
     p.add_argument("--checkpoint", help="parameter checkpoint stem to load")
-    p.add_argument("--out", default="out/fisher")
-    p.set_defaults(fn=cmd_fisher)
     return parser
 
 
@@ -313,7 +246,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        spec = load_run_spec(args.config, args.set) if "config" in args else None
+        out = Path(args.out)
+        code, meta = args.fn(args, spec, out)
+        if spec is not None:
+            meta["config"] = run_spec_to_dict(spec)
+        reporting.write_metadata(out / "metadata.json", args.command, **meta)
+        return code
     except (ConfigError, DomainError, FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,9 +22,9 @@ Schema (see README for the full reference):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 from .autograd import Activation, Conv2d, Dense, Flatten, LayerSpec, MaxPool2
 from .data import SplitSpec
@@ -33,7 +33,7 @@ from .harness import BlobsSpec, DatasetSpec, GridSpec, TrainConfig
 from .kernels import ActivationKind, parse_kind
 from .optim import LrSchedule, OptimizerConfig
 
-__all__ = ["RunSpec", "load_run_spec", "parse_overrides", "run_spec_to_dict"]
+__all__ = ["RunSpec", "load_run_spec", "run_spec_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,37 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
+
+
+def _pair(value, path: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path}: expected a two-element list")
+    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+
+
+# field type -> value parser; strings are checked by the dataclass itself
+_FIELD_PARSERS = {
+    int: _integer,
+    float: _number,
+    str: lambda value, path: value,
+    tuple[float, float]: _pair,
+}
+
+
+def _parse_fields(cls, d, path: str):
+    """The dataclass ``cls`` built from the object ``d``, whose keys are the
+    field names; a field without a default is required."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _check_keys(d, {f.name for f in fields(cls)}, path)
+    types = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = _FIELD_PARSERS[types[f.name]](d[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
+    return cls(**kwargs)
 
 
 def _parse_layer(entry, idx: int, default_kind: ActivationKind) -> LayerSpec:
@@ -110,35 +141,6 @@ def _parse_activation(value, path: str) -> ActivationKind:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_optimizer(d, path: str = "optimizer") -> OptimizerConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(
-        d, {"kind", "lr", "weight_decay", "momentum", "betas", "eps", "rms_alpha"}, path
-    )
-    kwargs = {
-        "kind": _req(d, "kind", path),
-        "lr": _number(_req(d, "lr", path), f"{path}.lr"),
-    }
-    if "weight_decay" in d:
-        kwargs["weight_decay"] = _number(d["weight_decay"], f"{path}.weight_decay")
-    if "momentum" in d:
-        kwargs["momentum"] = _number(d["momentum"], f"{path}.momentum")
-    if "betas" in d:
-        betas = d["betas"]
-        if not (isinstance(betas, list) and len(betas) == 2):
-            raise ConfigError(f"{path}.betas: expected a two-element list")
-        kwargs["betas"] = (
-            _number(betas[0], f"{path}.betas[0]"),
-            _number(betas[1], f"{path}.betas[1]"),
-        )
-    if "eps" in d:
-        kwargs["eps"] = _number(d["eps"], f"{path}.eps")
-    if "rms_alpha" in d:
-        kwargs["rms_alpha"] = _number(d["rms_alpha"], f"{path}.rms_alpha")
-    return OptimizerConfig(**kwargs)
-
-
 def _parse_schedule(d, initial_lr: float, path: str = "schedule") -> LrSchedule:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -163,31 +165,10 @@ def _parse_dataset(d, path: str = "dataset") -> DatasetSpec:
     if not isinstance(standardize, bool):
         raise ConfigError(f"{path}.standardize: expected true/false")
     name = _req(d, "name", path)
-    split_d = _req(d, "split", path)
-    if not isinstance(split_d, dict):
-        raise ConfigError(f"{path}.split: expected an object")
-    _check_keys(split_d, {"train", "valid", "test", "seed"}, f"{path}.split")
-    split = SplitSpec(
-        train=_integer(_req(split_d, "train", f"{path}.split"), f"{path}.split.train"),
-        valid=_integer(_req(split_d, "valid", f"{path}.split"), f"{path}.split.valid"),
-        seed=_integer(_req(split_d, "seed", f"{path}.split"), f"{path}.split.seed"),
-        test=_integer(split_d.get("test", 0), f"{path}.split.test"),
-    )
+    split = _parse_fields(SplitSpec, _req(d, "split", path), f"{path}.split")
     blobs = None
-    if "blobs" in d and d["blobs"] is not None:
-        b = d["blobs"]
-        if not isinstance(b, dict):
-            raise ConfigError(f"{path}.blobs: expected an object")
-        _check_keys(b, {"n", "classes", "dim", "spread", "seed"}, f"{path}.blobs")
-        blobs = BlobsSpec(
-            n=_integer(_req(b, "n", f"{path}.blobs"), f"{path}.blobs.n"),
-            classes=_integer(
-                _req(b, "classes", f"{path}.blobs"), f"{path}.blobs.classes"
-            ),
-            dim=_integer(_req(b, "dim", f"{path}.blobs"), f"{path}.blobs.dim"),
-            spread=_number(b.get("spread", 0.1), f"{path}.blobs.spread"),
-            seed=_integer(b.get("seed", 0), f"{path}.blobs.seed"),
-        )
+    if d.get("blobs") is not None:
+        blobs = _parse_fields(BlobsSpec, d["blobs"], f"{path}.blobs")
     return DatasetSpec(
         name=name,
         split=split,
@@ -228,7 +209,7 @@ def build_run_spec(raw: dict) -> RunSpec:
         _parse_layer(entry, i, activation) for i, entry in enumerate(layers_raw)
     )
 
-    optimizer = _parse_optimizer(_req(raw, "optimizer", "config"))
+    optimizer = _parse_fields(OptimizerConfig, _req(raw, "optimizer", "config"), "optimizer")
     schedule = _parse_schedule(_req(raw, "schedule", "config"), optimizer.lr)
     dataset = _parse_dataset(_req(raw, "dataset", "config"))
     train = TrainConfig(
@@ -283,13 +264,6 @@ def load_run_spec(
     return build_run_spec(raw)
 
 
-def parse_overrides(pairs: Optional[list[str]]) -> list[str]:
-    for p in pairs or []:
-        if "=" not in p:
-            raise ConfigError(f"override {p!r} must look like key.path=value")
-    return list(pairs or [])
-
-
 def _apply_override(raw: dict, assignment: str) -> dict:
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} must look like key.path=value")
@@ -333,46 +307,26 @@ def _layer_to_dict(layer: LayerSpec) -> dict:
 
 
 def run_spec_to_dict(spec: RunSpec) -> dict:
-    """Fully resolved config (defaults filled in) for run metadata."""
+    """Fully resolved config (defaults filled in) for run metadata.
+
+    ``optimizer`` and ``dataset`` echo their dataclasses, whose field names
+    are the config keys; ``build_run_spec`` parses the result back to
+    ``spec``.
+    """
     t = spec.train
+    optimizer = asdict(t.optimizer)
+    optimizer["betas"] = list(t.optimizer.betas)
     out = {
         "model": {"layers": [_layer_to_dict(l) for l in t.layers]},
         "activation": t.activation.spec_string(),
-        "optimizer": {
-            "kind": t.optimizer.kind,
-            "lr": t.optimizer.lr,
-            "weight_decay": t.optimizer.weight_decay,
-            "momentum": t.optimizer.momentum,
-            "betas": list(t.optimizer.betas),
-            "eps": t.optimizer.eps,
-            "rms_alpha": t.optimizer.rms_alpha,
-        },
+        "optimizer": optimizer,
         "schedule": {
             "gamma": t.schedule.gamma,
             "milestones": list(t.schedule.milestones),
         },
         "epochs": t.epochs,
         "batch": t.batch,
-        "dataset": {
-            "name": t.dataset.name,
-            "path": t.dataset.path,
-            "blobs": None
-            if t.dataset.blobs is None
-            else {
-                "n": t.dataset.blobs.n,
-                "classes": t.dataset.blobs.classes,
-                "dim": t.dataset.blobs.dim,
-                "spread": t.dataset.blobs.spread,
-                "seed": t.dataset.blobs.seed,
-            },
-            "split": {
-                "train": t.dataset.split.train,
-                "valid": t.dataset.split.valid,
-                "test": t.dataset.split.test,
-                "seed": t.dataset.split.seed,
-            },
-            "standardize": t.dataset.standardize,
-        },
+        "dataset": asdict(t.dataset),
         "seeds": list(spec.seeds),
     }
     if spec.grid is not None:

@@ -49,6 +49,7 @@ __all__ = [
     "materialize_datasets",
     "run_trial",
     "train_model",
+    "fit",
     "replicate",
     "grid_search",
     "conc_metric",
@@ -248,9 +249,20 @@ def _evaluate(model: Model, ds: Dataset, batch: int = _EVAL_BATCH) -> tuple[floa
 
 
 def train_model(cfg: TrainConfig) -> tuple[Model, TrialResult]:
-    """Run one trial and return both the trained model and its record."""
+    """Run one trial and return both the trained model and its record;
+    the record's ``wall_time`` includes loading the datasets."""
     t0 = time.perf_counter()
-    train, valid, test = materialize_datasets(cfg.dataset)
+    model, result = fit(cfg, materialize_datasets(cfg.dataset))
+    return model, replace(result, wall_time=time.perf_counter() - t0)
+
+
+def fit(
+    cfg: TrainConfig, splits: tuple[Dataset, Dataset, Dataset]
+) -> tuple[Model, TrialResult]:
+    """Train on already loaded (train, valid, test) splits of ``cfg.dataset``
+    and return the trained model and its record."""
+    t0 = time.perf_counter()
+    train, valid, test = splits
     model = build_model(cfg.layers, cfg.seed)
     state = OptimizerState(cfg.optimizer)
 

@@ -99,7 +99,9 @@ class ActivationKind:
     def spec_string(self) -> str:
         """Round-trippable form accepted by :func:`parse_kind`."""
         if self.tag == "elu" and self.alpha != 1.0:
-            return f"elu:{self.alpha:g}"
+            short = f"{self.alpha:g}"
+            # %g keeps six significant digits; repr keeps every bit
+            return f"elu:{short if float(short) == self.alpha else repr(self.alpha)}"
         return self.tag
 
 

@@ -85,9 +85,12 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def write_property_report(reports: list[PropertyReport], path) -> None:
-    payload = [report_to_dict(r) for r in reports]
+def _write_json(path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_property_report(reports: list[PropertyReport], path) -> None:
+    _write_json(path, [report_to_dict(r) for r in reports])
 
 
 def write_kernel_table(rows: Iterable[Sequence], path) -> None:
@@ -165,7 +168,7 @@ def write_summary_json(summary: TrialSummary, path) -> None:
         "divergence_count": summary.divergence_count,
         "n_trials": summary.n_trials,
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
 
 
 def write_grid_cells_csv(cells: list[GridCell], path) -> None:
@@ -197,7 +200,7 @@ def write_grid_cells_csv(cells: list[GridCell], path) -> None:
 
 
 def write_best_config_json(config_dict: dict, path) -> None:
-    atomic_write_text(path, json.dumps(config_dict, indent=2, sort_keys=True) + "\n")
+    _write_json(path, config_dict)
 
 
 def write_landscape_csv(surface: LandscapeSurface, path) -> None:
@@ -229,4 +232,4 @@ def write_metadata(path, command: str, config: dict, **extra) -> None:
         "definitions": METRIC_DEFINITIONS,
     }
     payload.update(extra)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)

@@ -128,6 +128,12 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DataError):
             softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
 
+    def test_overflowing_loss_is_divergence(self):
+        # finite logits whose spread exceeds the float range: the gradient
+        # stays finite, the loss does not
+        with pytest.raises(DivergenceError, match="loss"):
+            softmax_cross_entropy(np.array([[1e308, -1e308]]), np.array([1]))
+
 
 class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())

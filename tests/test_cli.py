@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telulab import properties
+from telulab import cli, harness, properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -54,7 +54,22 @@ class TestExitCodes:
         assert main(["verify", "--activations", "elu:2", "--out", str(tmp_path)]) == 1
 
     def test_unknown_activation_usage_error(self, tmp_path):
-        assert main(["verify", "--activations", "nosuch", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["verify", "--activations", "nosuch", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_nonpositive_step_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["kernels", "--activations", "telu", "--step", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_usage_error_after_training_leaves_no_out(self, blob_cfg, tmp_path):
+        # the model trains before the even grid is rejected
+        out = tmp_path / "out"
+        argv = ["landscape", "--config", str(blob_cfg), "--set", "epochs=1", "--grid-n", "4"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unexpected_error_exits_three_with_one_line(self, tmp_path, capsys):
         # --out names an existing file: an OSError, neither usage nor claim
@@ -81,7 +96,9 @@ class TestExitCodes:
     def test_bad_config_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):
         out = tmp_path / "div"
@@ -274,7 +291,9 @@ class TestGridCommand:
         del cfg["grid"]
         path = tmp_path / "nogrid.json"
         path.write_text(json.dumps(cfg))
-        assert main(["grid", "--config", str(path), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestLandscapeCommand:
@@ -384,3 +403,103 @@ class TestDatasetPath:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dataset.path ") and err.count("\n") == 1
+
+
+# blob_cfg as metadata.json echoes it: every default filled in
+BLOB_ECHO = {
+    "model": {
+        "layers": [
+            {"type": "dense", "in": 16, "out": 24},
+            {"type": "activation", "kind": "telu"},
+            {"type": "dense", "in": 24, "out": 4},
+        ]
+    },
+    "activation": "telu",
+    "optimizer": {
+        "kind": "sgd",
+        "lr": 0.1,
+        "weight_decay": 0.0003,
+        "momentum": 0.9,
+        "betas": [0.9, 0.999],
+        "eps": 1e-08,
+        "rms_alpha": 0.99,
+    },
+    "schedule": {"gamma": 0.2, "milestones": [6, 8]},
+    "epochs": 4,
+    "batch": 64,
+    "dataset": {
+        "name": "blobs",
+        "path": None,
+        "blobs": {"n": 600, "classes": 4, "dim": 16, "spread": 0.08, "seed": 0},
+        "split": {"train": 480, "valid": 120, "test": 120, "seed": 0},
+        "standardize": False,
+    },
+    "seeds": [0, 1, 2],
+    "grid": {"lr": [0.1, 0.03], "weight_decay": [0.0003], "gamma": [0.2, 0.5]},
+}
+
+
+def read_metadata(out):
+    return json.loads((out / "metadata.json").read_text())
+
+
+class TestMetadata:
+    def test_train_echoes_the_resolved_config(self, blob_cfg, tmp_path):
+        assert main(["train", "--config", str(blob_cfg), "--out", str(tmp_path)]) == 0
+        meta = read_metadata(tmp_path)
+        assert meta["config"] == BLOB_ECHO
+        assert set(meta) == {
+            "tool", "version", "command", "config", "definitions", "wall_time_seconds"
+        }
+        assert meta["command"] == "train" and list(meta["wall_time_seconds"]) == ["0"]
+
+    def test_landscape_probe_fields(self, blob_cfg, tmp_path):
+        args = ["landscape", "--config", str(blob_cfg), "--grid-n", "3", "--radius", "0.5"]
+        trained, loaded = tmp_path / "trained", tmp_path / "loaded"
+        assert main(args + ["--save-checkpoint", "--out", str(trained)]) == 0
+        ckpt = str(trained / "model")
+        assert main(args + ["--checkpoint", ckpt, "--out", str(loaded)]) == 0
+        for out, checkpoint in ((trained, None), (loaded, ckpt)):
+            meta = read_metadata(out)
+            assert meta["config"] == BLOB_ECHO
+            assert meta["probe"] == {
+                "grid_n": 3, "radius": 0.5, "direction_seed": 0, "checkpoint": checkpoint
+            }
+            assert meta["trained"] is (checkpoint is None)
+
+    def test_fisher_probe_fields(self, blob_cfg, tmp_path):
+        assert main(["fisher", "--config", str(blob_cfg), "--out", str(tmp_path)]) == 0
+        meta = read_metadata(tmp_path)
+        assert meta["config"] == BLOB_ECHO
+        # --samples 0 means the whole train split
+        assert meta["probe"] == {"samples": 480, "checkpoint": None}
+        assert meta["trained"] is True
+
+    def test_kernels_echoes_its_arguments(self, tmp_path):
+        argv = ["kernels", "--activations", "TeLU", "elu:2.0", "--step", "0.5"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        meta = read_metadata(tmp_path)
+        assert meta["command"] == "kernels"
+        assert meta["config"] == {
+            "activations": ["telu", "elu:2"], "lo": -4.0, "hi": 4.0, "step": 0.5
+        }
+
+
+class TestProbeDataLoad:
+    @pytest.mark.parametrize(
+        "probe", [["landscape", "--grid-n", "3"], ["fisher", "--samples", "10"]]
+    )
+    def test_datasets_load_once_when_training(self, blob_cfg, tmp_path, monkeypatch, probe):
+        loads = []
+        real = harness.materialize_datasets
+
+        def counted(spec):
+            loads.append(spec)
+            return real(spec)
+
+        # the two names the program loads through
+        monkeypatch.setattr(harness, "materialize_datasets", counted)
+        monkeypatch.setattr(cli, "materialize_datasets", counted)
+        argv = probe + ["--config", str(blob_cfg), "--set", "epochs=1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(loads) == 1

@@ -85,6 +85,33 @@ class TestRunTrial:
         assert result.divergence_epoch < 2
         assert len(result.train_acc) == result.divergence_epoch
 
+    def test_overflowing_loss_ends_the_trial(self, monkeypatch):
+        # two classes with means (±0.71, ∓0.71): first-layer weights ±1.5e308
+        # give finite logits whose spread exceeds the float range, with the
+        # true class far behind, so the loss is +inf while its gradient is finite
+        def huge_model(layers, seed):
+            model = build_model(layers, seed)
+            model.set_param_values([np.array([[-1.5e308, 1.5e308], [0.0, 0.0]]), np.zeros(2)])
+            return model
+
+        monkeypatch.setattr(harness, "build_model", huge_model)
+        cfg = TrainConfig(
+            layers=(Dense(2, 2),),
+            activation=TELU,
+            optimizer=OptimizerConfig("sgd", lr=0.1),
+            schedule=LrSchedule(initial_lr=0.1, gamma=1.0),
+            epochs=2,
+            batch=8,
+            dataset=DatasetSpec(
+                name="blobs",
+                split=SplitSpec(train=16, valid=8, seed=0, test=8),
+                blobs=BlobsSpec(n=24, classes=2, dim=2, spread=0.01, seed=0),
+            ),
+        )
+        _, result = train_model(cfg)
+        assert result.diverged and result.divergence_epoch == 0
+        assert result.train_loss == () and result.valid_loss == ()
+
     def test_bitwise_determinism(self):
         a = run_trial(blob_config(opt="momentum"))
         b = run_trial(blob_config(opt="momentum"))
