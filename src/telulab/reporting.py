@@ -214,11 +214,10 @@ def write_landscape_csv(surface: LandscapeSurface, path) -> None:
 
 
 def write_fisher_csv(values: np.ndarray, path) -> None:
-    _write_csv(
-        path,
-        ("param_index", "fisher_diag"),
-        ((i, float(v)) for i, v in enumerate(values)),
-    )
+    """The bytes :func:`_write_csv` writes for these rows, joined directly:
+    an int and a float repr never need CSV quoting."""
+    rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(np.asarray(values, float).tolist()))
+    atomic_write_text(path, "param_index,fisher_diag\n" + rows)
 
 
 def write_metadata(path, command: str, config: dict, **extra) -> None:

@@ -1,11 +1,14 @@
 """Autograd engine checks: hand-computed chains, finite-difference oracle,
-shape validation, determinism, divergence detection."""
+shape validation, determinism, divergence detection, and the chunked
+per-example prefix against a frozen copy of the unchunked engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import telulab.autograd as autograd
 from telulab.autograd import (
     Activation,
     Conv2d,
@@ -58,6 +61,11 @@ class TestForward:
         model = dense_model(np.eye(2), [0.0, 0.0])
         with pytest.raises(ConfigError):
             forward(model, np.ones((1, 3)))
+
+    def test_input_without_batch_dimension_rejected(self):
+        model = build_model([Conv2d(1, 1, 1), Flatten(), Dense(1, 2)], seed=0)
+        with pytest.raises(ConfigError):
+            forward(model, np.float64(1.0))
 
     def test_nonfinite_input_is_divergence(self):
         model = dense_model(np.eye(2), [0.0, 0.0])
@@ -256,26 +264,31 @@ class TestConvAgainstDirectSum:
         w = rng.normal(size=(o, c, k, k))
         g = rng.normal(size=(n, o, hw - k + 1, hw - k + 1))
         _, step = Conv2d(c, o, k).forward(x, [w, np.zeros(o)], True, True)
+        # the step returns per-example parameter gradients
         gx, (gw, gb) = step(g)
-        want_gx, want_gw = np.zeros_like(x), np.zeros_like(w)
+        want_gx, want_gw = np.zeros_like(x), np.zeros((n,) + w.shape)
         for i in range(n):
             for p in range(hw - k + 1):
                 for q in range(hw - k + 1):
                     for oc in range(o):
                         gval = g[i, oc, p, q]
-                        want_gw[oc] += gval * x[i, :, p : p + k, q : q + k]
+                        want_gw[i, oc] += gval * x[i, :, p : p + k, q : q + k]
                         want_gx[i, :, p : p + k, q : q + k] += gval * w[oc]
         np.testing.assert_allclose(gw, want_gw, rtol=1e-12)
+        np.testing.assert_allclose(gw.sum(axis=0), want_gw.sum(axis=0), rtol=1e-12)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-12)
-        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(gb.sum(axis=0), g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_first_layer_computes_no_input_gradient(self):
         model = build_model([Conv2d(1, 2, 3), Flatten(), Dense(8, 2)], seed=1)
         out, tape = forward(model, np.ones((1, 1, 4, 4)), record=True)
-        (step, params), _, _ = tape.steps
+        # one chunk holds the conv and flatten steps, the suffix the dense one
+        [(rows, [(step, params), _])] = tape.chunks
+        assert rows == slice(0, autograd.CHUNK) and len(tape.steps) == 1
         assert params == tuple(model.params[:2])
         gx, (gw, _) = step(np.ones((1, 2, 2, 2)))
-        assert gx is None and gw.shape == (2, 1, 3, 3)
+        assert gx is None and gw.shape == (1, 2, 1, 3, 3)
 
     def test_maxpool_backward_ties_go_to_first_in_window_order(self):
         # windows, in order (0,0) (0,1) (1,0) (1,1): all tied; the top-right
@@ -306,6 +319,173 @@ class TestConvAgainstDirectSum:
         model = Model((MaxPool2(),), [])
         with pytest.raises(ConfigError):
             forward(model, np.zeros((1, 1, 3, 4)))
+
+
+# --- frozen copy of the unchunked engine ---------------------------------------
+# Every layer runs on the whole batch and conv sums its parameter gradients
+# over the batch itself; the other layers' steps are today's.
+
+
+def _frozen_conv(layer, x, w, b, record, grad_x):
+    k = layer.k
+    n, c, h, wd = x.shape
+    ho, wo = h - k + 1, wd - k + 1
+    cols6 = np.empty((n, c, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols6[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
+    cols = cols6.reshape(n, c * k * k, ho * wo)
+    w2 = w.reshape(layer.out_ch, c * k * k)
+    y = np.matmul(w2, cols).reshape(n, layer.out_ch, ho, wo)
+    y += b[None, :, None, None]
+    if not record:
+        return y, None
+
+    def step(g):
+        g3 = g.reshape(n, layer.out_ch, ho * wo)
+        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
+        gx = None
+        if grad_x:
+            gcols = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo)
+            gx = np.zeros((n, c, h, wd))
+            for i in range(k):
+                for j in range(k):
+                    gx[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
+        return gx, (gw.reshape(w.shape), g.sum(axis=(0, 2, 3)))
+
+    return y, step
+
+
+def frozen_forward(model, batch, record=False):
+    x = np.ascontiguousarray(batch, dtype=np.float64)
+    steps, p, grad_x = [], 0, False
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for layer in model.layers:
+            params = tuple(model.params[p : p + layer.n_params])
+            data = [t.data for t in params]
+            if isinstance(layer, Conv2d):
+                x, step = _frozen_conv(layer, x, *data, record, grad_x)
+            else:
+                x, step = layer.forward(x, data, record, grad_x)
+            if step is not None:
+                steps.append((step, params))
+            p += layer.n_params
+            grad_x = grad_x or layer.n_params > 0
+    return x, steps
+
+
+def frozen_backward(steps, g):
+    grads = {}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        while steps:
+            step, params = steps.pop()
+            g, param_grads = step(g)
+            grads.update(zip(params, param_grads))
+    return grads
+
+
+def reference_cnn(kind, seed=0):
+    return build_model(
+        [
+            Conv2d(3, 16, 3),
+            Activation(kind),
+            MaxPool2(),
+            Conv2d(16, 32, 4),
+            Activation(kind),
+            MaxPool2(),
+            Flatten(),
+            Dense(1152, 64),
+            Activation(kind),
+            Dense(64, 10),
+        ],
+        seed=seed,
+    )
+
+
+def train_step(engine_forward, engine_backward, model, x, labels):
+    logits, tape = engine_forward(model, x, record=True)
+    _, loss_grad = softmax_cross_entropy(logits, labels)
+    return logits, engine_backward(tape, loss_grad)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_step(model, got, want):
+    (logits, grads), (want_logits, want_grads) = got, want
+    assert_same_bits(logits, want_logits)
+    assert list(grads) == list(want_grads)
+    for p in model.params:
+        assert_same_bits(grads[p], want_grads[p])
+
+
+def cifar_batch(n, seed):
+    rng = np.random.default_rng(seed)
+    # whole-byte pixels, so ReLU and the pools see exact ties
+    return rng.integers(0, 256, size=(n, 3, 32, 32)) / 255.0 - 0.5, rng.integers(0, 10, size=n)
+
+
+class TestChunkedPrefix:
+    C = autograd.CHUNK
+
+    @pytest.mark.parametrize("kind", [TELU, RELU], ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1, 128])
+    def test_matches_unchunked_engine_bit_for_bit(self, kind, n):
+        model = reference_cnn(kind, seed=n)
+        x, labels = cifar_batch(n, seed=100 + n)
+        got = train_step(forward, backward, model, x, labels)
+        want = train_step(frozen_forward, frozen_backward, model, x, labels)
+        assert_same_step(model, got, want)
+        assert_same_bits(forward(model, x)[0], want[0])
+
+    def test_relu_pool_ties_occur(self):
+        # the ReLU case above exercises tied pool windows
+        x, _ = cifar_batch(8, seed=101)
+        model = reference_cnn(RELU, seed=1)
+        h, _ = frozen_forward(Model(model.layers[:2], model.params[:2]), x)
+        a, b = h[:, :, 0::2, 0::2], h[:, :, 0::2, 1::2]
+        assert np.count_nonzero(a == b) > 1000
+
+    @pytest.mark.parametrize("chunk", [1, 2, 9, 64])
+    def test_chunk_size_moves_no_bits(self, monkeypatch, chunk):
+        model = reference_cnn(TELU, seed=3)
+        x, labels = cifar_batch(9, seed=7)
+        want = train_step(forward, backward, model, x, labels)
+        monkeypatch.setattr(autograd, "CHUNK", chunk)
+        got = train_step(forward, backward, model, x, labels)
+        assert_same_step(model, got, want)
+        _, tape = forward(model, x, record=True)
+        assert len(tape.chunks) == -(-9 // chunk)
+
+    def test_conv_only_stack_is_all_prefix(self, monkeypatch):
+        monkeypatch.setattr(autograd, "CHUNK", 2)
+        model = build_model([Conv2d(2, 3, 3), Activation(GELU), MaxPool2()], seed=4)
+        x = np.random.default_rng(5).normal(size=(5, 2, 8, 8))
+        logits, tape = forward(model, x, record=True)
+        assert tape.steps == [] and len(tape.chunks) == 3
+        g = np.random.default_rng(6).normal(size=logits.shape)
+        want_logits, steps = frozen_forward(model, x, record=True)
+        want = (want_logits, frozen_backward(steps, g))
+        assert_same_step(model, (logits, backward(tape, g)), want)
+
+    def test_mlp_prefix_is_empty(self):
+        model = build_model([Dense(3, 4), Activation(TELU), Dense(4, 2)], seed=0)
+        _, tape = forward(model, np.ones((9, 3)), record=True)
+        assert tape.chunks == [] and len(tape.steps) == 3
+
+    def test_b512_forward_never_holds_a_batch_of_conv1_output(self):
+        # conv1's float64 output at batch 512 is 58 982 400 B; the unchunked
+        # engine also built a 100 MB column matrix for it
+        model = reference_cnn(TELU)
+        x, _ = cifar_batch(512, seed=9)
+        tracemalloc.start()
+        try:
+            forward(model, x, record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 16 * 30 * 30 * 8, f"peak {peak} B"
 
 
 class TestCheckpoints:

@@ -1,8 +1,10 @@
-"""Atomic artifact writes: temp files are per process and never left behind."""
+"""Atomic artifact writes: temp files are per process and never left behind;
+the direct Fisher writer matches the generic CSV writer byte for byte."""
 
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from telulab import reporting
@@ -69,3 +71,25 @@ class TestAtomicWrite:
             reporting.atomic_write_bytes(target, b"\x02")
         assert target.read_bytes() == b"\x00\x01"
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+
+class TestFisherCsv:
+    def test_bytes_match_the_generic_csv_writer(self, tmp_path):
+        # zero, the smallest subnormal, and values whose repr switches to
+        # or stays in exponent form, up to near the float maximum
+        values = np.array([0.0, 5e-324, 1e-5, 1e16, 1.5e308, 0.1, 123.456, 1e-300])
+        reporting.write_fisher_csv(values, tmp_path / "fast.csv")
+        reporting._write_csv(
+            tmp_path / "generic.csv",
+            ("param_index", "fisher_diag"),
+            ((i, float(v)) for i, v in enumerate(values)),
+        )
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "generic.csv").read_bytes()
+        assert fast.splitlines()[1:6] == [
+            b"0,0.0", b"1,5e-324", b"2,1e-05", b"3,1e+16", b"4,1.5e+308"
+        ]
+
+    def test_empty_vector_writes_the_header(self, tmp_path):
+        reporting.write_fisher_csv(np.empty(0), tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_bytes() == b"param_index,fisher_diag\n"
