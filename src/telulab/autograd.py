@@ -523,7 +523,7 @@ def load_params(model: Model, stem: Union[str, Path]) -> None:
         manifest = json.loads(stem.with_suffix(".json").read_text())
         shapes = [tuple(s) for s in manifest["shapes"]]
         raw = stem.with_suffix(".bin").read_bytes()
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read checkpoint {stem}: {exc}") from exc
     if shapes != [p.shape for p in model.params]:
         raise FormatError("checkpoint shapes do not match the model")

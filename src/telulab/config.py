@@ -259,6 +259,9 @@ def load_run_spec(
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # checked before the overrides, which index into the root
+    if not isinstance(raw, dict):
+        raise ConfigError("config root: expected an object")
     for assignment in overrides or []:
         raw = _apply_override(raw, assignment)
     return build_run_spec(raw)

@@ -337,7 +337,10 @@ def run_trial(cfg: TrainConfig) -> TrialResult:
 def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     if jobs <= 1 or len(configs) <= 1:
         return [run_trial(c) for c in configs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # under fork, the pool starts all its workers at the first submit, so
+    # more workers than trials would only fork idle processes
+    workers = min(jobs, len(configs))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_trial, configs))
 
 

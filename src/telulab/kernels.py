@@ -5,6 +5,13 @@ derivatives; everything else (property scans, autograd, the CLI kernel
 tables) calls into it.  All arithmetic is 64-bit float.  Functions accept
 a scalar or an ndarray and return the matching type.
 
+One table, ``_KINDS``, holds a record per kind: its display name, its
+closed forms (f, f', f'' where provided, and a fused f-and-f' pass where
+one exists), the points where f'' jumps, and whether it takes ``alpha``
+(only ELU does).  Every per-kind question reads that record; the points
+where f' jumps are derived from it, as the f'' kinks at which f' differs
+between the two neighbouring floats.
+
 Formula sources: TeLU is x*tanh(exp(x)); GELU uses the cubic tanh
 approximation (0.044715 x^3 term), not the exact erf form; Logish and
 Smish follow their original definitions, Logish(x) = x*ln(1 + sigmoid(x))
@@ -44,19 +51,6 @@ __all__ = [
     "is_smooth",
 ]
 
-_TAGS = ("telu", "relu", "gelu", "silu", "mish", "logish", "smish", "elu")
-
-_DISPLAY = {
-    "telu": "TeLU",
-    "relu": "ReLU",
-    "gelu": "GELU",
-    "silu": "SiLU",
-    "mish": "Mish",
-    "logish": "Logish",
-    "smish": "Smish",
-    "elu": "ELU",
-}
-
 # exp(x) saturates tanh to exactly 1.0 in float64 well before x = 20, so
 # clamping the exponent there keeps every evaluation overflow-free while
 # agreeing with the direct formula to the last bit.
@@ -77,61 +71,37 @@ _MISH_SAT = 20.0
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """Tagged activation identifier; ``alpha`` is meaningful for ELU only."""
+    """Tagged activation identifier; ``alpha`` is 1.0 unless the kind takes
+    it (ELU only), so ``alpha != 1`` marks a parameterised kind."""
 
     tag: str
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
+        kind = _KINDS.get(self.tag)
+        if kind is None:
             raise DomainError(
-                f"unknown activation {self.tag!r}; expected one of {', '.join(_TAGS)}"
+                f"unknown activation {self.tag!r}; expected one of {', '.join(_KINDS)}"
             )
-        if self.tag == "elu" and not self.alpha > 0:
-            raise DomainError(f"elu alpha must be > 0, got {self.alpha}")
+        if not kind.takes_alpha:
+            if self.alpha != 1.0:
+                raise DomainError(f"activation {self.tag!r} takes no parameter")
+        elif not self.alpha > 0:
+            raise DomainError(f"{self.tag} alpha must be > 0, got {self.alpha}")
 
     @property
     def display_name(self) -> str:
-        if self.tag == "elu" and self.alpha != 1.0:
-            return f"ELU(alpha={self.alpha:g})"
-        return _DISPLAY[self.tag]
+        name = _KINDS[self.tag].display
+        return f"{name}(alpha={self.alpha:g})" if self.alpha != 1.0 else name
 
     def spec_string(self) -> str:
         """Round-trippable form accepted by :func:`parse_kind`."""
-        if self.tag == "elu" and self.alpha != 1.0:
+        if self.alpha != 1.0:
             short = f"{self.alpha:g}"
             # %g keeps six significant digits; repr keeps every bit
-            return f"elu:{short if float(short) == self.alpha else repr(self.alpha)}"
+            arg = short if float(short) == self.alpha else repr(self.alpha)
+            return f"{self.tag}:{arg}"
         return self.tag
-
-
-TELU = ActivationKind("telu")
-RELU = ActivationKind("relu")
-GELU = ActivationKind("gelu")
-SILU = ActivationKind("silu")
-MISH = ActivationKind("mish")
-LOGISH = ActivationKind("logish")
-SMISH = ActivationKind("smish")
-
-
-def elu(alpha: float = 1.0) -> ActivationKind:
-    return ActivationKind("elu", alpha=float(alpha))
-
-
-ALL_KINDS = (TELU, RELU, GELU, SILU, MISH, LOGISH, SMISH, elu())
-
-
-def parse_kind(text: str) -> ActivationKind:
-    """Parse ``"telu"``, ``"relu"``, ... or ``"elu:2.0"`` into a kind."""
-    name, _, arg = text.strip().lower().partition(":")
-    if name == "elu" and arg:
-        try:
-            return elu(float(arg))
-        except ValueError as exc:
-            raise DomainError(f"bad elu alpha {arg!r}") from exc
-    if arg:
-        raise DomainError(f"activation {name!r} takes no parameter")
-    return ActivationKind(name)
 
 
 @dataclass(frozen=True)
@@ -335,45 +305,77 @@ def _elu_d2(x, alpha):
 
 
 @dataclass(frozen=True)
-class _Forms:
-    """The closed forms of one kind, each called as ``fn(x, alpha)``.
+class _Kind:
+    """Everything specific to one activation kind.
 
-    ``d2`` is None where f'' is not provided; ``value_d1`` returns (f, f')
-    from one shared pass, and defaults to calling ``value`` then ``d1``.
+    The closed forms are called as ``fn(x)``, or as ``fn(x, alpha)`` when
+    ``takes_alpha``.  ``d2`` is None where f'' is not provided; ``value_d1``
+    returns (f, f') from one shared pass, and None means ``value`` then
+    ``d1``.  ``d2_kinks`` are the points where f'' jumps.
     """
 
+    display: str
     value: Callable
     d1: Callable
-    d2: Optional[Callable]
+    d2: Optional[Callable] = None
     value_d1: Optional[Callable] = None
+    d2_kinks: tuple[float, ...] = ()
+    takes_alpha: bool = False
 
 
-def _plain(fn):
-    """Adapt a form of a kind without parameters to the ``(x, alpha)`` call."""
-    return None if fn is None else lambda x, alpha: fn(x)
-
-
-def _forms(value, d1, d2=None, value_d1=None) -> _Forms:
-    return _Forms(_plain(value), _plain(d1), _plain(d2), _plain(value_d1))
-
-
-_FORMS = {
-    "telu": _forms(_telu_value, _telu_d1, _telu_d2, _telu_value_d1),
-    "relu": _forms(_relu_value, _relu_d1),
-    "gelu": _forms(_gelu_value, _gelu_d1, _gelu_d2),
-    "silu": _forms(_silu_value, _silu_d1, _silu_d2),
-    "mish": _forms(_mish_value, _mish_d1, _mish_d2),
-    "logish": _forms(_logish_value, _logish_d1, _logish_d2),
-    "smish": _forms(_smish_value, _smish_d1, _smish_d2),
-    "elu": _Forms(_elu_value, _elu_d1, _elu_d2),
+_KINDS = {
+    "telu": _Kind("TeLU", _telu_value, _telu_d1, _telu_d2, _telu_value_d1),
+    "relu": _Kind("ReLU", _relu_value, _relu_d1, d2_kinks=(0.0,)),
+    "gelu": _Kind("GELU", _gelu_value, _gelu_d1, _gelu_d2),
+    "silu": _Kind("SiLU", _silu_value, _silu_d1, _silu_d2),
+    "mish": _Kind("Mish", _mish_value, _mish_d1, _mish_d2),
+    "logish": _Kind("Logish", _logish_value, _logish_d1, _logish_d2),
+    "smish": _Kind("Smish", _smish_value, _smish_d1, _smish_d2),
+    # f'' is alpha*exp(x) on x <= 0 and 0 above: it jumps at 0 for every alpha
+    "elu": _Kind(
+        "ELU", _elu_value, _elu_d1, _elu_d2, d2_kinks=(0.0,), takes_alpha=True
+    ),
 }
 
 
-def _prepare(x) -> tuple[np.ndarray, bool]:
+TELU = ActivationKind("telu")
+RELU = ActivationKind("relu")
+GELU = ActivationKind("gelu")
+SILU = ActivationKind("silu")
+MISH = ActivationKind("mish")
+LOGISH = ActivationKind("logish")
+SMISH = ActivationKind("smish")
+
+
+def elu(alpha: float = 1.0) -> ActivationKind:
+    return ActivationKind("elu", alpha=float(alpha))
+
+
+ALL_KINDS = (TELU, RELU, GELU, SILU, MISH, LOGISH, SMISH, elu())
+
+
+def parse_kind(text: str) -> ActivationKind:
+    """Parse ``"telu"``, ``"relu"``, ... or ``"elu:2.0"`` into a kind."""
+    name, _, arg = text.strip().lower().partition(":")
+    if not arg:
+        return ActivationKind(name)
+    if name not in _KINDS or not _KINDS[name].takes_alpha:
+        raise DomainError(f"activation {name!r} takes no parameter")
+    try:
+        alpha = float(arg)
+    except ValueError as exc:
+        raise DomainError(f"bad {name} alpha {arg!r}") from exc
+    return ActivationKind(name, alpha)
+
+
+def _prepare(kind: ActivationKind, x) -> tuple[_Kind, tuple, bool]:
+    """The kind's record, the arguments its closed forms take for ``x``,
+    and whether ``x`` is a scalar."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("activation input must be finite")
-    return arr, arr.ndim == 0
+    rec = _KINDS[kind.tag]
+    return rec, ((arr, kind.alpha) if rec.takes_alpha else (arr,)), arr.ndim == 0
 
 
 def _finish(out: np.ndarray, scalar: bool):
@@ -382,8 +384,8 @@ def _finish(out: np.ndarray, scalar: bool):
 
 def value(kind: ActivationKind, x):
     """f(x) for the given kind; overflow-safe over at least [-500, 500]."""
-    arr, scalar = _prepare(x)
-    return _finish(_FORMS[kind.tag].value(arr, kind.alpha), scalar)
+    rec, args, scalar = _prepare(kind, x)
+    return _finish(rec.value(*args), scalar)
 
 
 def derivative(kind: ActivationKind, x):
@@ -392,31 +394,29 @@ def derivative(kind: ActivationKind, x):
     ReLU at exactly 0 returns the subgradient convention value 0.0; use
     :func:`scalar_eval` or :func:`derivative_kinks` to detect that case.
     """
-    arr, scalar = _prepare(x)
-    return _finish(_FORMS[kind.tag].d1(arr, kind.alpha), scalar)
+    rec, args, scalar = _prepare(kind, x)
+    return _finish(rec.d1(*args), scalar)
 
 
 def value_and_derivative(kind: ActivationKind, x):
     """(f(x), f'(x)), bit-identical to :func:`value` and :func:`derivative`
     but sharing one pass where the kind has a fused form (TeLU)."""
-    arr, scalar = _prepare(x)
-    forms = _FORMS[kind.tag]
-    if forms.value_d1 is not None:
-        f, d = forms.value_d1(arr, kind.alpha)
+    rec, args, scalar = _prepare(kind, x)
+    if rec.value_d1 is not None:
+        f, d = rec.value_d1(*args)
     else:
-        f, d = forms.value(arr, kind.alpha), forms.d1(arr, kind.alpha)
+        f, d = rec.value(*args), rec.d1(*args)
     return _finish(f, scalar), _finish(d, scalar)
 
 
 def second_derivative(kind: ActivationKind, x):
     """Closed-form f''(x); undefined for ReLU (raises)."""
-    arr, scalar = _prepare(x)
-    d2 = _FORMS[kind.tag].d2
-    if d2 is None:
+    rec, args, scalar = _prepare(kind, x)
+    if rec.d2 is None:
         raise UnsupportedOperationError(
-            "second derivative of ReLU is not provided (distributional at 0)"
+            f"second derivative of {rec.display} is not provided (distributional at 0)"
         )
-    return _finish(d2(arr, kind.alpha), scalar)
+    return _finish(rec.d2(*args), scalar)
 
 
 def scalar_eval(kind: ActivationKind, x: float) -> ScalarEval:
@@ -432,26 +432,27 @@ def scalar_eval(kind: ActivationKind, x: float) -> ScalarEval:
 
 
 def has_second_derivative(kind: ActivationKind) -> bool:
-    return _FORMS[kind.tag].d2 is not None
+    return _KINDS[kind.tag].d2 is not None
 
 
 def derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:
-    """Points where f' jumps (so finite-difference checks must skip them)."""
-    if kind.tag == "relu":
-        return (0.0,)
-    if kind.tag == "elu" and kind.alpha != 1.0:
-        return (0.0,)
-    return ()
+    """Points where f' jumps (so finite-difference checks must skip them):
+    the kinks of f'' at which f' differs between the two neighbouring
+    floats."""
+    kinks = []
+    for k in second_derivative_kinks(kind):
+        rec, args, _ = _prepare(kind, np.nextafter(k, [-np.inf, np.inf]))
+        left, right = rec.d1(*args)
+        if left != right:
+            kinks.append(k)
+    return tuple(kinks)
 
 
 def second_derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:
-    """Points where f'' jumps; ELU's second derivative is discontinuous at 0
-    for every alpha."""
-    if kind.tag in ("relu", "elu"):
-        return (0.0,)
-    return ()
+    """Points where f'' jumps."""
+    return _KINDS[kind.tag].d2_kinks
 
 
 def is_smooth(kind: ActivationKind) -> bool:
     """True when f is infinitely differentiable on all of R."""
-    return kind.tag not in ("relu", "elu")
+    return not second_derivative_kinks(kind)

@@ -114,6 +114,20 @@ def report_to_dict(report: PropertyReport) -> dict:
     }
 
 
+def _bound_report(
+    claim_id: str, holds: bool, witness: Witness, measured: float, tolerance: float
+) -> PropertyReport:
+    """``holds`` when the claim's bound is met; otherwise ``fails``, carrying
+    ``witness``."""
+    return PropertyReport(
+        claim_id=claim_id,
+        verdict="holds" if holds else "fails",
+        witness=None if holds else witness,
+        measured=measured,
+        tolerance=tolerance,
+    )
+
+
 # --- derivative / finite-difference consistency -----------------------------
 
 
@@ -444,6 +458,19 @@ def sensitivity_ranking(
 # --- claim batteries -------------------------------------------------------------
 
 
+def _controlled_growth(kind: ActivationKind, pos_tol: float) -> PropertyReport:
+    """f(x) - x vanishes on the positive tail (below ``pos_tol``) and f(x)
+    on the negative tail (below 1e-3)."""
+    pos_gap, neg_limit = saturation_profile(kind)
+    return _bound_report(
+        f"{kind.spec_string()}.controlled_growth",
+        pos_gap < pos_tol and neg_limit < 1e-3,
+        10.0,
+        max(pos_gap, neg_limit),
+        1e-3,
+    )
+
+
 def _telu_claims() -> list[PropertyReport]:
     telu = kernels.TELU
     out = []
@@ -473,39 +500,23 @@ def _telu_claims() -> list[PropertyReport]:
         )
     )
 
-    pos_gap, neg_limit = saturation_profile(telu)
-    out.append(
-        PropertyReport(
-            claim_id="telu.controlled_growth",
-            verdict="holds" if pos_gap < 1e-8 and neg_limit < 1e-3 else "fails",
-            witness=None if pos_gap < 1e-8 and neg_limit < 1e-3 else 10.0,
-            measured=max(pos_gap, neg_limit),
-            tolerance=1e-3,
-        )
-    )
+    out.append(_controlled_growth(telu, 1e-8))
 
-    ratios = [
+    worst = max(
         abs(gaussian_mean(telu, s)) / gaussian_mean(kernels.RELU, s)
         for s in (0.5, 1.0, 2.0, 4.0)
-    ]
+    )
     out.append(
-        PropertyReport(
-            claim_id="telu.gaussian_mean_shift",
-            verdict="holds" if max(ratios) < 1.0 else "fails",
-            witness=None if max(ratios) < 1.0 else (4.0, max(ratios)),
-            measured=max(ratios),
-            tolerance=1.0,
-        )
+        _bound_report("telu.gaussian_mean_shift", worst < 1.0, (4.0, worst), worst, 1.0)
     )
 
     # the uniform-interval average does not vanish as the interval grows
     # (it tracks a/4 like any asymptotically linear activation), but it does
     # stay strictly below ReLU's a/4 for every half-width: weakened form.
-    mean128 = interval_mean(telu, 128.0)
+    means = {a: interval_mean(telu, a) for a in (1.0, 2.0, 8.0, 32.0, 128.0)}
+    mean128 = means[128.0]
     ratio128 = mean128 / (128.0 / 4.0)
-    below_relu = all(
-        interval_mean(telu, a) < a / 4.0 for a in (1.0, 2.0, 8.0, 32.0, 128.0)
-    )
+    below_relu = all(m < a / 4.0 for a, m in means.items())
     out.append(
         PropertyReport(
             claim_id="telu.interval_mean_trend",
@@ -542,12 +553,8 @@ def _telu_claims() -> list[PropertyReport]:
     )
     measured = float(max(df, dd))
     out.append(
-        PropertyReport(
-            claim_id="telu.continuity_of_f_and_f_prime",
-            verdict="holds" if measured < 1.5 else "fails",
-            witness=None if measured < 1.5 else 0.0,
-            measured=measured,
-            tolerance=1.5,
+        _bound_report(
+            "telu.continuity_of_f_and_f_prime", measured < 1.5, 0.0, measured, 1.5
         )
     )
 
@@ -558,8 +565,7 @@ def _telu_claims() -> list[PropertyReport]:
     rows = sensitivity_ranking(
         [telu, kernels.GELU, kernels.elu(), kernels.MISH], Interval(-5.0, 5.0, 10001)
     )
-    position = 1 + next(i for i, r in enumerate(rows) if r.kind.tag == "telu")
-    telu_row = next(r for r in rows if r.kind.tag == "telu")
+    position, telu_row = next((i, r) for i, r in enumerate(rows, 1) if r.kind == telu)
     out.append(
         PropertyReport(
             claim_id="telu.sensitivity_ranking",
@@ -574,47 +580,17 @@ def _telu_claims() -> list[PropertyReport]:
 
 def _relu_claims() -> list[PropertyReport]:
     relu = kernels.RELU
-    out = []
-    devs = []
-    for a in (1.0, 4.0, 8.0, 100.0):
-        expected = a / 4.0
-        devs.append(abs(interval_mean(relu, a) - expected) / expected)
-    out.append(
-        PropertyReport(
-            claim_id="relu.interval_mean_identity",
-            verdict="holds" if max(devs) <= 1e-9 else "fails",
-            witness=None if max(devs) <= 1e-9 else 100.0,
-            measured=max(devs),
-            tolerance=1e-9,
-        )
+    mean_dev = max(
+        abs(interval_mean(relu, a) - a / 4.0) / (a / 4.0) for a in (1.0, 4.0, 8.0, 100.0)
     )
-
     dev = max(
         abs(kernels.derivative(relu, 3.0) - 1.0), abs(kernels.derivative(relu, -3.0))
     )
-    out.append(
-        PropertyReport(
-            claim_id="relu.piecewise_derivative",
-            verdict="holds" if dev == 0.0 else "fails",
-            witness=None if dev == 0.0 else 3.0,
-            measured=dev,
-            tolerance=0.0,
-        )
-    )
-    return out
-
-
-def _mish_claims() -> list[PropertyReport]:
-    pos_gap, neg_limit = saturation_profile(kernels.MISH)
-    ok = pos_gap < 1e-6 and neg_limit < 1e-3
     return [
-        PropertyReport(
-            claim_id="mish.controlled_growth",
-            verdict="holds" if ok else "fails",
-            witness=None if ok else 10.0,
-            measured=max(pos_gap, neg_limit),
-            tolerance=1e-3,
-        )
+        _bound_report(
+            "relu.interval_mean_identity", mean_dev <= 1e-9, 100.0, mean_dev, 1e-9
+        ),
+        _bound_report("relu.piecewise_derivative", dev == 0.0, 3.0, dev, 0.0),
     ]
 
 
@@ -629,11 +605,10 @@ def verify_activation(kind: ActivationKind) -> list[PropertyReport]:
     if kernels.has_second_derivative(kind):
         reports.append(grad_consistency(kind, Interval(-5.0, 5.0, 1001), 1e-4, order=2))
     reports.append(bounded_output_scan(kind, Interval(-50.0, 50.0, 10001)))
-    extra = {
-        "telu": _telu_claims,
-        "relu": _relu_claims,
-        "mish": _mish_claims,
-    }.get(kind.tag)
-    if extra is not None:
-        reports.extend(extra())
+    if kind == kernels.TELU:
+        reports.extend(_telu_claims())
+    elif kind == kernels.RELU:
+        reports.extend(_relu_claims())
+    elif kind == kernels.MISH:
+        reports.append(_controlled_growth(kind, 1e-6))
     return reports

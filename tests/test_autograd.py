@@ -514,6 +514,15 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_params(model, stem)
 
+    @pytest.mark.parametrize("manifest", ['{"shapes": 5}', '{"shapes": [5]}', "[]"])
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        model = build_model([Dense(3, 5)], seed=4)
+        stem = tmp_path / "ckpt"
+        save_params(model, stem)
+        stem.with_suffix(".json").write_text(manifest)
+        with pytest.raises(FormatError, match="cannot read checkpoint"):
+            load_params(model, stem)
+
     def test_nonfinite_values_rejected(self, tmp_path):
         model = build_model([Dense(3, 5)], seed=4)
         stem = tmp_path / "ckpt"

@@ -100,6 +100,26 @@ class TestExitCodes:
         assert main(["train", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [[], ["--set", "a=1"]])
+    def test_non_object_config_root_usage_error(self, tmp_path, capsys, overrides):
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        argv = ["train", "--config", str(listed), *overrides]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config root: expected an object\n"
+
+    @pytest.mark.parametrize("command", ["fisher", "landscape"])
+    def test_malformed_checkpoint_usage_error(self, blob_cfg, tmp_path, capsys, command):
+        stem = tmp_path / "model"
+        stem.with_suffix(".json").write_text('{"shapes": [5]}')
+        stem.with_suffix(".bin").write_bytes(b"")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(blob_cfg), "--checkpoint", str(stem)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read checkpoint {stem}:")
+        assert not out.exists()
+
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):
         out = tmp_path / "div"
         code = main(

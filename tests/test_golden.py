@@ -1,5 +1,7 @@
 """Golden artifact hashes: ``train`` and ``fisher --samples 0`` on two small
-setups write byte-identical CSVs from one change of the engine to the next.
+setups write byte-identical CSVs from one change of the engine to the next,
+and ``verify`` and ``kernels`` over every kind (ELU at alpha 1 and 2) write
+byte-identical ``property_report.json`` and ``kernels.csv``.
 
 The setups are the blobs MLP used across the CLI tests and a tiny generated
 CIFAR-10 archive run through every layer type of the reference CNN (conv,
@@ -86,7 +88,15 @@ GOLDEN = {
     "cifar/fisher/fisher.csv": (
         "4baac625a5b60c31231421eee5f06cf9f298164f1ebed99b17e54e5e38360c00"
     ),
+    "verify/property_report.json": (
+        "5e1d4535721a1f37f191c522f38b2a0d21b207182b587581b22f50251038d46b"
+    ),
+    "kernels/kernels.csv": (
+        "6a981155967444eeca97b622a1206589c5df4cf7c70c3c48db445c51d53e4785"
+    ),
 }
+
+KINDS = ["telu", "relu", "gelu", "silu", "mish", "logish", "smish", "elu", "elu:2"]
 
 
 def _write_archive(path):
@@ -101,12 +111,25 @@ def _write_archive(path):
         (path / name).write_bytes(records.tobytes())
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def artifact_hashes(tmp_path):
     """sha256 of every golden artifact, keyed like ``GOLDEN``."""
     _write_archive(tmp_path / "archive")
     cifar = json.loads(json.dumps(CIFAR))
     cifar["dataset"]["path"] = str(tmp_path / "archive")
     out = {}
+    # elu:2 fails bounded_output, so verify exits 1 by design
+    for command, f, code in (
+        ("verify", "property_report.json", 1),
+        ("kernels", "kernels.csv", 0),
+    ):
+        run_dir = tmp_path / command
+        argv = [command, "--activations", *KINDS, "--out", str(run_dir)]
+        assert main(argv) == code
+        out[f"{command}/{f}"] = _sha256(run_dir / f)
     for name, cfg in (("blobs", BLOBS), ("cifar", cifar)):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(cfg))
@@ -118,8 +141,7 @@ def artifact_hashes(tmp_path):
             argv = [command, "--config", str(config), "--out", str(run_dir), *extra]
             assert main(argv) == 0
             for f in files:
-                digest = hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-                out[f"{name}/{command}/{f}"] = digest
+                out[f"{name}/{command}/{f}"] = _sha256(run_dir / f)
     return out
 
 

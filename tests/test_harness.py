@@ -174,6 +174,32 @@ class TestReplicate:
         with pytest.raises(ConfigError):
             replicate(blob_config(), [0, 0])
 
+    @pytest.mark.parametrize(
+        "seeds,jobs,workers", [([0, 1], 8, 2), ([0, 1, 2, 3], 2, 2)]
+    )
+    def test_pool_no_wider_than_the_trials(self, monkeypatch, seeds, jobs, workers):
+        # a pool that maps in-process and records its width: no process starts
+        widths = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        futures = harness.concurrent.futures
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
+        summary, trials = replicate(blob_config(epochs=1), seeds, jobs=jobs)
+        assert widths == [workers]
+        assert [t.seed for t in trials] == seeds
+
     def test_deterministic_across_calls(self):
         sum_a, trials_a = replicate(blob_config(epochs=2), [0, 1])
         sum_b, trials_b = replicate(blob_config(epochs=2), [0, 1])

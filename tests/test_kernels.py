@@ -220,6 +220,48 @@ class TestParsing:
         for k in [*ALL_KINDS, elu(2.0)]:
             assert parse_kind(k.spec_string()) == k
 
+    @pytest.mark.parametrize("tag", [k.tag for k in ALL_KINDS if k.tag != "elu"])
+    def test_parameter_rejected_on_construction(self, tag):
+        # the same text parse_kind gives, so a kind that takes no parameter
+        # can never hold one that spec_string would drop
+        msg = f"activation {tag!r} takes no parameter"
+        for alpha in (2.0, 0.0, math.nan):
+            with pytest.raises(DomainError, match=msg):
+                kernels.ActivationKind(tag, alpha)
+        with pytest.raises(DomainError, match=msg):
+            parse_kind(f"{tag}:2")
+        assert kernels.ActivationKind(tag, 1.0) == parse_kind(tag)
+
+
+class TestKindTable:
+    # display name, f' kinks, f'' kinks, f'' provided
+    TRUTH = [
+        (TELU, "TeLU", (), (), True),
+        (RELU, "ReLU", (0.0,), (0.0,), False),
+        (GELU, "GELU", (), (), True),
+        (kernels.SILU, "SiLU", (), (), True),
+        (MISH, "Mish", (), (), True),
+        (kernels.LOGISH, "Logish", (), (), True),
+        (kernels.SMISH, "Smish", (), (), True),
+        (elu(), "ELU", (), (0.0,), True),
+        (elu(2.0), "ELU(alpha=2)", (0.0,), (0.0,), True),
+        (elu(0.5), "ELU(alpha=0.5)", (0.0,), (0.0,), True),
+        (elu(1.0 + 2.0**-52), "ELU(alpha=1)", (0.0,), (0.0,), True),
+    ]
+
+    @pytest.mark.parametrize("kind,name,d1_kinks,d2_kinks,has_d2", TRUTH)
+    def test_per_kind_answers(self, kind, name, d1_kinks, d2_kinks, has_d2):
+        assert kind.display_name == name
+        assert kernels.derivative_kinks(kind) == d1_kinks
+        assert kernels.second_derivative_kinks(kind) == d2_kinks
+        assert kernels.is_smooth(kind) == (not d2_kinks)
+        assert kernels.has_second_derivative(kind) == has_d2
+
+    def test_unknown_tag_lists_every_kind(self):
+        expected = "telu, relu, gelu, silu, mish, logish, smish, elu"
+        with pytest.raises(DomainError, match=f"expected one of {expected}$"):
+            kernels.ActivationKind("nosuch")
+
 
 # --- seeded sweep: overflow safety, fused kernel, FD agreement, TeLU oracle ---
 
