@@ -8,8 +8,9 @@ its math: ``init(rng)`` draws its parameter arrays, and
 ``forward(x, params, record, grad_x)`` returns its output plus, when
 recording, a backward step that maps the output gradient to the input
 gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
-keeps only what its product needs (conv its im2col column matrix, an
-activation its f' from the fused kernel, max pooling its winner masks).
+keeps only what its product needs (conv its input, from which it rebuilds
+the im2col columns, an activation its f' from the fused kernel, max pooling
+its winner masks).
 
 :func:`forward` runs the per-example prefix of the stack (every layer
 before the first :class:`Dense`: conv, activation, pooling, flatten) on
@@ -26,15 +27,15 @@ so no cache outlives its backward.  Nothing reads the input batch's
 gradient, so layers before the first parametric one are not recorded and
 that layer computes no input gradient.
 
-Chunking moves no bits.  Every prefix layer computes each image on its
-own: the activations and pooling are elementwise, and conv's im2col,
-col2im and ``np.matmul`` run one GEMM per image, so no result depends on
-which other images share its batch.  Conv's steps return the weight and
-bias gradients per example, and :func:`backward` joins them in example
-order and sums over the examples, the same sequential sum the unchunked
-conv took (its bias sum over ``(0, 2, 3)`` equals the per-example sum over
-``(2, 3)`` then over examples, bit for bit).  So every artifact is the
-same at any chunk size.
+The chunks run on :data:`WORKERS` threads, each taking one contiguous part
+of the chunk list (the calling thread the last), and their results are
+joined in batch order.  No chunk size or worker count moves a bit: every
+prefix layer computes each image on its own (activations and pooling are
+elementwise; conv's im2col, col2im and ``np.matmul`` run one GEMM per
+image), and :func:`backward` adds conv's per-example weight and bias
+gradients into a zero-filled buffer in example order, the sequential sum
+the unchunked conv took.  If several parts fail, the earliest part's error
+is raised, as a sequential loop would.
 
 Everything is float64 and deterministic: no RNG in forward/backward, and
 a fixed summation order.  The first non-finite value anywhere raises
@@ -43,13 +44,16 @@ a fixed summation order.  The first non-finite value anywhere raises
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import kernels
 from .errors import ConfigError, DataError, DivergenceError, FormatError
@@ -105,6 +109,45 @@ Steps = list[tuple[Step, tuple[Tensor, ...]]]
 # Images per chunk of the per-example prefix (see the module docstring); on
 # the reference CNN, 2, 4 and 8 measured within noise of each other.
 CHUNK = 4
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+# prefix threads per batch: every usable CPU, or a trial worker's share
+WORKERS = usable_cpus()
+# ((pid, WORKERS), pool), made on first use: a fork inherits no threads
+_pool: Optional[tuple[tuple[int, int], concurrent.futures.ThreadPoolExecutor]] = None
+# overflow is caught by the finiteness checks; errstate is per thread
+_QUIET = dict(over="ignore", invalid="ignore", under="ignore")
+
+
+def set_workers(n: int) -> None:
+    """Run the prefix chunks of each batch on ``n`` threads."""
+    global WORKERS
+    WORKERS = n
+
+
+def _map_parts(fn: Callable[[list], list], items: list) -> list:
+    """``fn`` over one contiguous part of ``items`` per worker, the results
+    joined in order: the pool runs all parts but the last, the calling
+    thread the last.  All parts finish before the earliest error is raised."""
+    k = min(WORKERS, len(items))
+    if k <= 1:
+        return fn(items)
+    global _pool
+    if _pool is None or _pool[0] != (os.getpid(), WORKERS):
+        _pool = ((os.getpid(), WORKERS), concurrent.futures.ThreadPoolExecutor(WORKERS - 1))
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    futures = [_pool[1].submit(fn, items[a:b]) for a, b in zip(cuts[:-2], cuts[1:-1])]
+    try:
+        last = fn(items[cuts[-2] :])
+    finally:
+        concurrent.futures.wait(futures)
+        joined = [r for f in futures for r in f.result()]
+    return joined + last
 
 
 @dataclass
@@ -170,8 +213,9 @@ class Conv2d:
 
     ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
     ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
-    Its backward step returns the weight and bias gradients per example
-    (leading batch axis); :func:`backward` sums them over the batch.
+    Its backward step keeps ``x``, not the 9-16x larger ``cols``, which it
+    rebuilds; it returns the weight and bias gradients per example (leading
+    batch axis), which :func:`backward` sums over the batch.
     """
 
     in_ch: int
@@ -194,20 +238,23 @@ class Conv2d:
         if h < k or wd < k:
             raise ConfigError(f"conv2d kernel {k} larger than input {x.shape}")
         ho, wo = h - k + 1, wd - k + 1
-        cols6 = np.empty((n, c, k, k, ho, wo))
-        for i in range(k):
-            for j in range(k):
-                cols6[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
-        cols = cols6.reshape(n, c * k * k, ho * wo)
+
+        def im2col():
+            # x's (n, c, k, k, ho, wo) windows as a read-only view, which the
+            # reshape copies (unless k == 1)
+            sn, sc, sh, sw = x.strides
+            windows = as_strided(x, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh, sw), writeable=False)
+            return windows.reshape(n, c * k * k, ho * wo)
+
         w2 = w.reshape(self.out_ch, c * k * k)
-        y = np.matmul(w2, cols).reshape(n, self.out_ch, ho, wo)
+        y = np.matmul(w2, im2col()).reshape(n, self.out_ch, ho, wo)
         y += b[None, :, None, None]
         if not record:
             return y, None
 
         def step(g):
             g3 = g.reshape(n, self.out_ch, ho * wo)
-            gw = np.matmul(g3, cols.transpose(0, 2, 1))
+            gw = np.matmul(g3, im2col().transpose(0, 2, 1))
             gx = None
             if grad_x:
                 # col2im: scatter-add each kernel offset's slab back onto x
@@ -330,18 +377,29 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
 
 
 def _run(
-    stack: list[tuple[LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
+    stack: list[tuple[int, LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
 ) -> tuple[np.ndarray, Steps, bool]:
-    """Run ``stack`` on ``x``; return the output, the recorded steps and
-    whether the layer after the stack computes its input gradient."""
+    """Run ``stack`` (index, layer, parameters) on ``x``; return the output,
+    the recorded steps and whether the next layer computes its input gradient."""
     steps: Steps = []
-    for layer, params in stack:
+    for i, layer, params in stack:
         x, step = layer.forward(x, [t.data for t in params], record, grad_x)
         if step is not None:
             steps.append((step, params))
         grad_x = grad_x or layer.n_params > 0
-        _require_finite(x, f"output of {type(layer).__name__}")
+        _require_finite(x, f"output of layer {i} ({type(layer).__name__})")
     return x, steps, grad_x
+
+
+def _unwind(steps: Steps, g: np.ndarray) -> tuple[np.ndarray, list[tuple[Tensor, np.ndarray]]]:
+    """Pop ``steps`` back to front through ``g``: the input gradient and the
+    (parameter, gradient) pairs."""
+    pairs = []
+    while steps:
+        step, params = steps.pop()
+        g, param_grads = step(g)
+        pairs.extend(zip(params, param_grads))
+    return g, pairs
 
 
 def forward(
@@ -351,43 +409,43 @@ def forward(
     ``record``, the tape.
 
     The layers before the first :class:`Dense` run on chunks of
-    :data:`CHUNK` images, the rest on the joined batch.  Shape mismatches
-    raise :class:`ConfigError` before any arithmetic; any non-finite output
-    raises :class:`DivergenceError`.
+    :data:`CHUNK` images spread over :data:`WORKERS` threads, the rest on
+    the joined batch.  Shape mismatches raise :class:`ConfigError` before
+    any arithmetic; any non-finite output raises :class:`DivergenceError`
+    naming the layer.
     """
     x = np.ascontiguousarray(batch, dtype=np.float64)
     if x.ndim == 0:
         raise ConfigError("the input needs a batch dimension")
     _require_finite(x, "input batch")
     stack, p = [], 0
-    for layer in model.layers:
-        stack.append((layer, tuple(model.params[p : p + layer.n_params])))
+    for i, layer in enumerate(model.layers):
+        stack.append((i, layer, tuple(model.params[p : p + layer.n_params])))
         p += layer.n_params
-    cut = next((i for i, (layer, _) in enumerate(stack) if isinstance(layer, Dense)), len(stack))
+    cut = next((i for i, layer, _ in stack if isinstance(layer, Dense)), len(stack))
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if cut else max(len(x), 1)
-    chunks: list[tuple[slice, Steps]] = []
-    # overflow is detected by the explicit finiteness checks, not by warnings
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for start in range(0, max(len(x), 1), size):
-            rows = slice(start, start + size)
+
+    def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps, bool]]:
+        with np.errstate(**_QUIET):
             # nothing reads the input batch's gradient, so layers before the
             # first parameter are not recorded and the first parametric
             # layer skips its gx
-            y, steps, grad_x = _run(stack[:cut], x[rows], record, False)
-            if start == 0:
-                joined = np.empty((len(x),) + y.shape[1:])
-            joined[rows] = y
-            if steps:
-                chunks.append((rows, steps))
+            return [(rows, *_run(stack[:cut], x[rows], record, False)) for rows in part]
+
+    ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(len(x), 1), size)])
+    joined = np.concatenate([y for _, y, _, _ in ran])
+    chunks = [(rows, steps) for rows, _, steps, _ in ran if steps]
+    grad_x = ran[0][3]  # the same for every chunk
+    with np.errstate(**_QUIET):
         y, steps, _ = _run(stack[cut:], joined, record, grad_x)
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 
 def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
     """Pass ``loss_grad`` back through the tape's steps in reverse, the
-    suffix on the full batch and then each prefix chunk on its rows; returns
-    the gradient per parameter.
+    suffix on the full batch and then each prefix chunk on its rows (on
+    :data:`WORKERS` threads); returns the gradient per parameter.
 
     The tape is single-use: a second call raises.
     """
@@ -400,27 +458,24 @@ def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
         )
     steps, chunks = tape.steps, tape.chunks
     tape.steps, tape.chunks, tape.consumed = [], [], True
-    grads: dict[Tensor, np.ndarray] = {}
-    per_example: dict[Tensor, list[np.ndarray]] = {}
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        while steps:
-            step, params = steps.pop()
-            g, param_grads = step(g)
-            for p, pg in zip(params, param_grads):
-                _require_finite(pg, "parameter gradient")
-                grads[p] = pg
-        for rows, chunk_steps in chunks:
-            gc = g[rows]
-            while chunk_steps:
-                step, params = chunk_steps.pop()
-                gc, param_grads = step(gc)
-                for p, pg in zip(params, param_grads):
-                    per_example.setdefault(p, []).append(pg)
-        # conv's per-example gradients, summed over the batch in example
-        # order: the sequential sum the unchunked conv took
-        for p, parts in per_example.items():
-            grads[p] = np.concatenate(parts).sum(axis=0)
-            _require_finite(grads[p], "parameter gradient")
+    with np.errstate(**_QUIET):
+        g, pairs = _unwind(steps, g)
+    grads = dict(pairs)
+
+    def run_part(part: list[tuple[slice, Steps]]) -> list[list[tuple[Tensor, np.ndarray]]]:
+        with np.errstate(**_QUIET):
+            return [_unwind(chunk_steps, g[rows])[1] for rows, chunk_steps in part]
+
+    with np.errstate(**_QUIET):
+        # conv's per-example gradients, added in example order from +0.0:
+        # the sequential sum over the batch the unchunked conv took
+        for chunk_pairs in _map_parts(run_part, chunks):
+            for p, pg in chunk_pairs:
+                total = grads.setdefault(p, np.zeros(pg.shape[1:]))
+                for row in pg:
+                    total += row
+    for pg in grads.values():
+        _require_finite(pg, "parameter gradient")
     return grads
 
 

@@ -278,14 +278,21 @@ def _apply_override(raw: dict, assignment: str) -> dict:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
+    # an integer key indexes a list; a missing or null object is created
     node = raw
-    for k in keys[:-1]:
-        nxt = node.get(k)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[k] = nxt
-        node = nxt
-    node[keys[-1]] = value
+    for depth, k in enumerate(keys):
+        path = ".".join(keys[:depth])
+        if isinstance(node, list):
+            if not (k.isdecimal() and int(k) < len(node)):
+                raise ConfigError(f"override {assignment!r}: {path} has no element {k}")
+            k = int(k)
+        elif not isinstance(node, dict):
+            raise ConfigError(f"override {assignment!r}: {path} is not an object or a list")
+        elif node.get(k) is None:
+            node[k] = {}
+        if depth < len(keys) - 1:
+            node = node[k]
+    node[k] = value
     return raw
 
 

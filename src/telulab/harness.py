@@ -30,7 +30,9 @@ from .autograd import (
     build_model,
     backward,
     forward,
+    set_workers,
     softmax_cross_entropy,
+    usable_cpus,
 )
 from .data import Dataset, SplitSpec
 from .errors import ConfigError, DivergenceError
@@ -338,9 +340,11 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     if jobs <= 1 or len(configs) <= 1:
         return [run_trial(c) for c in configs]
     # under fork, the pool starts all its workers at the first submit, so
-    # more workers than trials would only fork idle processes
+    # more workers than trials would only fork idle processes; each worker
+    # runs its chunk threads on its share of the CPUs
     workers = min(jobs, len(configs))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    share = (max(1, usable_cpus() // workers),)
+    with concurrent.futures.ProcessPoolExecutor(workers, initializer=set_workers, initargs=share) as pool:
         return list(pool.map(run_trial, configs))
 
 

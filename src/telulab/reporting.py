@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, autograd
 from .harness import GridCell, LandscapeSurface, TrialResult, TrialSummary, conc_metric
 from .properties import PropertyReport, report_to_dict
 
@@ -220,15 +220,26 @@ def write_fisher_csv(values: np.ndarray, path) -> None:
     atomic_write_text(path, "param_index,fisher_diag\n" + rows)
 
 
+def _environment() -> dict:
+    try:  # numpy < 1.26 has no dict mode
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return dict(numpy=np.__version__, blas=blas, cpu_count=os.cpu_count(),
+                usable_cpus=autograd.usable_cpus(), engine_workers=autograd.WORKERS)
+
+
 def write_metadata(path, command: str, config: dict, **extra) -> None:
-    """Resolved config plus tool version and metric definitions, written
-    beside every run's outputs."""
+    """Resolved config plus tool version, metric definitions and the
+    environment, written beside every run's outputs."""
     payload = {
         "tool": "telulab",
         "version": __version__,
         "command": command,
         "config": config,
         "definitions": METRIC_DEFINITIONS,
+        "environment": _environment(),
     }
     payload.update(extra)
     _write_json(path, payload)

@@ -3,6 +3,7 @@ shape validation, determinism, divergence detection, and the chunked
 per-example prefix against a frozen copy of the unchunked engine."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -426,18 +427,90 @@ def cifar_batch(n, seed):
     return rng.integers(0, 256, size=(n, 3, 32, 32)) / 255.0 - 0.5, rng.integers(0, 10, size=n)
 
 
+def assert_matches_frozen_engine(kind, n):
+    model = reference_cnn(kind, seed=n)
+    x, labels = cifar_batch(n, seed=100 + n)
+    got = train_step(forward, backward, model, x, labels)
+    want = train_step(frozen_forward, frozen_backward, model, x, labels)
+    assert_same_step(model, got, want)
+    assert_same_bits(forward(model, x)[0], want[0])
+
+
 class TestChunkedPrefix:
     C = autograd.CHUNK
 
     @pytest.mark.parametrize("kind", [TELU, RELU], ids=lambda k: k.spec_string())
     @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 1, 128])
     def test_matches_unchunked_engine_bit_for_bit(self, kind, n):
-        model = reference_cnn(kind, seed=n)
-        x, labels = cifar_batch(n, seed=100 + n)
-        got = train_step(forward, backward, model, x, labels)
-        want = train_step(frozen_forward, frozen_backward, model, x, labels)
-        assert_same_step(model, got, want)
-        assert_same_bits(forward(model, x)[0], want[0])
+        assert_matches_frozen_engine(kind, n)
+
+    @pytest.mark.parametrize("kind", [TELU, RELU], ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("n", [1, C + 1, 2 * C + 1, 128])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_moves_no_bits(self, monkeypatch, workers, n, kind):
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        # thread switches between nearly every bytecode, so a part that
+        # read or wrote another part's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_frozen_engine(kind, n)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_names_the_earliest_failing_layer(self, monkeypatch, workers):
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        model = reference_cnn(TELU)
+        values = model.copy_param_values()
+        values[0][:], values[2][:] = 1.0, 10.0
+        model.set_param_values(values)
+        # conv1 sums 27 inputs, conv2 256: images of 1e304 overflow conv2
+        # (layer 3), images of 1e307 already conv1 (layer 0); with two
+        # workers the pool runs the first chunk, the calling thread the last
+        x = np.zeros((3 * self.C, 3, 32, 32))
+        x[: self.C], x[-self.C :] = 1e304, 1e307
+        for record in (False, True):
+            with pytest.raises(DivergenceError) as err:
+                forward(model, x, record=record)
+            assert str(err.value) == "non-finite value in output of layer 3 (Conv2d)"
+        with pytest.raises(DivergenceError, match=r"output of layer 0 \(Conv2d\)$"):
+            forward(model, x[-self.C :])
+
+    def test_one_chunk_never_starts_the_pool(self, monkeypatch):
+        monkeypatch.setattr(autograd, "WORKERS", 2)
+        monkeypatch.setattr(autograd, "_pool", None)
+        mlp = build_model([Dense(3, 4), Activation(TELU), Dense(4, 2)], seed=0)
+        x, labels = cifar_batch(self.C, seed=8)
+        for model, batch in ((mlp, np.ones((300, 3))), (reference_cnn(TELU), x)):
+            train_step(forward, backward, model, batch, labels[:1].repeat(len(batch)))
+        assert autograd._pool is None
+
+    def test_forked_process_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(autograd, "WORKERS", 2)
+        monkeypatch.setattr(autograd, "_pool", None)
+        model = reference_cnn(TELU)
+        x, _ = cifar_batch(2 * self.C, seed=8)
+        forward(model, x)
+        first = autograd._pool[1]
+        forward(model, x)
+        assert autograd._pool[1] is first
+        monkeypatch.setattr(autograd.os, "getpid", lambda: -1)
+        forward(model, x)
+        assert autograd._pool[1] is not first
+
+    def test_b128_tape_holds_no_column_matrices(self):
+        # the tape keeps each conv's input, about 27 MB at b128; with the
+        # 9-16x larger im2col columns it held 86 MB
+        model = reference_cnn(TELU)
+        x, _ = cifar_batch(128, seed=10)
+        tracemalloc.start()
+        try:
+            _, tape = forward(model, x, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000, f"peak {peak} B"
 
     def test_relu_pool_ties_occur(self):
         # the ReLU case above exercises tied pool windows

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from telulab import cli, harness, properties
+from telulab import autograd, cli, harness, properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -107,6 +108,22 @@ class TestExitCodes:
         argv = ["train", "--config", str(listed), *overrides]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: config root: expected an object\n"
+
+    @pytest.mark.parametrize(
+        "assignment,problem",
+        [
+            ("seeds.3=1", "seeds has no element 3"),
+            ("model.layers.-1.out=8", "model.layers has no element -1"),
+            ("epochs.0=1", "epochs is not an object or a list"),
+            ("optimizer.lr.x=1", "optimizer.lr is not an object or a list"),
+        ],
+    )
+    def test_override_off_the_config_usage_error(
+        self, blob_cfg, tmp_path, capsys, assignment, problem
+    ):
+        argv = ["train", "--config", str(blob_cfg), "--set", assignment]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: override {assignment!r}: {problem}\n"
 
     @pytest.mark.parametrize("command", ["fisher", "landscape"])
     def test_malformed_checkpoint_usage_error(self, blob_cfg, tmp_path, capsys, command):
@@ -469,9 +486,32 @@ class TestMetadata:
         meta = read_metadata(tmp_path)
         assert meta["config"] == BLOB_ECHO
         assert set(meta) == {
-            "tool", "version", "command", "config", "definitions", "wall_time_seconds"
+            "tool", "version", "command", "config", "definitions", "environment",
+            "wall_time_seconds",
         }
         assert meta["command"] == "train" and list(meta["wall_time_seconds"]) == ["0"]
+
+    def test_train_records_the_environment(self, blob_cfg, tmp_path):
+        assert main(["train", "--config", str(blob_cfg), "--out", str(tmp_path)]) == 0
+        env = read_metadata(tmp_path)["environment"]
+        # numpy names its BLAS from 1.26 on
+        blas = env.pop("blas")
+        assert blas != "unknown" or np.lib.NumpyVersion(np.__version__) < "1.26.0"
+        assert env == {
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)),
+            "engine_workers": autograd.WORKERS,
+        }
+
+    def test_set_indexes_into_lists(self, blob_cfg, tmp_path):
+        sets = ["model.layers.0.out=8", "model.layers.2.in=8", "seeds.0=3"]
+        argv = ["train", "--config", str(blob_cfg), "--out", str(tmp_path)]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
+        first, act, last = BLOB_ECHO["model"]["layers"]
+        layers = [dict(first, out=8), act, dict(last, **{"in": 8})]
+        want = dict(BLOB_ECHO, model={"layers": layers}, seeds=[3, 1, 2])
+        assert read_metadata(tmp_path)["config"] == want
 
     def test_landscape_probe_fields(self, blob_cfg, tmp_path):
         args = ["landscape", "--config", str(blob_cfg), "--grid-n", "3", "--radius", "0.5"]

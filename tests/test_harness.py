@@ -2,6 +2,7 @@
 grid selection, landscape geometry, Fisher probe."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from telulab.autograd import (
 )
 from telulab.data import SplitSpec, synthetic_blobs
 from telulab.errors import ConfigError, DivergenceError
+import telulab.autograd as autograd
 import telulab.harness as harness
 from telulab.harness import (
     BlobsSpec,
@@ -178,12 +180,13 @@ class TestReplicate:
         "seeds,jobs,workers", [([0, 1], 8, 2), ([0, 1, 2, 3], 2, 2)]
     )
     def test_pool_no_wider_than_the_trials(self, monkeypatch, seeds, jobs, workers):
-        # a pool that maps in-process and records its width: no process starts
+        # a pool that maps in-process and records its width and worker set-up:
+        # no process starts
         widths = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                widths.append((max_workers, initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -197,7 +200,9 @@ class TestReplicate:
         futures = harness.concurrent.futures
         monkeypatch.setattr(futures, "ProcessPoolExecutor", InProcessPool)
         summary, trials = replicate(blob_config(epochs=1), seeds, jobs=jobs)
-        assert widths == [workers]
+        # each worker runs its chunk threads on its share of the CPUs
+        threads = max(1, len(os.sched_getaffinity(0)) // workers)
+        assert widths == [(workers, autograd.set_workers, (threads,))]
         assert [t.seed for t in trials] == seeds
 
     def test_deterministic_across_calls(self):

@@ -1,6 +1,8 @@
 """Atomic artifact writes: temp files are per process and never left behind;
-the direct Fisher writer matches the generic CSV writer byte for byte."""
+the direct Fisher writer matches the generic CSV writer byte for byte;
+metadata.json records the environment even where numpy cannot name its BLAS."""
 
+import json
 import multiprocessing
 import os
 
@@ -93,3 +95,16 @@ class TestFisherCsv:
     def test_empty_vector_writes_the_header(self, tmp_path):
         reporting.write_fisher_csv(np.empty(0), tmp_path / "f.csv")
         assert (tmp_path / "f.csv").read_bytes() == b"param_index,fisher_diag\n"
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("error", [TypeError, KeyError])
+    def test_blas_unknown_without_dict_mode(self, tmp_path, monkeypatch, error):
+        # numpy < 1.26 rejects mode="dicts" with a TypeError
+        def show_config(mode):
+            raise error(mode)
+
+        monkeypatch.setattr(reporting.np, "show_config", show_config)
+        reporting.write_metadata(tmp_path / "metadata.json", "verify", config={})
+        env = json.loads((tmp_path / "metadata.json").read_text())["environment"]
+        assert env["blas"] == "unknown" and env["numpy"] == np.__version__
