@@ -8,6 +8,14 @@ experiment harness (multi-seed trials, grid search, loss-landscape and
 Fisher probes).
 """
 
+import os
+
+# The engine runs one thread per usable CPU, so BLAS threads inside each
+# GEMM would only oversubscribe the cores.  Set before numpy loads; a value
+# already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .kernels import (

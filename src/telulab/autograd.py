@@ -188,6 +188,10 @@ class Dense:
 
     n_params: ClassVar[int] = 2
 
+    def __post_init__(self) -> None:
+        if min(self.in_dim, self.out_dim) < 1:
+            raise ConfigError(f"dense sizes must be >= 1, got in={self.in_dim}, out={self.out_dim}")
+
     def init(self, rng: np.random.Generator) -> list[np.ndarray]:
         w = _kaiming_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
         return [w, np.zeros(self.out_dim)]
@@ -223,6 +227,12 @@ class Conv2d:
     k: int
 
     n_params: ClassVar[int] = 2
+
+    def __post_init__(self) -> None:
+        if min(self.in_ch, self.out_ch, self.k) < 1:
+            raise ConfigError(
+                f"conv2d sizes must be >= 1, got in_ch={self.in_ch}, out_ch={self.out_ch}, k={self.k}"
+            )
 
     def init(self, rng: np.random.Generator) -> list[np.ndarray]:
         shape = (self.out_ch, self.in_ch, self.k, self.k)

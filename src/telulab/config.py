@@ -1,7 +1,11 @@
 """Run-configuration files: parsing, strict validation, overrides.
 
-Configs are JSON.  Every key is checked against the documented schema and
-unknown keys are errors, so typos fail loudly with their field path.
+Configs are JSON, and the spec dataclasses are the schema: each section
+is parsed by :func:`_parse` from its dataclass's field types and echoed
+for run metadata by the inverse, :func:`_echo`.  A field's name is its key
+(but ``in``/``out`` for a dense layer's ``in_dim``/``out_dim``), a field
+without a default is required, and unknown keys are errors, so typos fail
+loudly with their field path.  Only the root is written out by hand.
 Overrides use dotted paths (``optimizer.lr=0.05``); values parse as JSON
 literals with a bare-string fallback.
 
@@ -14,22 +18,22 @@ Schema (see README for the full reference):
     schedule              gamma, milestones[]
     epochs, batch         positive integers
     dataset               name, path, blobs{n,classes,dim,spread,seed},
-                          split{train,valid,test,seed}
+                          split{train,valid,test,seed}, standardize
     seeds[]               trial seeds (replicate/grid)
     grid                  lr[], weight_decay[], gamma[]  (grid command)
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Union, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .autograd import Activation, Conv2d, Dense, Flatten, LayerSpec, MaxPool2
-from .data import SplitSpec
 from .errors import ConfigError, DomainError
-from .harness import BlobsSpec, DatasetSpec, GridSpec, TrainConfig
+from .harness import DatasetSpec, GridSpec, TrainConfig
 from .kernels import ActivationKind, parse_kind
 from .optim import LrSchedule, OptimizerConfig
 
@@ -45,6 +49,47 @@ class RunSpec:
     grid: Optional[GridSpec]
 
 
+_ROOT_KEYS = {
+    "model", "activation", "optimizer", "schedule", "epochs", "batch", "dataset", "seeds", "grid"
+}
+# a layer entry's "type" -> its spec class
+_LAYERS = {
+    "dense": Dense,
+    "conv2d": Conv2d,
+    "maxpool2": MaxPool2,
+    "flatten": Flatten,
+    "activation": Activation,
+}
+_LAYER_TYPES = {cls: name for name, cls in _LAYERS.items()}
+# field name -> config key, where they differ
+_KEYS = {"in_dim": "in", "out_dim": "out"}
+# fields the caller fills in from elsewhere, never config keys
+_DERIVED = {(LrSchedule, "initial_lr"), (GridSpec, "base")}
+# scalar field type -> (accepted JSON values, what the error says)
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    bool: (bool, "true/false"),
+}
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, Optional[str], object, bool], ...]:
+    """(field name, config key or None if derived, type, required) per
+    field of the dataclass ``cls``; type hints resolve once per class."""
+    types = get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            None if (cls, f.name) in _DERIVED else _KEYS.get(f.name, f.name),
+            types[f.name],
+            f.default is MISSING,
+        )
+        for f in fields(cls)
+    )
+
+
 def _check_keys(d: dict, allowed: set[str], path: str) -> None:
     unknown = set(d) - allowed
     if unknown:
@@ -57,147 +102,73 @@ def _req(d: dict, key: str, path: str):
     return d[key]
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+def _parse(tp, value, path: str):
+    """``value`` read from the config as the field type ``tp``."""
+    if tp in _SCALARS:
+        accepted, noun = _SCALARS[tp]
+        # bool is an int subclass: true/false is only a bool
+        if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+        return float(value) if tp is float else value
+    if tp is ActivationKind:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: expected an activation name string")
+        try:
+            return parse_kind(value)
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if is_dataclass(tp):
+        return _parse_fields(tp, value, path)
+    args = get_args(tp)
+    if get_origin(tp) is Union:  # Optional[X]: args are (X, NoneType)
+        return None if value is None else _parse(args[0], value, path)
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    if args[-1] is Ellipsis:  # tuple[X, ...]
+        args = (args[0],) * len(value)
+    elif len(value) != len(args):
+        raise ConfigError(f"{path}: expected a {len(args)}-element list")
+    return tuple(_parse(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _pair(value, path: str) -> tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{path}: expected a two-element list")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
-
-
-# field type -> value parser; strings are checked by the dataclass itself
-_FIELD_PARSERS = {
-    int: _integer,
-    float: _number,
-    str: lambda value, path: value,
-    tuple[float, float]: _pair,
-}
-
-
-def _parse_fields(cls, d, path: str):
-    """The dataclass ``cls`` built from the object ``d``, whose keys are the
-    field names; a field without a default is required."""
+def _parse_fields(cls, d, path: str, given: Optional[dict] = None):
+    """The dataclass ``cls`` built from the object ``d``; a field whose key
+    is absent takes its value from ``given`` if there, else its default."""
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
-    _check_keys(d, {f.name for f in fields(cls)}, path)
-    types = get_type_hints(cls)
+    schema = _schema(cls)
+    _check_keys(d, {key for _, key, _, _ in schema if key is not None}, path)
+    given = given or {}
     kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            kwargs[f.name] = _FIELD_PARSERS[types[f.name]](d[f.name], f"{path}.{f.name}")
-        elif f.default is MISSING:
-            raise ConfigError(f"{path}.{f.name}: required")
+    for name, key, tp, required in schema:
+        if key in d:  # never true for a derived field, whose key is None
+            kwargs[name] = _parse(tp, d[key], f"{path}.{key}")
+        elif name in given:
+            kwargs[name] = given[name]
+        elif required:
+            raise ConfigError(f"{path}.{key}: required")
     return cls(**kwargs)
 
 
-def _parse_layer(entry, idx: int, default_kind: ActivationKind) -> LayerSpec:
-    path = f"model.layers[{idx}]"
+def _parse_layer(entry, path: str, activation: ActivationKind) -> LayerSpec:
+    """A ``model.layers`` entry; an activation layer defaults to the
+    config's ``activation``."""
     if not isinstance(entry, dict) or "type" not in entry:
         raise ConfigError(f"{path}: expected an object with a 'type' key")
     kind = entry["type"]
-    if kind == "dense":
-        _check_keys(entry, {"type", "in", "out"}, path)
-        return Dense(
-            _integer(_req(entry, "in", path), f"{path}.in"),
-            _integer(_req(entry, "out", path), f"{path}.out"),
-        )
-    if kind == "conv2d":
-        _check_keys(entry, {"type", "in_ch", "out_ch", "k"}, path)
-        return Conv2d(
-            _integer(_req(entry, "in_ch", path), f"{path}.in_ch"),
-            _integer(_req(entry, "out_ch", path), f"{path}.out_ch"),
-            _integer(_req(entry, "k", path), f"{path}.k"),
-        )
-    if kind == "maxpool2":
-        _check_keys(entry, {"type"}, path)
-        return MaxPool2()
-    if kind == "flatten":
-        _check_keys(entry, {"type"}, path)
-        return Flatten()
-    if kind == "activation":
-        _check_keys(entry, {"type", "kind"}, path)
-        if "kind" in entry:
-            return Activation(_parse_activation(entry["kind"], f"{path}.kind"))
-        return Activation(default_kind)
-    raise ConfigError(f"{path}.type: unknown layer type {kind!r}")
-
-
-def _parse_activation(value, path: str) -> ActivationKind:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected an activation name string")
-    try:
-        return parse_kind(value)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_schedule(d, initial_lr: float, path: str = "schedule") -> LrSchedule:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(d, {"gamma", "milestones"}, path)
-    milestones = d.get("milestones", [])
-    if not isinstance(milestones, list):
-        raise ConfigError(f"{path}.milestones: expected a list")
-    return LrSchedule(
-        initial_lr=initial_lr,
-        gamma=_number(_req(d, "gamma", path), f"{path}.gamma"),
-        milestones=tuple(
-            _integer(m, f"{path}.milestones[{i}]") for i, m in enumerate(milestones)
-        ),
-    )
-
-
-def _parse_dataset(d, path: str = "dataset") -> DatasetSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(d, {"name", "path", "blobs", "split", "standardize"}, path)
-    standardize = d.get("standardize", False)
-    if not isinstance(standardize, bool):
-        raise ConfigError(f"{path}.standardize: expected true/false")
-    name = _req(d, "name", path)
-    split = _parse_fields(SplitSpec, _req(d, "split", path), f"{path}.split")
-    blobs = None
-    if d.get("blobs") is not None:
-        blobs = _parse_fields(BlobsSpec, d["blobs"], f"{path}.blobs")
-    return DatasetSpec(
-        name=name,
-        split=split,
-        path=d.get("path"),
-        blobs=blobs,
-        standardize=standardize,
-    )
+    cls = _LAYERS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{path}.type: unknown layer type {kind!r}")
+    rest = {k: v for k, v in entry.items() if k != "type"}
+    return _parse_fields(cls, rest, path, {"kind": activation})
 
 
 def build_run_spec(raw: dict) -> RunSpec:
     """Validate a parsed config dict and build the run description."""
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected an object")
-    _check_keys(
-        raw,
-        {
-            "model",
-            "activation",
-            "optimizer",
-            "schedule",
-            "epochs",
-            "batch",
-            "dataset",
-            "seeds",
-            "grid",
-        },
-        "config",
-    )
-    activation = _parse_activation(_req(raw, "activation", "config"), "activation")
+    _check_keys(raw, _ROOT_KEYS, "config")
+    activation = _parse(ActivationKind, _req(raw, "activation", "config"), "activation")
     model_d = _req(raw, "model", "config")
     if not isinstance(model_d, dict):
         raise ConfigError("model: expected an object")
@@ -206,47 +177,39 @@ def build_run_spec(raw: dict) -> RunSpec:
     if not isinstance(layers_raw, list) or not layers_raw:
         raise ConfigError("model.layers: expected a non-empty list")
     layers = tuple(
-        _parse_layer(entry, i, activation) for i, entry in enumerate(layers_raw)
+        _parse_layer(entry, f"model.layers[{i}]", activation)
+        for i, entry in enumerate(layers_raw)
     )
 
-    optimizer = _parse_fields(OptimizerConfig, _req(raw, "optimizer", "config"), "optimizer")
-    schedule = _parse_schedule(_req(raw, "schedule", "config"), optimizer.lr)
-    dataset = _parse_dataset(_req(raw, "dataset", "config"))
+    optimizer = _parse(OptimizerConfig, _req(raw, "optimizer", "config"), "optimizer")
+    schedule = _parse_fields(
+        LrSchedule, _req(raw, "schedule", "config"), "schedule", {"initial_lr": optimizer.lr}
+    )
+    dataset = _parse(DatasetSpec, _req(raw, "dataset", "config"), "dataset")
     train = TrainConfig(
         layers=layers,
         activation=activation,
         optimizer=optimizer,
         schedule=schedule,
-        epochs=_integer(_req(raw, "epochs", "config"), "epochs"),
-        batch=_integer(_req(raw, "batch", "config"), "batch"),
+        epochs=_parse(int, _req(raw, "epochs", "config"), "epochs"),
+        batch=_parse(int, _req(raw, "batch", "config"), "batch"),
         dataset=dataset,
     )
 
-    seeds_raw = raw.get("seeds", [0])
-    if not isinstance(seeds_raw, list) or not seeds_raw:
+    seeds = _parse(tuple[int, ...], raw.get("seeds", [0]), "seeds")
+    if not seeds:
         raise ConfigError("seeds: expected a non-empty list")
-    seeds = tuple(_integer(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
 
     grid = None
-    if "grid" in raw and raw["grid"] is not None:
-        g = raw["grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("grid: expected an object")
-        _check_keys(g, {"lr", "weight_decay", "gamma"}, "grid")
-
-        def axis(key: str, default: float) -> tuple[float, ...]:
-            if key not in g:
-                return (default,)
-            if not isinstance(g[key], list) or not g[key]:
-                raise ConfigError(f"grid.{key}: expected a non-empty list")
-            return tuple(_number(v, f"grid.{key}[{i}]") for i, v in enumerate(g[key]))
-
-        grid = GridSpec(
-            base=train,
-            lr=axis("lr", optimizer.lr),
-            weight_decay=axis("weight_decay", optimizer.weight_decay),
-            gamma=axis("gamma", schedule.gamma),
-        )
+    if raw.get("grid") is not None:
+        # an axis the grid leaves out stays at its base value
+        base = {
+            "base": train,
+            "lr": (optimizer.lr,),
+            "weight_decay": (optimizer.weight_decay,),
+            "gamma": (schedule.gamma,),
+        }
+        grid = _parse_fields(GridSpec, raw["grid"], "grid", base)
     return RunSpec(train=train, seeds=seeds, grid=grid)
 
 
@@ -299,50 +262,35 @@ def _apply_override(raw: dict, assignment: str) -> dict:
 # --- config echo for metadata -----------------------------------------------
 
 
-def _layer_to_dict(layer: LayerSpec) -> dict:
-    if isinstance(layer, Dense):
-        return {"type": "dense", "in": layer.in_dim, "out": layer.out_dim}
-    if isinstance(layer, Conv2d):
+def _echo(value):
+    """The config form of a parsed value: the inverse of :func:`_parse`."""
+    if isinstance(value, ActivationKind):
+        return value.spec_string()
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if is_dataclass(value):
         return {
-            "type": "conv2d",
-            "in_ch": layer.in_ch,
-            "out_ch": layer.out_ch,
-            "k": layer.k,
+            key: _echo(getattr(value, name))
+            for name, key, _, _ in _schema(type(value))
+            if key is not None
         }
-    if isinstance(layer, MaxPool2):
-        return {"type": "maxpool2"}
-    if isinstance(layer, Flatten):
-        return {"type": "flatten"}
-    return {"type": "activation", "kind": layer.kind.spec_string()}
+    return value
 
 
 def run_spec_to_dict(spec: RunSpec) -> dict:
-    """Fully resolved config (defaults filled in) for run metadata.
-
-    ``optimizer`` and ``dataset`` echo their dataclasses, whose field names
-    are the config keys; ``build_run_spec`` parses the result back to
-    ``spec``.
-    """
+    """Fully resolved config (defaults filled in) for run metadata;
+    ``build_run_spec`` parses it back to ``spec``."""
     t = spec.train
-    optimizer = asdict(t.optimizer)
-    optimizer["betas"] = list(t.optimizer.betas)
     out = {
-        "model": {"layers": [_layer_to_dict(l) for l in t.layers]},
-        "activation": t.activation.spec_string(),
-        "optimizer": optimizer,
-        "schedule": {
-            "gamma": t.schedule.gamma,
-            "milestones": list(t.schedule.milestones),
-        },
+        "model": {"layers": [{"type": _LAYER_TYPES[type(l)], **_echo(l)} for l in t.layers]},
+        "activation": _echo(t.activation),
+        "optimizer": _echo(t.optimizer),
+        "schedule": _echo(t.schedule),
         "epochs": t.epochs,
         "batch": t.batch,
-        "dataset": asdict(t.dataset),
-        "seeds": list(spec.seeds),
+        "dataset": _echo(t.dataset),
+        "seeds": _echo(spec.seeds),
     }
     if spec.grid is not None:
-        out["grid"] = {
-            "lr": list(spec.grid.lr),
-            "weight_decay": list(spec.grid.weight_decay),
-            "gamma": list(spec.grid.gamma),
-        }
+        out["grid"] = _echo(spec.grid)
     return out

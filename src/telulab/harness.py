@@ -394,8 +394,9 @@ class GridSpec:
     gamma: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (self.lr and self.weight_decay and self.gamma):
-            raise ConfigError("grid lists must be non-empty")
+        for axis in ("lr", "weight_decay", "gamma"):
+            if not getattr(self, axis):
+                raise ConfigError(f"grid.{axis} must be non-empty")
 
     def size(self) -> int:
         return len(self.lr) * len(self.weight_decay) * len(self.gamma)

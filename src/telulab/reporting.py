@@ -10,6 +10,7 @@ JSON, which is the one non-deterministic artifact.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -158,17 +159,7 @@ def write_curves_csv(trials: Iterable[TrialResult], path) -> None:
 
 
 def write_summary_json(summary: TrialSummary, path) -> None:
-    payload = {
-        "activation": summary.activation,
-        "optimizer": summary.optimizer,
-        "cell": summary.cell(),
-        "mean_test_acc": summary.mean_test_acc,
-        "std_test_acc": summary.std_test_acc,
-        "mean_conc": summary.mean_conc,
-        "divergence_count": summary.divergence_count,
-        "n_trials": summary.n_trials,
-    }
-    _write_json(path, payload)
+    _write_json(path, {**dataclasses.asdict(summary), "cell": summary.cell()})
 
 
 def write_grid_cells_csv(cells: list[GridCell], path) -> None:

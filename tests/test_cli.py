@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,31 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: override {assignment!r}: {problem}\n"
 
+    @pytest.mark.parametrize(
+        "assignments,problem",
+        [
+            (["model.layers.0.out=-1"], "dense sizes must be >= 1, got in=16, out=-1"),
+            (
+                ["model.layers.0.out=0", "model.layers.2.in=0"],
+                "dense sizes must be >= 1, got in=16, out=0",
+            ),
+            (
+                ['model.layers.0={"type": "conv2d", "in_ch": 3, "out_ch": 4, "k": 0}'],
+                "conv2d sizes must be >= 1, got in_ch=3, out_ch=4, k=0",
+            ),
+            (
+                ["dataset.name=cifar10", "dataset.path=5", "dataset.blobs=null"],
+                "dataset.path: expected a string, got 5",
+            ),
+        ],
+    )
+    def test_bad_layer_size_or_path_usage_error(
+        self, blob_cfg, tmp_path, capsys, assignments, problem
+    ):
+        argv = ["train", "--config", str(blob_cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + [a for s in assignments for a in ("--set", s)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
     @pytest.mark.parametrize("command", ["fisher", "landscape"])
     def test_malformed_checkpoint_usage_error(self, blob_cfg, tmp_path, capsys, command):
         stem = tmp_path / "model"
@@ -153,6 +180,21 @@ class TestExitCodes:
         assert code == 0
         rows = read_csv(out / "results.csv")
         assert rows[0]["diverged"] == "true"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_threads_default_to_one_unless_set(preset):
+    # a fresh interpreter, since the default must be in place before numpy loads
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    code = f"import os, telulab; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.stdout.split() == [preset or "1"] * 3
 
 
 class TestVerifyArtifacts:

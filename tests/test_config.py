@@ -114,6 +114,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"layers\[0\]"):
             build_run_spec(raw)
 
+    @pytest.mark.parametrize("kind", [["dense"], {"t": 1}, None, 3])
+    def test_non_string_layer_type(self, kind):
+        raw = base_config()
+        raw["model"]["layers"][0] = {"type": kind, "in": 8, "out": 8}
+        with pytest.raises(ConfigError, match=r"layers\[0\]\.type: unknown layer type"):
+            build_run_spec(raw)
+
+    def test_layer_key_of_another_type(self):
+        raw = base_config()
+        raw["model"]["layers"][0]["kind"] = "relu"
+        with pytest.raises(ConfigError, match=r"layers\[0\]: unknown key\(s\) \['kind'\]"):
+            build_run_spec(raw)
+
+    @pytest.mark.parametrize("axis", ["lr", "weight_decay", "gamma"])
+    def test_empty_grid_axis_carries_path(self, axis):
+        raw = base_config()
+        raw["grid"] = {axis: []}
+        with pytest.raises(ConfigError, match=f"grid.{axis} must be non-empty"):
+            build_run_spec(raw)
+
+    def test_derived_fields_are_not_keys(self):
+        raw = base_config()
+        raw["schedule"]["initial_lr"] = 0.5
+        with pytest.raises(ConfigError, match="schedule: unknown key"):
+            build_run_spec(raw)
+        raw = base_config()
+        raw["grid"] = {"base": {}}
+        with pytest.raises(ConfigError, match="grid: unknown key"):
+            build_run_spec(raw)
+
     def test_lr_type_checked_with_path(self):
         raw = base_config()
         raw["optimizer"]["lr"] = "fast"

@@ -5,6 +5,7 @@ describes, and an override is the same as editing the file."""
 import copy
 import json
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from telulab.config import build_run_spec, load_run_spec, run_spec_to_dict
@@ -31,11 +32,18 @@ def optional_fields(draw, fields: dict) -> dict:
     return {k: draw(s) for k, s in fields.items() if draw(st.booleans())}
 
 
+def sized_layer(size) -> st.SearchStrategy:
+    """A dense or conv2d layer entry with sizes drawn from ``size``."""
+    return st.one_of(
+        st.fixed_dictionaries({"type": st.just("dense"), "in": size, "out": size}),
+        st.fixed_dictionaries(
+            {"type": st.just("conv2d"), "in_ch": size, "out_ch": size, "k": size}
+        ),
+    )
+
+
 layer = st.one_of(
-    st.fixed_dictionaries({"type": st.just("dense"), "in": size, "out": size}),
-    st.fixed_dictionaries(
-        {"type": st.just("conv2d"), "in_ch": size, "out_ch": size, "k": size}
-    ),
+    sized_layer(size),
     st.just({"type": "maxpool2"}),
     st.just({"type": "flatten"}),
     st.just({"type": "activation"}),
@@ -124,6 +132,18 @@ def test_echo_parses_back_to_the_spec(raw):
     assert build_run_spec(echo) == spec
     # the echo is what metadata.json stores: it survives JSON unchanged
     assert json.loads(json.dumps(echo)) == echo
+
+
+@settings(deadline=None)
+@given(config, st.lists(sized_layer(st.integers(-2, 64)), min_size=1, max_size=3))
+def test_layer_sizes_below_one_are_config_errors(raw, sized):
+    raw["model"]["layers"] = sized
+    if min(v for entry in sized for k, v in entry.items() if k != "type") < 1:
+        with pytest.raises(ConfigError, match="sizes must be >= 1"):
+            build_run_spec(raw)
+    else:
+        spec = build_run_spec(raw)
+        assert build_run_spec(run_spec_to_dict(spec)) == spec
 
 
 OVERRIDES = {

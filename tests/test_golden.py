@@ -1,7 +1,10 @@
 """Golden artifact hashes: ``train`` and ``fisher --samples 0`` on two small
 setups write byte-identical CSVs from one change of the engine to the next,
 and ``verify`` and ``kernels`` over every kind (ELU at alpha 1 and 2) write
-byte-identical ``property_report.json`` and ``kernels.csv``.
+byte-identical ``property_report.json`` and ``kernels.csv``.  On the blobs
+setup ``replicate`` over two seeds, a two-cell ``grid`` and a 3x3
+``landscape`` pin ``summary.json``, ``grid_cells.csv``, ``best_config.json``
+and ``landscape.csv`` too.
 
 The setups are the blobs MLP used across the CLI tests and a tiny generated
 CIFAR-10 archive run through every layer type of the reference CNN (conv,
@@ -79,6 +82,18 @@ GOLDEN = {
     "blobs/fisher/fisher.csv": (
         "2e0e96bc30f8404ad56a9d5d9111a7622f518341743872972b6a23da4c0e40f0"
     ),
+    "blobs/replicate/summary.json": (
+        "b20fe68f35d5a906866ecbcb3c544755138b9085214a619d292f4bf199e528cf"
+    ),
+    "blobs/grid/grid_cells.csv": (
+        "2b0fb24d5a4baa6130576e882d3702d81350d6c5157f3398b3692098a5dbe362"
+    ),
+    "blobs/grid/best_config.json": (
+        "337319b3ba514513b17a82fe7c8aa931490d619a71e3bd3555046f505ce14a3c"
+    ),
+    "blobs/landscape/landscape.csv": (
+        "606d8715d1c2d3ab3974ccf2607953eaf273c6e77a7ecab6e93fcfccb667abe3"
+    ),
     "cifar/train/results.csv": (
         "4d0debc46e2620517468fade7dd9778de3fcb2639c8946048e213c1f5052490f"
     ),
@@ -93,6 +108,21 @@ GOLDEN = {
     ),
     "kernels/kernels.csv": (
         "6a981155967444eeca97b622a1206589c5df4cf7c70c3c48db445c51d53e4785"
+    ),
+}
+
+# (command, extra argv, artifacts) per setup
+RUNS = {
+    "blobs": (
+        ("train", [], ("results.csv", "curves.csv")),
+        ("fisher", ["--samples", "0"], ("fisher.csv",)),
+        ("replicate", ["--set", "seeds=[0, 1]"], ("summary.json",)),
+        ("grid", ["--set", "grid.lr=[0.1, 0.05]"], ("grid_cells.csv", "best_config.json")),
+        ("landscape", ["--grid-n", "3"], ("landscape.csv",)),
+    ),
+    "cifar": (
+        ("train", [], ("results.csv", "curves.csv")),
+        ("fisher", ["--samples", "0"], ("fisher.csv",)),
     ),
 }
 
@@ -133,10 +163,7 @@ def artifact_hashes(tmp_path):
     for name, cfg in (("blobs", BLOBS), ("cifar", cifar)):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(cfg))
-        for command, extra, files in (
-            ("train", [], ("results.csv", "curves.csv")),
-            ("fisher", ["--samples", "0"], ("fisher.csv",)),
-        ):
+        for command, extra, files in RUNS[name]:
             run_dir = tmp_path / name / command
             argv = [command, "--config", str(config), "--out", str(run_dir), *extra]
             assert main(argv) == 0
