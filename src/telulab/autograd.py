@@ -37,6 +37,15 @@ gradients into a zero-filled buffer in example order, the sequential sum
 the unchunked conv took.  If several parts fail, the earliest part's error
 is raised, as a sequential loop would.
 
+``backward(tape, g, squares=True)`` returns, per parameter, the sum over
+the batch of every example's squared gradient instead of the sum of the
+gradients, for a ``g`` whose rows are each one example's own loss gradient
+(as :func:`cross_entropy_rows` gives them).  Each parametric step then
+squares its own gradients: conv its per-example rows, before they are
+added in example order, and dense, whose weight gradient is a sum of outer
+products ``x_i g_i^T``, returns ``(x*x).T @ (g*g)`` and ``(g*g).sum(0)``.
+One batched pass gives what one backward per example would, up to rounding.
+
 Everything is float64 and deterministic: no RNG in forward/backward, and
 a fixed summation order.  The first non-finite value anywhere raises
 :class:`DivergenceError`; the training harness records that as data.
@@ -74,6 +83,7 @@ __all__ = [
     "forward",
     "backward",
     "softmax_cross_entropy",
+    "cross_entropy_rows",
     "finite_difference_check",
     "save_params",
     "load_params",
@@ -101,9 +111,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-# A backward step maps the output gradient to (input gradient or None,
-# parameter gradients in parameter order).
-Step = Callable[[np.ndarray], tuple[Optional[np.ndarray], tuple[np.ndarray, ...]]]
+# A backward step maps the output gradient, and optionally ``squares`` (see
+# the module docstring), to (input gradient or None, parameter gradients in
+# parameter order).
+Step = Callable[..., tuple[Optional[np.ndarray], tuple[np.ndarray, ...]]]
 Steps = list[tuple[Step, tuple[Tensor, ...]]]
 
 # Images per chunk of the per-example prefix (see the module docstring); on
@@ -204,8 +215,11 @@ class Dense:
         if not record:
             return y, None
 
-        def step(g):
+        def step(g, squares=False):
             gx = g @ w.T if grad_x else None
+            if squares:
+                g2 = g * g
+                return gx, ((x * x).T @ g2, g2.sum(axis=0))
             return gx, (x.T @ g, g.sum(axis=0))
 
         return y, step
@@ -219,7 +233,8 @@ class Conv2d:
     ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
     Its backward step keeps ``x``, not the 9-16x larger ``cols``, which it
     rebuilds; it returns the weight and bias gradients per example (leading
-    batch axis), which :func:`backward` sums over the batch.
+    batch axis), squared with ``squares``, which :func:`backward` sums over
+    the batch.
     """
 
     in_ch: int
@@ -262,7 +277,7 @@ class Conv2d:
         if not record:
             return y, None
 
-        def step(g):
+        def step(g, squares=False):
             g3 = g.reshape(n, self.out_ch, ho * wo)
             gw = np.matmul(g3, im2col().transpose(0, 2, 1))
             gx = None
@@ -273,7 +288,11 @@ class Conv2d:
                 for i in range(k):
                     for j in range(k):
                         gx[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
-            return gx, (gw.reshape((n,) + w.shape), g.sum(axis=(2, 3)))
+            gb = g.sum(axis=(2, 3))
+            if squares:
+                gw *= gw
+                gb *= gb
+            return gx, (gw.reshape((n,) + w.shape), gb)
 
         return y, step
 
@@ -302,7 +321,7 @@ class MaxPool2(_Parameterless):
         )
         shape = x.shape
 
-        def step(g):
+        def step(g, squares=False):
             gx = np.zeros(shape)
             for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
                 np.copyto(gx[:, :, di::2, dj::2], g, where=mask)
@@ -320,7 +339,7 @@ class Flatten(_Parameterless):
         y = x.reshape(shape[0], -1)
         if not (record and grad_x):
             return y, None
-        return y, lambda g: (g.reshape(shape), ())
+        return y, lambda g, squares=False: (g.reshape(shape), ())
 
 
 @dataclass(frozen=True)
@@ -332,7 +351,7 @@ class Activation(_Parameterless):
             return kernels.value(self.kind, x), None
         y, d = kernels.value_and_derivative(self.kind, x)
         # the tape is single-use, so f' can take the product in place
-        return y, lambda g: (np.multiply(g, d, out=d), ())
+        return y, lambda g, squares=False: (np.multiply(g, d, out=d), ())
 
 
 LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
@@ -401,13 +420,15 @@ def _run(
     return x, steps, grad_x
 
 
-def _unwind(steps: Steps, g: np.ndarray) -> tuple[np.ndarray, list[tuple[Tensor, np.ndarray]]]:
+def _unwind(
+    steps: Steps, g: np.ndarray, squares: bool
+) -> tuple[np.ndarray, list[tuple[Tensor, np.ndarray]]]:
     """Pop ``steps`` back to front through ``g``: the input gradient and the
     (parameter, gradient) pairs."""
     pairs = []
     while steps:
         step, params = steps.pop()
-        g, param_grads = step(g)
+        g, param_grads = step(g, squares)
         pairs.extend(zip(params, param_grads))
     return g, pairs
 
@@ -452,12 +473,18 @@ def forward(
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 
-def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
+def backward(
+    tape: Tape, loss_grad: np.ndarray, squares: bool = False
+) -> dict[Tensor, np.ndarray]:
     """Pass ``loss_grad`` back through the tape's steps in reverse, the
     suffix on the full batch and then each prefix chunk on its rows (on
     :data:`WORKERS` threads); returns the gradient per parameter.
 
-    The tape is single-use: a second call raises.
+    With ``squares``, each row of ``loss_grad`` is taken as one example's
+    own loss gradient, and the result per parameter is the sum over the
+    batch of the examples' squared gradients (see the module docstring).
+    Any non-finite result raises :class:`DivergenceError`.  The tape is
+    single-use: a second call raises.
     """
     if tape.consumed:
         raise RuntimeError("tape already consumed by a previous backward pass")
@@ -469,12 +496,12 @@ def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
     steps, chunks = tape.steps, tape.chunks
     tape.steps, tape.chunks, tape.consumed = [], [], True
     with np.errstate(**_QUIET):
-        g, pairs = _unwind(steps, g)
+        g, pairs = _unwind(steps, g, squares)
     grads = dict(pairs)
 
     def run_part(part: list[tuple[slice, Steps]]) -> list[list[tuple[Tensor, np.ndarray]]]:
         with np.errstate(**_QUIET):
-            return [_unwind(chunk_steps, g[rows])[1] for rows, chunk_steps in part]
+            return [_unwind(chunk_steps, g[rows], squares)[1] for rows, chunk_steps in part]
 
     with np.errstate(**_QUIET):
         # conv's per-example gradients, added in example order from +0.0:
@@ -492,10 +519,26 @@ def backward(tape: Tape, loss_grad: np.ndarray) -> dict[Tensor, np.ndarray]:
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. logits.
+    """Mean cross-entropy over the batch and its gradient w.r.t. logits,
+    the mean of :func:`cross_entropy_rows`: the gradient is
+    (softmax - onehot) / batch_size.  A non-finite loss or gradient raises
+    :class:`DivergenceError`.
+    """
+    losses, grad = cross_entropy_rows(logits, labels)
+    loss = float(np.mean(losses))
+    grad /= len(grad)
+    if not math.isfinite(loss):
+        raise DivergenceError("non-finite loss")
+    return loss, grad
 
-    Stabilized by row-max subtraction; the gradient is
-    (softmax - onehot) / batch_size.  A non-finite loss (finite logits
+
+def cross_entropy_rows(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each example's cross-entropy and its gradient w.r.t. its own logits
+    row, softmax - onehot.
+
+    Stabilized by row-max subtraction.  A non-finite loss (finite logits
     whose row spread exceeds the float range) or gradient raises
     :class:`DivergenceError`.
     """
@@ -512,17 +555,16 @@ def softmax_cross_entropy(
         shifted = z - z.max(axis=1, keepdims=True)
     logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
     rows = np.arange(z.shape[0])
-    loss = float(np.mean(logsumexp - shifted[rows, labels]))
+    losses = logsumexp - shifted[rows, labels]
 
     softmax = np.exp(shifted)
     softmax /= softmax.sum(axis=1, keepdims=True)
     grad = softmax
     grad[rows, labels] -= 1.0
-    grad /= z.shape[0]
     _require_finite(grad, "loss gradient")
-    if not math.isfinite(loss):
+    if not np.all(np.isfinite(losses)):
         raise DivergenceError("non-finite loss")
-    return loss, grad
+    return losses, grad
 
 
 def finite_difference_check(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -109,7 +110,16 @@ def _parse(tp, value, path: str):
         # bool is an int subclass: true/false is only a bool
         if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
             raise ConfigError(f"{path}: expected {noun}, got {value!r}")
-        return float(value) if tp is float else value
+        if tp is float:
+            # NaN and +-Infinity are JSON literals to Python's parser, and an
+            # integer may exceed the float range
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return value
     if tp is ActivationKind:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected an activation name string")
@@ -147,7 +157,14 @@ def _parse_fields(cls, d, path: str, given: Optional[dict] = None):
             kwargs[name] = given[name]
         elif required:
             raise ConfigError(f"{path}.{key}: required")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # a spec's own check names the field path only if its message
+        # starts with it (``grid.lr must be non-empty``)
+        if str(exc).startswith(path):
+            raise
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_layer(entry, path: str, activation: ActivationKind) -> LayerSpec:

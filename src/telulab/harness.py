@@ -3,7 +3,10 @@
 Reproduces the benchmark protocol at desk scale: step-decay schedules,
 fixed batch sizes, multi-seed replication with mean +- sample-std cells,
 validation-selected grid search, loss-landscape slices with filter-wise
-direction normalization, and an empirical Fisher-diagonal probe.
+direction normalization, and an empirical Fisher-diagonal probe that sums
+squared per-example gradients over fixed batches.  Standardization
+statistics stream over chunks of the train split, never holding it as
+float64.
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs.  Divergence (first
@@ -14,7 +17,6 @@ raised to the caller.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -27,8 +29,10 @@ from . import data as data_mod
 from .autograd import (
     LayerSpec,
     Model,
+    _map_parts,
     build_model,
     backward,
+    cross_entropy_rows,
     forward,
     set_workers,
     softmax_cross_entropy,
@@ -63,6 +67,11 @@ __all__ = [
 ]
 
 _EVAL_BATCH = 512
+# train-split examples per chunk of the standardization statistics
+_STATS_CHUNK = 64
+# examples per batched pass of the Fisher probe: a constant, so the
+# rounding of its sums never depends on the CPU count
+_FISHER_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -113,19 +122,40 @@ def _standardized(splits: tuple[Dataset, Dataset, Dataset]) -> tuple[Dataset, Da
     """Attach the train split's per-channel (per-feature for blobs) mean
     and std to all three splits; batches are then standardized on demand.
 
-    The statistics follow np.mean/np.std's own steps in place on one
-    transient float64 copy of the train split, so they are bit-identical
-    to ``x.mean(axis)`` and ``x.std(axis)`` without a second copy.
+    The statistics are streamed over chunks of :data:`_STATS_CHUNK` train
+    examples on the engine's worker threads, so no float64 copy of the
+    split is ever held.  Each image is summed over its pixels, and the
+    per-image sums are added in example order: the order numpy's reduce
+    over axes (0, 2, 3) takes (for blobs, the row order of an axis-0
+    reduce).  The statistics and every standardized batch are thus
+    bit-identical to ``x.mean(axis)`` and ``x.std(axis)`` of the split.
     """
-    x = splits[0].images
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    count = math.prod(x.shape[a] for a in axes)
-    mean = np.add.reduce(x, axis=axes, keepdims=True)
+    train = splits[0]
+    rows = train.store_rows(np.arange(len(train)))
+    chunks = [rows[s : s + _STATS_CHUNK] for s in range(0, len(rows), _STATS_CHUNK)]
+    pixel_axes = tuple(range(2, train.store.ndim))
+    count = len(train) * math.prod(train.store.shape[2:])
+
+    def channel_sums(center: Optional[np.ndarray]) -> np.ndarray:
+        """Per-channel sum of the features, or of their squared distances
+        from ``center``, with every axis but the channel one kept at 1."""
+
+        def run_part(part: list[np.ndarray]) -> list[np.ndarray]:
+            out = []
+            for chunk in part:
+                x = train.features(chunk)
+                if center is not None:
+                    x -= center
+                    x *= x
+                out.append(np.add.reduce(x, axis=pixel_axes, keepdims=True))
+            return out
+
+        per_example = np.concatenate(_map_parts(run_part, chunks))
+        return np.add.reduce(per_example, axis=0, keepdims=True)
+
+    mean = channel_sums(None)
     mean /= count
-    x -= mean
-    x *= x
-    var = np.add.reduce(x, axis=axes, keepdims=True)
-    del x
+    var = channel_sums(mean)
     var /= count
     std = np.sqrt(var)
     std = np.where(std > 0.0, std, 1.0)
@@ -568,17 +598,26 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
 
     Mean over the first ``n_samples`` examples of the squared
     per-parameter gradient of the true-label log-likelihood; returned as
-    one flat vector in parameter order.
+    one flat vector in parameter order.  The examples run in batches of
+    :data:`_FISHER_BATCH`, each one recorded forward and one backward that
+    returns the batch's sums of squared per-example gradients; the batch
+    sums are added in order.  A non-finite value raises
+    :class:`DivergenceError`.
     """
     if not 1 <= n_samples <= len(dataset):
         raise ConfigError("n_samples must be in [1, dataset size]")
     accum = [np.zeros_like(p.data) for p in model.params]
-    for x, y in itertools.islice(data_mod.batch_iter(dataset, 1), n_samples):
+    first = dataset.take(np.arange(n_samples), dataset.meta.split_tag)
+    for x, y in data_mod.batch_iter(first, _FISHER_BATCH):
         logits, tape = forward(model, x, record=True)
-        _, ce_grad = softmax_cross_entropy(logits, y)
-        # d(log p)/d(logits) = -d(CE)/d(logits); squaring drops the sign
-        grads = backward(tape, ce_grad)
-        for buf, p in zip(accum, model.params):
-            buf += grads[p] ** 2
+        # each row's own gradient: d(log p)/d(logits) = -d(CE)/d(logits),
+        # and squaring drops the sign
+        _, ce_rows = cross_entropy_rows(logits, y)
+        squares = backward(tape, ce_rows, squares=True)
+        with np.errstate(over="ignore"):  # caught by the finiteness check below
+            for buf, p in zip(accum, model.params):
+                buf += squares[p]
     flat = np.concatenate([a.reshape(-1) for a in accum]) if accum else np.empty(0)
+    if not np.all(np.isfinite(flat)):
+        raise DivergenceError("non-finite Fisher diagonal")
     return flat / n_samples

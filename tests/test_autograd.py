@@ -19,6 +19,7 @@ from telulab.autograd import (
     Model,
     backward,
     build_model,
+    cross_entropy_rows,
     finite_difference_check,
     forward,
     load_params,
@@ -142,6 +143,49 @@ class TestSoftmaxCrossEntropy:
         # stays finite, the loss does not
         with pytest.raises(DivergenceError, match="loss"):
             softmax_cross_entropy(np.array([[1e308, -1e308]]), np.array([1]))
+
+    def test_mean_of_the_per_example_rows(self):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(scale=5, size=(7, 4))
+        labels = rng.integers(0, 4, size=7)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        losses, rows = cross_entropy_rows(logits, labels)
+        assert loss == float(np.mean(losses))
+        np.testing.assert_array_equal(grad, rows / 7)
+        # each row is its own example's gradient at batch 1
+        for i in range(7):
+            _, alone = softmax_cross_entropy(logits[i : i + 1], labels[i : i + 1])
+            np.testing.assert_array_equal(alone[0], rows[i])
+
+    def test_overflowing_row_loss_is_divergence(self):
+        logits = np.array([[0.0, 0.0], [1e308, -1e308]])
+        with pytest.raises(DivergenceError, match="loss"):
+            cross_entropy_rows(logits, np.array([0, 1]))
+
+
+class TestSquaredBackward:
+    """``backward(..., squares=True)`` sums each example's squared
+    gradient; the dense step does so as (x*x).T @ (g*g)."""
+
+    def test_dense_squares_match_per_example_outer_products(self):
+        rng = np.random.default_rng(10)
+        x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        _, step = Dense(3, 2).forward(x, [rng.normal(size=(3, 2)), np.zeros(2)], True, False)
+        _, (gw, gb) = step(g, squares=True)
+        want_w = sum(np.outer(x[i], g[i]) ** 2 for i in range(5))
+        np.testing.assert_allclose(gw, want_w, rtol=1e-13)
+        np.testing.assert_allclose(gb, (g**2).sum(axis=0), rtol=1e-13)
+
+    def test_conv_squares_its_per_example_rows(self):
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=(3, 2, 5, 5)), rng.normal(size=(4, 2, 3, 3))
+        g = rng.normal(size=(3, 4, 3, 3))
+        _, plain = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], True, False)
+        _, squared = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], True, False)
+        _, (gw, gb) = plain(g)
+        _, (gw2, gb2) = squared(g, squares=True)
+        np.testing.assert_array_equal(gw2, gw * gw)
+        np.testing.assert_array_equal(gb2, gb * gb)
 
 
 class TestFiniteDifferenceOracle:

@@ -130,19 +130,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "assignments,problem",
         [
-            (["model.layers.0.out=-1"], "dense sizes must be >= 1, got in=16, out=-1"),
+            (["model.layers.0.out=-1"], "model.layers[0]: dense sizes must be >= 1, got in=16, out=-1"),
             (
                 ["model.layers.0.out=0", "model.layers.2.in=0"],
-                "dense sizes must be >= 1, got in=16, out=0",
+                "model.layers[0]: dense sizes must be >= 1, got in=16, out=0",
             ),
             (
                 ['model.layers.0={"type": "conv2d", "in_ch": 3, "out_ch": 4, "k": 0}'],
-                "conv2d sizes must be >= 1, got in_ch=3, out_ch=4, k=0",
+                "model.layers[0]: conv2d sizes must be >= 1, got in_ch=3, out_ch=4, k=0",
             ),
             (
                 ["dataset.name=cifar10", "dataset.path=5", "dataset.blobs=null"],
                 "dataset.path: expected a string, got 5",
             ),
+            (["model.layers.2.in=0"], "model.layers[2]: dense sizes must be >= 1, got in=0, out=4"),
+            (["dataset.split.train=0"], "dataset.split: split.train and split.valid must be positive"),
+            (["dataset.blobs.spread=-1"], "dataset.blobs: blobs spread must be positive"),
+            (["dataset.split.test=0"], "dataset: blobs need split.test > 0 (test set is drawn fresh)"),
+            (["grid.gamma=[]"], "grid.gamma must be non-empty"),
         ],
     )
     def test_bad_layer_size_or_path_usage_error(
@@ -151,6 +156,23 @@ class TestExitCodes:
         argv = ["train", "--config", str(blob_cfg), "--out", str(tmp_path / "out")]
         assert main(argv + [a for s in assignments for a in ("--set", s)]) == 2
         assert capsys.readouterr().err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "assignment,problem",
+        [
+            ("optimizer.weight_decay=NaN", "optimizer.weight_decay: expected a finite number, got nan"),
+            ("optimizer.lr=1" + "0" * 400, "optimizer.lr: expected a finite number, got inf"),
+            ("dataset.blobs.spread=Infinity", "dataset.blobs.spread: expected a finite number, got inf"),
+        ],
+    )
+    def test_non_finite_number_usage_error(self, blob_cfg, tmp_path, capsys, assignment, problem):
+        # NaN once trained and was recorded as a divergence; a 401-digit
+        # integer raised OverflowError (exit 3)
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(blob_cfg), "--set", assignment, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fisher", "landscape"])
     def test_malformed_checkpoint_usage_error(self, blob_cfg, tmp_path, capsys, command):

@@ -4,6 +4,7 @@ describes, and an override is the same as editing the file."""
 
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -146,15 +147,33 @@ def test_layer_sizes_below_one_are_config_errors(raw, sized):
         assert build_run_spec(run_spec_to_dict(spec)) == spec
 
 
+# never a float field's value: NaN, +-Infinity and integers beyond the float range
+not_a_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=2**1024),
+    st.integers(max_value=-(2**1024)),
+)
+
+
+def is_not_a_float(value) -> bool:
+    if isinstance(value, list):
+        return any(map(is_not_a_float, value))
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, int) and abs(value) >= 2**1024
+
+
 OVERRIDES = {
-    "optimizer.lr": positive,
-    "optimizer.betas": st.lists(unit, min_size=2, max_size=2),
+    "optimizer.lr": st.one_of(positive, not_a_float),
+    "optimizer.weight_decay": st.one_of(non_negative, not_a_float),
+    "optimizer.betas": st.lists(st.one_of(unit, not_a_float), min_size=2, max_size=2),
+    "dataset.blobs.spread": st.one_of(positive, not_a_float),
     "activation": activation,
     "epochs": st.integers(-1, 64),
     "schedule.milestones": st.lists(st.integers(0, 50), unique=True).map(sorted),
     "dataset.split.seed": seed,
     "dataset.standardize": st.booleans(),
-    "grid.gamma": st.lists(gamma, min_size=1, max_size=3),
+    "grid.gamma": st.lists(st.one_of(gamma, not_a_float), min_size=1, max_size=3),
     "seeds": st.lists(seed, min_size=1, max_size=4),
 }
 
@@ -188,6 +207,7 @@ def test_set_equals_editing_the_file(tmp_path_factory, raw, pair):
     path.write_text(json.dumps(raw))
     # strings go in bare, everything else as its JSON literal
     text = value if isinstance(value, str) else json.dumps(value)
-    assert outcome(lambda: load_run_spec(path, [f"{key}={text}"])) == outcome(
-        lambda: build_run_spec(edited)
-    )
+    got = outcome(lambda: load_run_spec(path, [f"{key}={text}"]))
+    assert got == outcome(lambda: build_run_spec(edited))
+    if is_not_a_float(value):
+        assert isinstance(got, str), "a float field took a non-finite value"

@@ -1,12 +1,14 @@
 """Per-batch data path: features built from the stored bytes and index
-splits match a frozen copy of the float64 loader bit for bit, and a CIFAR
-trial never holds the archive as float64."""
+splits match a frozen copy of the float64 loader bit for bit, a CIFAR
+trial never holds the archive as float64, and standardizing never holds
+the train split as float64."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import telulab.autograd as autograd
 from telulab.autograd import Dense, Flatten, build_model
 from telulab.data import SplitSpec, batch_iter, synthetic_blobs
 from telulab.harness import BlobsSpec, DatasetSpec, empirical_fisher_diag, materialize_datasets
@@ -109,3 +111,25 @@ def test_cifar_trial_peaks_below_float64_archive(tmp_path, standardize):
     finally:
         tracemalloc.stop()
     assert peak < float64_bytes, f"peak {peak} B >= float64 archive {float64_bytes} B"
+
+
+def test_standardize_peaks_below_float64_train_split(tmp_path, monkeypatch):
+    # the statistics stream over chunks of the train split, each worker
+    # thread holding one chunk as float64: pin two workers
+    monkeypatch.setattr(autograd, "WORKERS", 2)
+    archive = write_archive(tmp_path / "cifar", per_file=200, n_test=100)
+    train = 800
+    spec = DatasetSpec(
+        name="cifar10",
+        split=SplitSpec(train=train, valid=200, seed=0),
+        path=str(archive),
+        standardize=True,
+    )
+    float64_train = train * 3072 * 8
+    tracemalloc.start()
+    try:
+        materialize_datasets(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float64_train, f"peak {peak} B >= float64 train split {float64_train} B"

@@ -2,9 +2,11 @@
 setups write byte-identical CSVs from one change of the engine to the next,
 and ``verify`` and ``kernels`` over every kind (ELU at alpha 1 and 2) write
 byte-identical ``property_report.json`` and ``kernels.csv``.  On the blobs
-setup ``replicate`` over two seeds, a two-cell ``grid`` and a 3x3
-``landscape`` pin ``summary.json``, ``grid_cells.csv``, ``best_config.json``
-and ``landscape.csv`` too.
+setup ``fisher --samples 37`` (a partial last batch), ``replicate`` over two
+seeds, a two-cell ``grid`` and a 3x3 ``landscape`` pin a second
+``fisher.csv``, ``summary.json``, ``grid_cells.csv``, ``best_config.json``
+and ``landscape.csv`` too.  Every hash is the same with the engine on one
+worker thread.
 
 The setups are the blobs MLP used across the CLI tests and a tiny generated
 CIFAR-10 archive run through every layer type of the reference CNN (conv,
@@ -21,6 +23,7 @@ import json
 
 import numpy as np
 
+from telulab import autograd
 from telulab.cli import main
 
 BLOBS = {
@@ -80,7 +83,10 @@ GOLDEN = {
         "b965cc4b3aad4125ce56e3cee56c4b495c7395e5de5bbb1c236e1d13e6e4c742"
     ),
     "blobs/fisher/fisher.csv": (
-        "2e0e96bc30f8404ad56a9d5d9111a7622f518341743872972b6a23da4c0e40f0"
+        "661e0ae753881f85ef1d8af8cb3e41c0be997fdb97d5c210704c11df78e40a08"
+    ),
+    "blobs/fisher37/fisher.csv": (
+        "406d7fa75326f62bc1e1cf139e988c16bfc819c048b8835cc13c6abf3ee0bbc8"
     ),
     "blobs/replicate/summary.json": (
         "b20fe68f35d5a906866ecbcb3c544755138b9085214a619d292f4bf199e528cf"
@@ -101,7 +107,7 @@ GOLDEN = {
         "0c76dc1f5843eaf49a831249879b7c30a58717851a50b7dd0e4e72b87188e194"
     ),
     "cifar/fisher/fisher.csv": (
-        "4baac625a5b60c31231421eee5f06cf9f298164f1ebed99b17e54e5e38360c00"
+        "1a2e521615887db2fe53db9f52272001ce85216e4ca4e8a8d5d84ccf48aa8b23"
     ),
     "verify/property_report.json": (
         "5e1d4535721a1f37f191c522f38b2a0d21b207182b587581b22f50251038d46b"
@@ -111,18 +117,19 @@ GOLDEN = {
     ),
 }
 
-# (command, extra argv, artifacts) per setup
+# (run name, command and extra argv, artifacts) per setup
 RUNS = {
     "blobs": (
-        ("train", [], ("results.csv", "curves.csv")),
-        ("fisher", ["--samples", "0"], ("fisher.csv",)),
-        ("replicate", ["--set", "seeds=[0, 1]"], ("summary.json",)),
-        ("grid", ["--set", "grid.lr=[0.1, 0.05]"], ("grid_cells.csv", "best_config.json")),
-        ("landscape", ["--grid-n", "3"], ("landscape.csv",)),
+        ("train", ["train"], ("results.csv", "curves.csv")),
+        ("fisher", ["fisher", "--samples", "0"], ("fisher.csv",)),
+        ("fisher37", ["fisher", "--samples", "37"], ("fisher.csv",)),
+        ("replicate", ["replicate", "--set", "seeds=[0, 1]"], ("summary.json",)),
+        ("grid", ["grid", "--set", "grid.lr=[0.1, 0.05]"], ("grid_cells.csv", "best_config.json")),
+        ("landscape", ["landscape", "--grid-n", "3"], ("landscape.csv",)),
     ),
     "cifar": (
-        ("train", [], ("results.csv", "curves.csv")),
-        ("fisher", ["--samples", "0"], ("fisher.csv",)),
+        ("train", ["train"], ("results.csv", "curves.csv")),
+        ("fisher", ["fisher", "--samples", "0"], ("fisher.csv",)),
     ),
 }
 
@@ -163,12 +170,12 @@ def artifact_hashes(tmp_path):
     for name, cfg in (("blobs", BLOBS), ("cifar", cifar)):
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(cfg))
-        for command, extra, files in RUNS[name]:
-            run_dir = tmp_path / name / command
+        for run, (command, *extra), files in RUNS[name]:
+            run_dir = tmp_path / name / run
             argv = [command, "--config", str(config), "--out", str(run_dir), *extra]
             assert main(argv) == 0
             for f in files:
-                out[f"{name}/{command}/{f}"] = _sha256(run_dir / f)
+                out[f"{name}/{run}/{f}"] = _sha256(run_dir / f)
     return out
 
 
@@ -177,3 +184,8 @@ def test_artifacts_match_recorded_hashes(tmp_path):
     assert sorted(got) == sorted(GOLDEN)
     for key, want in GOLDEN.items():
         assert got[key] == want, key
+
+
+def test_one_engine_worker_gives_the_same_hashes(tmp_path, monkeypatch):
+    monkeypatch.setattr(autograd, "WORKERS", 1)
+    assert artifact_hashes(tmp_path) == GOLDEN

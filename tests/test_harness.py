@@ -1,6 +1,7 @@
 """Harness checks: trials, divergence handling, replication statistics,
 grid selection, landscape geometry, Fisher probe."""
 
+import itertools
 import math
 import os
 
@@ -9,13 +10,17 @@ import pytest
 
 from telulab.autograd import (
     Activation,
+    Conv2d,
     Dense,
+    Flatten,
+    MaxPool2,
     Model,
+    backward,
     build_model,
     forward,
     softmax_cross_entropy,
 )
-from telulab.data import SplitSpec, synthetic_blobs
+from telulab.data import DataMeta, Dataset, SplitSpec, batch_iter, synthetic_blobs
 from telulab.errors import ConfigError, DivergenceError
 import telulab.autograd as autograd
 import telulab.harness as harness
@@ -464,3 +469,102 @@ class TestFisher:
         ds = synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
         with pytest.raises(ConfigError):
             empirical_fisher_diag(model, ds, 5)
+
+
+def batch1_fisher(model, dataset, n):
+    """Reference Fisher diagonal: one batch-1 forward and backward per
+    sample through the public engine, the squares summed in sample order."""
+    accum = [np.zeros_like(p.data) for p in model.params]
+    for x, y in itertools.islice(batch_iter(dataset, 1), n):
+        logits, tape = forward(model, x, record=True)
+        _, loss_grad = softmax_cross_entropy(logits, y)
+        grads = backward(tape, loss_grad)
+        for buf, p in zip(accum, model.params):
+            buf += grads[p] ** 2
+    return np.concatenate([a.reshape(-1) for a in accum]) / n
+
+
+def small_cnn():
+    """Every layer type: conv, activation, pool, flatten, dense."""
+    return build_model(
+        [
+            Conv2d(3, 4, 3),
+            Activation(TELU),
+            MaxPool2(),
+            Conv2d(4, 5, 2),
+            Activation(TELU),
+            MaxPool2(),
+            Flatten(),
+            Dense(5, 6),
+            Activation(TELU),
+            Dense(6, 3),
+        ],
+        seed=3,
+    )
+
+
+def image_dataset(n, seed=0):
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(n, 3, 8, 8))
+    labels = rng.integers(0, 3, size=n)
+    return Dataset(images, labels, DataMeta("images", 3, "train"))
+
+
+def mlp_case():
+    model = build_model([Dense(6, 8), Activation(TELU), Dense(8, 3)], seed=4)
+    return model, synthetic_blobs(80, classes=3, dim=6, spread=0.3, seed=4)
+
+
+class TestBatchedFisher:
+    """The probe runs fixed batches of per-example squared gradients; it
+    must agree with one backward per sample up to rounding."""
+
+    @pytest.mark.parametrize("n", [1, 32, 37, 70])
+    @pytest.mark.parametrize("case", ["cnn", "mlp"])
+    def test_matches_batch1_reference(self, case, n):
+        model, ds = (small_cnn(), image_dataset(80)) if case == "cnn" else mlp_case()
+        got = empirical_fisher_diag(model, ds, n)
+        want = batch1_fisher(model, ds, n)
+        assert got.shape == (model.param_count(),)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(got > 0.0)
+
+    @pytest.mark.parametrize("case", ["cnn", "mlp"])
+    def test_worker_count_moves_no_bits(self, case, monkeypatch):
+        model, ds = (small_cnn(), image_dataset(80)) if case == "cnn" else mlp_case()
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(autograd, "WORKERS", workers)
+            results.append(empirical_fisher_diag(model, ds, 37))
+        np.testing.assert_array_equal(results[0].view(np.int64), results[1].view(np.int64))
+
+    def test_non_finite_gradient_raises(self):
+        # zero hidden units, so the forward pass is finite; class 0 wins, so
+        # a label-1 row has loss gradient (1, -1), and the hidden gradient
+        # 1.5e308 + 1.5e308 overflows
+        model = build_model([Dense(1, 1), Dense(1, 2)], seed=0)
+        model.set_param_values(
+            [np.zeros((1, 1)), np.zeros(1), np.array([[1.5e308, -1.5e308]]), np.array([100.0, 0.0])]
+        )
+        ds = Dataset(np.zeros((3, 1)), np.array([1, 1, 1]), DataMeta("blobs", 2, "train"))
+        with pytest.raises(DivergenceError):
+            empirical_fisher_diag(model, ds, 3)
+
+    def test_overflowing_squared_gradient_raises(self):
+        # the gradient 0.5e200 is finite; its square is not
+        model = build_model([Dense(1, 2)], seed=0)
+        model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+        ds = Dataset(np.array([[1e200]]), np.array([1]), DataMeta("blobs", 2, "train"))
+        with pytest.raises(DivergenceError):
+            empirical_fisher_diag(model, ds, 1)
+
+    def test_overflowing_sum_over_batches_raises(self):
+        # each batch of 32 sums its squared weight gradients to 1.5e308,
+        # finite; two batches overflow
+        model = build_model([Dense(1, 2)], seed=0)
+        model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+        x = math.sqrt(1.5e308 / 32 / 0.25)
+        ds = Dataset(np.full((64, 1), x), np.ones(64, int), DataMeta("blobs", 2, "train"))
+        assert np.all(np.isfinite(empirical_fisher_diag(model, ds, 32)))
+        with pytest.raises(DivergenceError, match="Fisher"):
+            empirical_fisher_diag(model, ds, 64)
