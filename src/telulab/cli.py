@@ -67,6 +67,8 @@ def cmd_verify(args, spec, out: Path) -> tuple[int, dict]:
 
 def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
     kinds = [kernels.parse_kind(n) for n in args.activations]
+    if not np.isfinite([args.lo, args.hi, args.step]).all():
+        raise ConfigError("--lo, --hi and --step must be finite")
     if args.step <= 0:
         raise ConfigError("--step must be positive")
     if args.hi <= args.lo:

@@ -6,7 +6,9 @@ tests, and seeded batch iteration.  CIFAR pixels are kept as the uint8
 bytes read from disk, and a split is an index array into that one store,
 not a copy.  Float64 features exist one batch at a time: bytes are scaled
 by 1/255 into [0, 1], then standardized when the dataset carries
-per-channel statistics.  No augmentation is applied.
+per-channel statistics.  Those statistics are exact for CIFAR: they are
+computed from integer counts of the stored bytes, so they do not depend
+on the order of the rows.  No augmentation is applied.
 
 CIFAR-10 records are 3073 bytes: one label byte (0..9) then 3072 pixel
 bytes as three 1024-byte channel planes (R, G, B), each plane row-major
@@ -16,6 +18,7 @@ byte (0..99, the one used), then the same 3072 pixel bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -34,6 +37,7 @@ __all__ = [
     "write_cifar10",
     "write_cifar100",
     "split",
+    "channel_statistics",
     "synthetic_blobs",
     "batch_iter",
 ]
@@ -42,6 +46,8 @@ _CIFAR10_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 _CIFAR10_TEST_FILES = ("test_batch.bin",)
 _CIFAR100_TRAIN_FILES = ("train.bin",)
 _CIFAR100_TEST_FILES = ("test.bin",)
+# rows per chunk of the byte counts behind the CIFAR statistics
+_STATS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -238,6 +244,39 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     train_idx = perm[: spec.train]
     valid_idx = perm[spec.train : spec.train + spec.valid]
     return ds.take(train_idx, "train"), ds.take(valid_idx, "valid")
+
+
+def channel_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (per-feature for a float store) mean and std of a
+    dataset's unstandardized features, shaped to broadcast over a batch.
+    A std of zero reads 1.0, so a constant channel standardizes to 0.
+
+    For uint8 bytes the statistics are exact and do not depend on the
+    order of the rows.  ``np.bincount`` counts each channel's n bytes over
+    chunks of the rows, which gives s1 = sum(b) and s2 = sum(b*b) as
+    integers; mean = s1 / (255 n) and var = (n s2 - s1 s1) / (255 n)**2
+    are then each one correctly rounded int division.  A float store
+    (blobs) takes numpy's mean and std over its rows.
+    """
+    rows = ds.store_rows(np.arange(len(ds)))
+    if ds.store.dtype == np.uint8:
+        channels = ds.store.shape[1]
+        counts = np.zeros((channels, 256), dtype=np.int64)
+        for start in range(0, len(rows), _STATS_CHUNK):
+            block = ds.store[rows[start : start + _STATS_CHUNK]]
+            for c in range(channels):
+                counts[c] += np.bincount(block[:, c].ravel(), minlength=256)
+        n = len(rows) * math.prod(ds.store.shape[2:])
+        byte = np.arange(256, dtype=np.int64)
+        s1, s2 = (counts @ byte).tolist(), (counts @ (byte * byte)).tolist()
+        shape = (1, channels) + (1,) * (ds.store.ndim - 2)
+        mean = np.reshape([a / (255 * n) for a in s1], shape)
+        var = [(n * q - a * a) / (255 * n) ** 2 for a, q in zip(s1, s2)]
+        std = np.reshape([math.sqrt(v) for v in var], shape)
+    else:
+        x = ds.store[rows]
+        mean, std = x.mean(axis=0, keepdims=True), x.std(axis=0, keepdims=True)
+    return mean, np.where(std > 0.0, std, 1.0)
 
 
 def _simplex_means(classes: int, dim: int) -> np.ndarray:

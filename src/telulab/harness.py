@@ -5,8 +5,8 @@ fixed batch sizes, multi-seed replication with mean +- sample-std cells,
 validation-selected grid search, loss-landscape slices with filter-wise
 direction normalization, and an empirical Fisher-diagonal probe that sums
 squared per-example gradients over fixed batches.  Standardization
-statistics stream over chunks of the train split, never holding it as
-float64.
+takes the train split's per-channel statistics from
+:func:`telulab.data.channel_statistics` and applies them to every split.
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs.  Divergence (first
@@ -29,7 +29,6 @@ from . import data as data_mod
 from .autograd import (
     LayerSpec,
     Model,
-    _map_parts,
     build_model,
     backward,
     cross_entropy_rows,
@@ -67,8 +66,6 @@ __all__ = [
 ]
 
 _EVAL_BATCH = 512
-# train-split examples per chunk of the standardization statistics
-_STATS_CHUNK = 64
 # examples per batched pass of the Fisher probe: a constant, so the
 # rounding of its sums never depends on the CPU count
 _FISHER_BATCH = 32
@@ -118,50 +115,6 @@ class DatasetSpec:
                 raise ConfigError(f"dataset.path required for {self.name}")
 
 
-def _standardized(splits: tuple[Dataset, Dataset, Dataset]) -> tuple[Dataset, Dataset, Dataset]:
-    """Attach the train split's per-channel (per-feature for blobs) mean
-    and std to all three splits; batches are then standardized on demand.
-
-    The statistics are streamed over chunks of :data:`_STATS_CHUNK` train
-    examples on the engine's worker threads, so no float64 copy of the
-    split is ever held.  Each image is summed over its pixels, and the
-    per-image sums are added in example order: the order numpy's reduce
-    over axes (0, 2, 3) takes (for blobs, the row order of an axis-0
-    reduce).  The statistics and every standardized batch are thus
-    bit-identical to ``x.mean(axis)`` and ``x.std(axis)`` of the split.
-    """
-    train = splits[0]
-    rows = train.store_rows(np.arange(len(train)))
-    chunks = [rows[s : s + _STATS_CHUNK] for s in range(0, len(rows), _STATS_CHUNK)]
-    pixel_axes = tuple(range(2, train.store.ndim))
-    count = len(train) * math.prod(train.store.shape[2:])
-
-    def channel_sums(center: Optional[np.ndarray]) -> np.ndarray:
-        """Per-channel sum of the features, or of their squared distances
-        from ``center``, with every axis but the channel one kept at 1."""
-
-        def run_part(part: list[np.ndarray]) -> list[np.ndarray]:
-            out = []
-            for chunk in part:
-                x = train.features(chunk)
-                if center is not None:
-                    x -= center
-                    x *= x
-                out.append(np.add.reduce(x, axis=pixel_axes, keepdims=True))
-            return out
-
-        per_example = np.concatenate(_map_parts(run_part, chunks))
-        return np.add.reduce(per_example, axis=0, keepdims=True)
-
-    mean = channel_sums(None)
-    mean /= count
-    var = channel_sums(mean)
-    var /= count
-    std = np.sqrt(var)
-    std = np.where(std > 0.0, std, 1.0)
-    return tuple(ds.standardized(mean, std) for ds in splits)
-
-
 def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
     """(train, valid, test) datasets for a spec; pure function of the spec."""
     if spec.name == "blobs":
@@ -187,7 +140,8 @@ def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
         train, valid = data_mod.split(full, spec.split)
         test = loader(spec.path, "test")
     if spec.standardize:
-        train, valid, test = _standardized((train, valid, test))
+        mean, std = data_mod.channel_statistics(train)
+        train, valid, test = (ds.standardized(mean, std) for ds in (train, valid, test))
     return train, valid, test
 
 
@@ -555,8 +509,8 @@ def landscape_slice(
     """
     if grid_n < 3 or grid_n % 2 == 0:
         raise ConfigError("grid_n must be odd and >= 3")
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
+    if not (radius > 0 and math.isfinite(2 * radius)):
+        raise ConfigError(f"radius must be positive with 2*radius finite, got {radius}")
     if loss_fn is None:
         if dataset is None:
             raise ConfigError("landscape needs a dataset or an explicit loss_fn")

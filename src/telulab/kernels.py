@@ -86,8 +86,8 @@ class ActivationKind:
         if not kind.takes_alpha:
             if self.alpha != 1.0:
                 raise DomainError(f"activation {self.tag!r} takes no parameter")
-        elif not self.alpha > 0:
-            raise DomainError(f"{self.tag} alpha must be > 0, got {self.alpha}")
+        elif not 0 < self.alpha < np.inf:
+            raise DomainError(f"{self.tag} alpha must be finite and > 0, got {self.alpha}")
 
     @property
     def display_name(self) -> str:

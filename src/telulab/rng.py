@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 TAG_SPLIT = 1
 TAG_BLOBS = 2
 TAG_BATCH = 3
@@ -22,9 +24,11 @@ _MASK32 = (1 << 32) - 1
 
 
 def generator(seed: int, tag: int, extra: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, tag, extra)."""
+    """Philox generator keyed by (seed, tag, extra), seed in [0, 2**64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array(
-        [seed & _MASK64, ((tag & _MASK32) << 32) | (extra & _MASK32)],
+        [seed, ((tag & _MASK32) << 32) | (extra & _MASK32)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

@@ -56,21 +56,38 @@ class TestExitCodes:
         # ELU with alpha = 2 genuinely violates the output bound
         assert main(["verify", "--activations", "elu:2", "--out", str(tmp_path)]) == 1
 
-    def test_unknown_activation_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, kind", [("verify", "nosuch"), ("verify", "elu:inf"), ("kernels", "elu:inf")]
+    )
+    def test_unknown_activation_usage_error(self, tmp_path, command, kind):
         out = tmp_path / "out"
-        assert main(["verify", "--activations", "nosuch", "--out", str(out)]) == 2
+        assert main([command, "--activations", kind, "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_nonpositive_step_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [["--step", "0"], ["--step", "nan"], ["--lo", "nan"], ["--hi", "inf"]]
+    )
+    def test_nonpositive_step_usage_error(self, tmp_path, flags):
         out = tmp_path / "out"
-        argv = ["kernels", "--activations", "telu", "--step", "0", "--out", str(out)]
+        argv = ["kernels", "--activations", "telu", *flags, "--out", str(out)]
         assert main(argv) == 2
         assert not out.exists()
 
-    def test_usage_error_after_training_leaves_no_out(self, blob_cfg, tmp_path):
-        # the model trains before the even grid is rejected
+    @pytest.mark.parametrize(
+        "flags", [["--grid-n", "4"], ["--radius", "nan"], ["--radius", "inf"], ["--radius", "1e308"]]
+    )
+    def test_usage_error_after_training_leaves_no_out(self, blob_cfg, tmp_path, flags):
+        # the model trains before the grid or radius is rejected
         out = tmp_path / "out"
-        argv = ["landscape", "--config", str(blob_cfg), "--set", "epochs=1", "--grid-n", "4"]
+        argv = ["landscape", "--config", str(blob_cfg), "--set", "epochs=1", *flags]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_seeds_beyond_the_key_width_usage_error(self, blob_cfg, tmp_path):
+        # -1 and 2**64 - 1 are distinct, but a masked key would make them
+        # one stream and two identical trials
+        out = tmp_path / "out"
+        argv = ["replicate", "--config", str(blob_cfg), "--set", "seeds=[-1, 18446744073709551615]"]
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 

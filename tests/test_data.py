@@ -185,6 +185,19 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(ds, SplitSpec(train=30, valid=10, seed=0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_width_rejected(self, seed):
+        # masked to 64 bits, both would alias a seed in range
+        with pytest.raises(ConfigError, match="seed"):
+            split(blob_ds(n=50), SplitSpec(train=40, valid=10, seed=seed))
+        with pytest.raises(ConfigError, match="seed"):
+            synthetic_blobs(10, 2, 2, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        a, _ = split(blob_ds(n=50), SplitSpec(train=40, valid=10, seed=2**64 - 1))
+        b, _ = split(blob_ds(n=50), SplitSpec(train=40, valid=10, seed=0))
+        assert not np.array_equal(a.images, b.images)
+
 
 class TestBlobs:
     def test_balanced_labels(self):

@@ -104,10 +104,10 @@ GOLDEN = {
         "4d0debc46e2620517468fade7dd9778de3fcb2639c8946048e213c1f5052490f"
     ),
     "cifar/train/curves.csv": (
-        "0c76dc1f5843eaf49a831249879b7c30a58717851a50b7dd0e4e72b87188e194"
+        "5cde0c2cf3400f0f705458205a07e1f96eefc06ee4c3c3fb655152d32f8ebcdc"
     ),
     "cifar/fisher/fisher.csv": (
-        "1a2e521615887db2fe53db9f52272001ce85216e4ca4e8a8d5d84ccf48aa8b23"
+        "07adb072479203075177d822f74350f1b2dd39bb4e2e7d1780faa8d542e2a1e2"
     ),
     "verify/property_report.json": (
         "5e1d4535721a1f37f191c522f38b2a0d21b207182b587581b22f50251038d46b"

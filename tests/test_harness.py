@@ -405,6 +405,13 @@ class TestLandscape:
         with pytest.raises(ConfigError):
             landscape_slice(model, None, 4, 1.0, 0, loss_fn=lambda m: 0.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e308])
+    def test_radius_positive_with_finite_span(self, radius):
+        # 1e308 is finite, but the grid's span 2e308 is not
+        model = toy_quadratic_model()
+        with pytest.raises(ConfigError, match="radius"):
+            landscape_slice(model, None, 3, radius, 0, loss_fn=lambda m: 0.0)
+
     def test_filter_norm_matches_model_filters(self):
         model, _ = train_model(blob_config(epochs=1))
         d1, _ = draw_directions(model, seed=0)

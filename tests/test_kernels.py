@@ -131,9 +131,10 @@ class TestComparisonKernels:
         assert kernels.value(k, -1.0) == pytest.approx(2.0 * (math.exp(-1) - 1))
         assert kernels.derivative(k, 0.0) == pytest.approx(2.0)
 
-    def test_elu_alpha_must_be_positive(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_elu_alpha_must_be_positive(self, alpha):
         with pytest.raises(DomainError):
-            elu(0.0)
+            elu(alpha)
 
     def test_mish_silu_logish_smish_reference_points(self):
         # independent one-line reference implementations at a few points
