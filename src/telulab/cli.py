@@ -20,6 +20,7 @@ traceback), so a crash is never mistaken for a failed claim.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,6 +32,7 @@ from .autograd import build_model, load_params, save_params
 from .config import load_run_spec, run_spec_to_dict
 from .errors import ConfigError, DataError, DomainError, FormatError
 from .harness import (
+    check_landscape_args,
     empirical_fisher_diag,
     fit,
     grid_search,
@@ -46,6 +48,9 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+#: most rows one ``kernels`` table may hold, over all its activations
+MAX_KERNEL_ROWS = 10**6
 
 
 def cmd_verify(args, spec, out: Path) -> tuple[int, dict]:
@@ -73,19 +78,24 @@ def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
         raise ConfigError("--step must be positive")
     if args.hi <= args.lo:
         raise ConfigError("--hi must exceed --lo")
-    n = int(round((args.hi - args.lo) / args.step)) + 1
+    # the points lo + k*step up to hi; the relative slack keeps hi itself
+    # when step divides the span up to rounding
+    steps = (args.hi - args.lo) / args.step * (1.0 + 1e-9)
+    n = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+    if n * len(kinds) > MAX_KERNEL_ROWS:
+        raise ConfigError(
+            f"--lo, --hi and --step give {n:.7g} points per activation, more "
+            f"than {MAX_KERNEL_ROWS} rows over {len(kinds)} activation(s)"
+        )
     xs = args.lo + args.step * np.arange(n)
     rows = []
     for kind in kinds:
-        f = kernels.value(kind, xs)
-        d1 = kernels.derivative(kind, xs)
+        f, d1 = kernels.value(kind, xs).tolist(), kernels.derivative(kind, xs).tolist()
         if kernels.has_second_derivative(kind):
-            d2 = [float(v) for v in kernels.second_derivative(kind, xs)]
+            d2 = kernels.second_derivative(kind, xs).tolist()
         else:
             d2 = [""] * n
-        for i in range(n):
-            rows.append((kind.spec_string(), float(xs[i]), float(f[i]),
-                         float(d1[i]), d2[i]))
+        rows += zip([kind.spec_string()] * n, xs.tolist(), f, d1, d2)
     reporting.write_kernel_table(rows, out / "kernels.csv")
     print(f"wrote {len(rows)} rows for {len(kinds)} activation(s)")
     config = {
@@ -156,6 +166,7 @@ def _probe_target(spec, args):
 
 
 def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
+    check_landscape_args(args.grid_n, args.radius, args.direction_seed)
     model, result, train_ds = _probe_target(spec, args)
     surface = landscape_slice(
         model, train_ds, args.grid_n, args.radius, args.direction_seed

@@ -37,6 +37,7 @@ from .errors import ConfigError, DomainError
 from .harness import DatasetSpec, GridSpec, TrainConfig
 from .kernels import ActivationKind, parse_kind
 from .optim import LrSchedule, OptimizerConfig
+from .rng import check_seed
 
 __all__ = ["RunSpec", "load_run_spec", "run_spec_to_dict"]
 
@@ -216,6 +217,8 @@ def build_run_spec(raw: dict) -> RunSpec:
     seeds = _parse(tuple[int, ...], raw.get("seeds", [0]), "seeds")
     if not seeds:
         raise ConfigError("seeds: expected a non-empty list")
+    for i, seed in enumerate(seeds):
+        check_seed(seed, f"seeds[{i}]")
 
     grid = None
     if raw.get("grid") is not None:

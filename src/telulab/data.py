@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .rng import TAG_BATCH, TAG_BLOBS, TAG_SPLIT, generator
+from .rng import TAG_BATCH, TAG_BLOBS, TAG_SPLIT, check_seed, generator
 
 __all__ = [
     "DataMeta",
@@ -141,6 +141,7 @@ class SplitSpec:
             raise ConfigError("split.train and split.valid must be positive")
         if self.test < 0:
             raise ConfigError("split.test must be non-negative")
+        check_seed(self.seed)
 
 
 def _read_records(

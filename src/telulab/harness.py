@@ -41,7 +41,7 @@ from .data import Dataset, SplitSpec
 from .errors import ConfigError, DivergenceError
 from .kernels import ActivationKind
 from .optim import LrSchedule, OptimizerConfig, OptimizerState, lr_at_epoch, step
-from .rng import TAG_DIRECTIONS, generator
+from .rng import TAG_DIRECTIONS, check_seed, generator
 
 __all__ = [
     "BlobsSpec",
@@ -61,6 +61,7 @@ __all__ = [
     "format_cell",
     "LandscapeSurface",
     "draw_directions",
+    "check_landscape_args",
     "landscape_slice",
     "empirical_fisher_diag",
 ]
@@ -84,6 +85,7 @@ class BlobsSpec:
             raise ConfigError("blobs spec needs n >= 1, classes >= 2, dim >= 1")
         if self.spread <= 0:
             raise ConfigError("blobs spread must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -492,6 +494,15 @@ def draw_directions(
     return out[0], out[1]
 
 
+def check_landscape_args(grid_n: int, radius: float, seed: int) -> None:
+    """:func:`landscape_slice`'s argument checks, to make before training."""
+    if grid_n < 3 or grid_n % 2 == 0:
+        raise ConfigError(f"grid_n must be odd and >= 3, got {grid_n}")
+    if not (radius > 0 and math.isfinite(2 * radius)):
+        raise ConfigError(f"radius must be positive with 2*radius finite, got {radius}")
+    check_seed(seed, "direction_seed")
+
+
 def landscape_slice(
     model: Model,
     dataset: Optional[Dataset],
@@ -507,10 +518,7 @@ def landscape_slice(
     unperturbed model sits at the center cell.  A perturbed evaluation
     that diverges records ``inf`` for that cell.
     """
-    if grid_n < 3 or grid_n % 2 == 0:
-        raise ConfigError("grid_n must be odd and >= 3")
-    if not (radius > 0 and math.isfinite(2 * radius)):
-        raise ConfigError(f"radius must be positive with 2*radius finite, got {radius}")
+    check_landscape_args(grid_n, radius, seed)
     if loss_fn is None:
         if dataset is None:
             raise ConfigError("landscape needs a dataset or an explicit loss_fn")

@@ -48,7 +48,6 @@ __all__ = [
     "derivative_kinks",
     "second_derivative_kinks",
     "has_second_derivative",
-    "is_smooth",
 ]
 
 # exp(x) saturates tanh to exactly 1.0 in float64 well before x = 20, so
@@ -451,8 +450,3 @@ def derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:
 def second_derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:
     """Points where f'' jumps."""
     return _KINDS[kind.tag].d2_kinks
-
-
-def is_smooth(kind: ActivationKind) -> bool:
-    """True when f is infinitely differentiable on all of R."""
-    return not second_derivative_kinks(kind)

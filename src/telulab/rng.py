@@ -23,10 +23,15 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a seed outside [0, 2**64), the width of the Philox key word."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def generator(seed: int, tag: int, extra: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, tag, extra), seed in [0, 2**64)."""
-    if not 0 <= seed <= _MASK64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     key = np.array(
         [seed, ((tag & _MASK32) << 32) | (extra & _MASK32)],
         dtype=np.uint64,

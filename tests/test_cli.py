@@ -65,7 +65,16 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--step", "0"], ["--step", "nan"], ["--lo", "nan"], ["--hi", "inf"]]
+        "flags",
+        [
+            ["--step", "0"],
+            ["--step", "nan"],
+            ["--lo", "nan"],
+            ["--hi", "inf"],
+            # a span that overflows, and a grid far beyond the row bound
+            ["--lo=-1e308", "--hi=1e308"],
+            ["--step", "1e-300"],
+        ],
     )
     def test_nonpositive_step_usage_error(self, tmp_path, flags):
         out = tmp_path / "out"
@@ -73,14 +82,47 @@ class TestExitCodes:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_kernel_grid_stops_at_hi(self, tmp_path):
+        # -4 + 3k passes 4 at k = 3: the table ends at 2.0
+        argv = ["kernels", "--activations", "telu", "--lo", "-4", "--hi", "4", "--step", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        xs = [float(r["x"]) for r in read_csv(tmp_path / "kernels.csv")]
+        assert xs == [-4.0, -1.0, 2.0]
+
     @pytest.mark.parametrize(
         "flags", [["--grid-n", "4"], ["--radius", "nan"], ["--radius", "inf"], ["--radius", "1e308"]]
     )
     def test_usage_error_after_training_leaves_no_out(self, blob_cfg, tmp_path, flags):
-        # the model trains before the grid or radius is rejected
+        # a rejected probe flag leaves no output directory
         out = tmp_path / "out"
         argv = ["landscape", "--config", str(blob_cfg), "--set", "epochs=1", *flags]
         assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["replicate", "--set", "seeds=[0, -1]"], "seeds[1]"),
+            (["replicate", "--set", "dataset.split.seed=-1"], "dataset.split: seed"),
+            (["train", "--set", "dataset.blobs.seed=18446744073709551616"], "dataset.blobs: seed"),
+            (["landscape", "--direction-seed", "-1"], "direction_seed"),
+            (["landscape", "--grid-n", "4"], "grid_n"),
+            (["landscape", "--radius", "nan"], "radius"),
+        ],
+        ids=["seeds", "split-seed", "blobs-seed", "direction-seed", "grid-n", "radius"],
+    )
+    def test_bad_seed_or_probe_flag_rejected_before_training(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        def no_training(*args, **kwargs):
+            pytest.fail("trained before the usage error")
+
+        monkeypatch.setattr(harness, "fit", no_training)
+        monkeypatch.setattr(cli, "fit", no_training)
+        out = tmp_path / "out"
+        command, *rest = argv
+        assert main([command, "--config", str(blob_cfg), *rest, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_seeds_beyond_the_key_width_usage_error(self, blob_cfg, tmp_path):

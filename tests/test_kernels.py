@@ -255,7 +255,6 @@ class TestKindTable:
         assert kind.display_name == name
         assert kernels.derivative_kinks(kind) == d1_kinks
         assert kernels.second_derivative_kinks(kind) == d2_kinks
-        assert kernels.is_smooth(kind) == (not d2_kinks)
         assert kernels.has_second_derivative(kind) == has_d2
 
     def test_unknown_tag_lists_every_kind(self):

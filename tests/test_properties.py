@@ -126,6 +126,33 @@ class TestDerivativeRoots:
         # f' is identically 0 on the negative axis: a plateau, not roots
         assert find_derivative_roots(RELU, Interval(-1.0, 1.0, 201), 1e-10) == []
 
+    @pytest.mark.parametrize(
+        "d1, expected",
+        [
+            # a sign change between the grid points 2 and 3 is bisected
+            (lambda x: x - 2.5, [2.5]),
+            # exact zeros on interior points whose neighbours straddle them
+            (lambda x: x - 1.0, [1.0]),
+            (lambda x: x - 5.0, [5.0]),
+            (lambda x: 9.0 - x, [9.0]),
+            # zeros on an endpoint are not crossings inside the interval
+            (lambda x: x, []),
+            (lambda x: x - 10.0, []),
+            # a double zero: the neighbours share a sign
+            (lambda x: (x - 7.0) ** 2, []),
+            # a plateau of zeros on 4, 5 and 6
+            (lambda x: np.where(np.abs(x - 5.0) <= 1.0, 0.0, x - 5.0), []),
+        ],
+    )
+    def test_grid_index_cases(self, monkeypatch, d1, expected):
+        # f' zeros land exactly on the grid 0, 1, ..., 10; the stub takes
+        # the bisection's scalars as well as the grid
+        monkeypatch.setattr(
+            kernels, "derivative", lambda kind, x: d1(np.asarray(x, dtype=float))
+        )
+        roots = find_derivative_roots(TELU, Interval(0.0, 10.0, 11), 1e-12)
+        assert roots == pytest.approx(expected, abs=1e-11)
+
 
 class TestLipschitz:
     def test_relu_is_one(self):
