@@ -10,7 +10,10 @@ recording, a backward step that maps the output gradient to the input
 gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
 keeps only what its product needs (conv its input, from which it rebuilds
 the im2col columns, an activation its f' from the fused kernel, max pooling
-its winner masks).
+its winner masks).  A :class:`Model` keeps all its parameters in one
+float64 vector, ``model.flat``, in checkpoint order; each parameter
+:class:`Tensor` is a view of it, so checkpoints, probes and finite
+differences read and write ``flat`` while the layers see their arrays.
 
 :func:`forward` runs the per-example prefix of the stack (every layer
 before the first :class:`Dense`: conv, activation, pooling, flatten) on
@@ -91,24 +94,26 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 parameter array in a hashable box: optimizers and gradient
-    dicts key on the box, so the array inside can be replaced."""
+    """A hashable handle on one parameter: optimizers and gradient dicts key
+    on it.  ``data`` is read-only, so a handle cannot be rebound away from
+    the array it was made with (in a :class:`Model`, a view of ``flat``);
+    an update writes into it, ``p.data[...] = new``."""
 
-    __slots__ = ("data",)
+    __slots__ = ("_data",)
 
     def __init__(self, data):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self._data = np.ascontiguousarray(data, dtype=np.float64)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
+        return self._data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
+        return f"Tensor(shape={self._data.shape})"
 
 
 # A backward step maps the output gradient, and optionally ``squares`` (see
@@ -358,29 +363,26 @@ LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
 
 
 class Model:
-    """An ordered stack of layers plus their parameter tensors.
+    """An ordered stack of layers plus one parameter vector.
 
-    Parameters are stored in layer order, ``layer.n_params`` per layer:
-    (weight, bias) for the parametric layers, none for the others.
+    ``flat`` is every parameter in layer order, ``layer.n_params`` per layer
+    ((weight, bias) for the parametric layers, none for the others), each
+    C-ordered: the checkpoint layout, with ``shapes`` its manifest.
+    ``params`` holds one :class:`Tensor` per parameter whose data is a
+    reshaped view of ``flat``, so a write to either is a write to both.
+    The model is built from the initial parameter arrays, which it copies.
     """
 
-    def __init__(self, layers: tuple[LayerSpec, ...], params: list[Tensor]):
+    def __init__(self, layers: tuple[LayerSpec, ...], values: list[np.ndarray]):
         self.layers = layers
-        self.params = params
+        self.shapes = [np.shape(v) for v in values]
+        self.flat = np.concatenate([np.empty(0), *(np.ravel(v) for v in values)])
+        self.params = [Tensor(v) for v in self.views(self.flat)]
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params)
-
-    def copy_param_values(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.params]
-
-    def set_param_values(self, values: list[np.ndarray]) -> None:
-        if len(values) != len(self.params):
-            raise ConfigError("parameter count mismatch")
-        for p, v in zip(self.params, values):
-            if p.data.shape != v.shape:
-                raise ConfigError("parameter shape mismatch")
-            p.data = np.ascontiguousarray(v, dtype=np.float64)
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """``vec``, a vector of ``flat``'s layout, as one view per parameter."""
+        cuts = np.cumsum([math.prod(s) for s in self.shapes], dtype=int)
+        return [part.reshape(s) for part, s in zip(np.split(vec, cuts[:-1]), self.shapes)]
 
 
 def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Model:
@@ -389,12 +391,8 @@ def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> M
     Weights are Kaiming-uniform with fan-in scaling, biases zero, drawn
     from the Philox stream keyed by (seed, init-tag, layer index).
     """
-    params = [
-        Tensor(a)
-        for i, layer in enumerate(layers)
-        for a in layer.init(generator(seed, TAG_INIT, i))
-    ]
-    return Model(tuple(layers), params)
+    values = [a for i, layer in enumerate(layers) for a in layer.init(generator(seed, TAG_INIT, i))]
+    return Model(tuple(layers), values)
 
 
 # --- model-level operations -----------------------------------------------------
@@ -579,28 +577,28 @@ def finite_difference_check(
     """
     logits, tape = forward(model, batch, record=True)
     _, loss_grad = softmax_cross_entropy(logits, labels)
-    analytic = backward(tape, loss_grad)
+    grads = backward(tape, loss_grad)
+    analytic = np.zeros_like(model.flat)
+    for view, p in zip(model.views(analytic), model.params):
+        view[...] = grads[p]
 
     def loss_at() -> float:
         out, _ = forward(model, batch, record=False)
         return softmax_cross_entropy(out, labels)[0]
 
     worst = 0.0
-    for p in model.params:
-        ga = analytic[p]
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_at()
-            flat[i] = orig - h
-            lm = loss_at()
-            flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
-            a = ga.reshape(-1)[i]
-            denom = max(abs(a), abs(fd))
-            err = abs(a - fd) if denom < 1e-8 else abs(a - fd) / denom
-            worst = max(worst, err)
+    flat = model.flat
+    for i, a in enumerate(analytic):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss_at()
+        flat[i] = orig - h
+        lm = loss_at()
+        flat[i] = orig
+        fd = (lp - lm) / (2.0 * h)
+        denom = max(abs(a), abs(fd))
+        err = abs(a - fd) if denom < 1e-8 else abs(a - fd) / denom
+        worst = max(worst, err)
     return worst
 
 
@@ -608,23 +606,19 @@ def finite_difference_check(
 
 
 def save_params(model: Model, stem: Union[str, Path]) -> None:
-    """Write parameters as ``<stem>.bin`` (flat little-endian float64) plus
+    """Write ``model.flat`` as ``<stem>.bin`` (little-endian float64) plus a
     ``<stem>.json`` shape manifest, each atomically."""
     # imported here: reporting imports the harness, which imports this module
     from .reporting import atomic_write_bytes, atomic_write_text
 
     stem = Path(stem)
-    if model.params:
-        flat = np.concatenate([p.data.reshape(-1) for p in model.params])
-    else:
-        flat = np.empty(0)
-    atomic_write_bytes(stem.with_suffix(".bin"), flat.astype("<f8").tobytes())
-    manifest = {"shapes": [list(p.shape) for p in model.params]}
+    atomic_write_bytes(stem.with_suffix(".bin"), model.flat.astype("<f8").tobytes())
+    manifest = {"shapes": [list(s) for s in model.shapes]}
     atomic_write_text(stem.with_suffix(".json"), json.dumps(manifest, indent=2))
 
 
 def load_params(model: Model, stem: Union[str, Path]) -> None:
-    """Load a checkpoint written by :func:`save_params` into ``model``."""
+    """Load a checkpoint written by :func:`save_params` into ``model.flat``."""
     stem = Path(stem)
     try:
         manifest = json.loads(stem.with_suffix(".json").read_text())
@@ -632,20 +626,11 @@ def load_params(model: Model, stem: Union[str, Path]) -> None:
         raw = stem.with_suffix(".bin").read_bytes()
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read checkpoint {stem}: {exc}") from exc
-    if shapes != [p.shape for p in model.params]:
+    if shapes != model.shapes:
         raise FormatError("checkpoint shapes do not match the model")
+    if len(raw) != 8 * model.flat.size:
+        raise FormatError(f"checkpoint blob has {len(raw)} bytes, expected {8 * model.flat.size}")
     blob = np.frombuffer(raw, dtype="<f8")
-    expected = sum(int(np.prod(s)) for s in shapes)
-    if blob.size != expected:
-        raise FormatError(
-            f"checkpoint blob has {blob.size} values, expected {expected}"
-        )
     if not np.all(np.isfinite(blob)):
         raise FormatError(f"checkpoint {stem} holds non-finite values")
-    offset = 0
-    values = []
-    for s in shapes:
-        n = int(np.prod(s))
-        values.append(blob[offset : offset + n].reshape(s).copy())
-        offset += n
-    model.set_param_values(values)
+    model.flat[:] = blob

@@ -458,46 +458,45 @@ class LandscapeSurface:
     losses: np.ndarray  # losses[i, j] at (alphas[i], betas[j])
 
 
-def _filter_normalized(direction: np.ndarray, param: np.ndarray) -> np.ndarray:
-    """Rescale each filter of the direction to its model filter's norm.
+def _filter_normalize(direction: np.ndarray, param: np.ndarray) -> None:
+    """Rescale each filter of the direction, in place, to its model
+    filter's norm.
 
     Filters are output channels for conv weights (4-d), per-output-unit
     columns for dense weights (2-d), and the whole vector for biases.
     Zero-norm model filters keep the raw direction (so a probe around an
     all-zero parameter still explores).
     """
-    if param.ndim == 4:
-        axes = (1, 2, 3)
-    elif param.ndim == 2:
-        axes = (0,)
-    else:
-        axes = tuple(range(param.ndim))
+    axes = {4: (1, 2, 3), 2: (0,)}.get(param.ndim, tuple(range(param.ndim)))
     wnorm = np.sqrt(np.sum(param**2, axis=axes, keepdims=True))
     dnorm = np.sqrt(np.sum(direction**2, axis=axes, keepdims=True))
-    scale = np.where(wnorm > 0.0, wnorm / np.maximum(dnorm, 1e-300), 1.0)
-    return direction * scale
+    direction *= np.where(wnorm > 0.0, wnorm / np.maximum(dnorm, 1e-300), 1.0)
 
 
-def draw_directions(
-    model: Model, seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Two seeded random directions in parameter space, filter-normalized."""
-    out: list[list[np.ndarray]] = []
+def draw_directions(model: Model, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two seeded random directions in parameter space, as vectors of
+    ``model.flat``'s layout, each filter-normalized per parameter."""
+    out = []
     for extra in (0, 1):
-        rng = generator(seed, TAG_DIRECTIONS, extra)
-        out.append(
-            [
-                _filter_normalized(rng.standard_normal(p.data.shape), p.data)
-                for p in model.params
-            ]
-        )
+        d = generator(seed, TAG_DIRECTIONS, extra).standard_normal(model.flat.size)
+        for view, p in zip(model.views(d), model.params):
+            _filter_normalize(view, p.data)
+        out.append(d)
     return out[0], out[1]
+
+
+# the most cells (grid_n**2) in one landscape slice, each a full loss evaluation
+MAX_LANDSCAPE_CELLS = 10**6
 
 
 def check_landscape_args(grid_n: int, radius: float, seed: int) -> None:
     """:func:`landscape_slice`'s argument checks, to make before training."""
     if grid_n < 3 or grid_n % 2 == 0:
         raise ConfigError(f"grid_n must be odd and >= 3, got {grid_n}")
+    if grid_n**2 > MAX_LANDSCAPE_CELLS:
+        raise ConfigError(
+            f"grid_n={grid_n} gives {grid_n**2} cells, more than {MAX_LANDSCAPE_CELLS}"
+        )
     if not (radius > 0 and math.isfinite(2 * radius)):
         raise ConfigError(f"radius must be positive with 2*radius finite, got {radius}")
     check_seed(seed, "direction_seed")
@@ -527,29 +526,20 @@ def landscape_slice(
             return _evaluate(m, dataset)[1]
 
     d1, d2 = draw_directions(model, seed)
-    alphas = np.linspace(-radius, radius, grid_n)
-    betas = np.linspace(-radius, radius, grid_n)
-    theta = model.copy_param_values()
+    axis = np.linspace(-radius, radius, grid_n)
+    theta = model.flat.copy()
     losses = np.empty((grid_n, grid_n))
     try:
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                if a == 0.0 and b == 0.0:
-                    model.set_param_values([t.copy() for t in theta])
-                else:
-                    model.set_param_values(
-                        [
-                            t + a * u + b * v
-                            for t, u, v in zip(theta, d1, d2)
-                        ]
-                    )
+        for i, a in enumerate(axis):
+            for j, b in enumerate(axis):
+                model.flat[:] = theta + a * d1 + b * d2
                 try:
                     losses[i, j] = loss_fn(model)
                 except DivergenceError:
                     losses[i, j] = math.inf
     finally:
-        model.set_param_values(theta)
-    return LandscapeSurface(alphas=alphas, betas=betas, losses=losses)
+        model.flat[:] = theta
+    return LandscapeSurface(alphas=axis, betas=axis, losses=losses)
 
 
 # --- empirical Fisher information probe -------------------------------------------
@@ -560,7 +550,7 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
 
     Mean over the first ``n_samples`` examples of the squared
     per-parameter gradient of the true-label log-likelihood; returned as
-    one flat vector in parameter order.  The examples run in batches of
+    one vector of ``model.flat``'s layout.  The examples run in batches of
     :data:`_FISHER_BATCH`, each one recorded forward and one backward that
     returns the batch's sums of squared per-example gradients; the batch
     sums are added in order.  A non-finite value raises
@@ -568,7 +558,8 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
     """
     if not 1 <= n_samples <= len(dataset):
         raise ConfigError("n_samples must be in [1, dataset size]")
-    accum = [np.zeros_like(p.data) for p in model.params]
+    accum = np.zeros_like(model.flat)
+    views = model.views(accum)
     first = dataset.take(np.arange(n_samples), dataset.meta.split_tag)
     for x, y in data_mod.batch_iter(first, _FISHER_BATCH):
         logits, tape = forward(model, x, record=True)
@@ -577,9 +568,8 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
         _, ce_rows = cross_entropy_rows(logits, y)
         squares = backward(tape, ce_rows, squares=True)
         with np.errstate(over="ignore"):  # caught by the finiteness check below
-            for buf, p in zip(accum, model.params):
-                buf += squares[p]
-    flat = np.concatenate([a.reshape(-1) for a in accum]) if accum else np.empty(0)
-    if not np.all(np.isfinite(flat)):
+            for view, p in zip(views, model.params):
+                view += squares[p]
+    if not np.all(np.isfinite(accum)):
         raise DivergenceError("non-finite Fisher diagonal")
-    return flat / n_samples
+    return accum / n_samples

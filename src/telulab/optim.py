@@ -114,16 +114,16 @@ def step(
     grads: dict[Tensor, np.ndarray],
     lr_now: float,
 ) -> None:
-    """Apply one update in place.
+    """Apply one update in place: every new value is computed and checked
+    before any is copied into its parameter's array.
 
     A non-finite gradient (or a non-finite updated parameter) raises
     :class:`DivergenceError` before any parameter is modified, so a
     diverging trial never commits a partial parameter update.
     """
     cfg = state.cfg
-    for p in params:
-        if not np.all(np.isfinite(grads[p])):
-            raise DivergenceError("non-finite gradient in optimizer step")
+    if not all(np.all(np.isfinite(grads[p])) for p in params):
+        raise DivergenceError("non-finite gradient in optimizer step")
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         updates: list[np.ndarray] = []
@@ -132,12 +132,11 @@ def step(
         for p in params:
             g = grads[p]
             if cfg.kind == "sgd":
-                new = p.data - lr_now * (g + cfg.weight_decay * p.data)
+                direction = g + cfg.weight_decay * p.data
             elif cfg.kind == "momentum":
-                buf = state._buf(p, "momentum")
-                buf *= cfg.momentum
-                buf += g + cfg.weight_decay * p.data
-                new = p.data - lr_now * buf
+                direction = state._buf(p, "momentum")
+                direction *= cfg.momentum
+                direction += g + cfg.weight_decay * p.data
             elif cfg.kind == "adamw":
                 b1, b2 = cfg.betas
                 m = state._buf(p, "m")
@@ -148,20 +147,15 @@ def step(
                 v += (1.0 - b2) * g * g
                 m_hat = m / (1.0 - b1**state.t)
                 v_hat = v / (1.0 - b2**state.t)
-                new = p.data - lr_now * (
-                    m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data
-                )
+                direction = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data
             else:  # rmsprop
                 s = state._buf(p, "s")
                 s *= cfg.rms_alpha
                 s += (1.0 - cfg.rms_alpha) * g * g
-                new = p.data - lr_now * (
-                    g / (np.sqrt(s) + cfg.eps) + cfg.weight_decay * p.data
-                )
-            updates.append(new)
+                direction = g / (np.sqrt(s) + cfg.eps) + cfg.weight_decay * p.data
+            updates.append(p.data - lr_now * direction)
 
-    for new in updates:
-        if not np.all(np.isfinite(new)):
-            raise DivergenceError("non-finite parameter after optimizer step")
+    if not all(np.all(np.isfinite(new)) for new in updates):
+        raise DivergenceError("non-finite parameter after optimizer step")
     for p, new in zip(params, updates):
-        p.data = new
+        p.data[...] = new

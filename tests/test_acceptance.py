@@ -142,7 +142,7 @@ def test_c08_autograd_against_finite_differences():
                 [Dense(3, hidden), Activation(kind), Dense(hidden, 3)],
                 seed=trial,
             )
-            assert model.param_count() <= 200
+            assert model.flat.size <= 200
             batch = rng.normal(size=(5, 3))
             labels = rng.integers(0, 3, size=5)
             err = finite_difference_check(model, batch, labels, h=1e-6)
@@ -326,7 +326,7 @@ def test_c15_fisher_probe():
     """Hand-computed logistic value 0.25 to 1e-12; nonnegative diagonals
     on random models."""
     model = build_model([Dense(1, 2)], seed=0)
-    model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+    model.flat[:] = 0.0
     base = synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
     ds = type(base)(images=np.array([[1.0]]), labels=np.array([1]), meta=base.meta)
     diag = empirical_fisher_diag(model, ds, 1)

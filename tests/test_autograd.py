@@ -2,6 +2,7 @@
 shape validation, determinism, divergence detection, and the chunked
 per-example prefix against a frozen copy of the unchunked engine."""
 
+import json
 import math
 import sys
 import tracemalloc
@@ -39,7 +40,7 @@ def dense_model(w, b, kind=None):
     if kind is not None:
         layers.append(Activation(kind))
     model = build_model(layers, seed=0)
-    model.set_param_values([w, np.asarray(b, dtype=float)])
+    model.flat[:] = np.concatenate([w.ravel(), np.ravel(b)])
     return model
 
 
@@ -243,7 +244,7 @@ class TestFiniteDifferenceOracle:
             model = build_model(
                 [Dense(3, hidden), Activation(TELU), Dense(hidden, 3)], seed=seed
             )
-            assert model.param_count() <= 200
+            assert model.flat.size <= 200
             batch = rng.normal(size=(5, 3))
             labels = rng.integers(0, 3, size=5)
             assert finite_difference_check(model, batch, labels, h=1e-6) < 1e-4
@@ -506,9 +507,8 @@ class TestChunkedPrefix:
     def test_divergence_names_the_earliest_failing_layer(self, monkeypatch, workers):
         monkeypatch.setattr(autograd, "WORKERS", workers)
         model = reference_cnn(TELU)
-        values = model.copy_param_values()
-        values[0][:], values[2][:] = 1.0, 10.0
-        model.set_param_values(values)
+        conv1_w, _, conv2_w, *_ = model.views(model.flat)
+        conv1_w[...], conv2_w[...] = 1.0, 10.0
         # conv1 sums 27 inputs, conv2 256: images of 1e304 overflow conv2
         # (layer 3), images of 1e307 already conv1 (layer 0); with two
         # workers the pool runs the first chunk, the calling thread the last
@@ -560,7 +560,7 @@ class TestChunkedPrefix:
         # the ReLU case above exercises tied pool windows
         x, _ = cifar_batch(8, seed=101)
         model = reference_cnn(RELU, seed=1)
-        h, _ = frozen_forward(Model(model.layers[:2], model.params[:2]), x)
+        h, _ = frozen_forward(build_model(model.layers[:2], seed=1), x)
         a, b = h[:, :, 0::2, 0::2], h[:, :, 0::2, 1::2]
         assert np.count_nonzero(a == b) > 1000
 
@@ -605,6 +605,71 @@ class TestChunkedPrefix:
         assert peak < 512 * 16 * 30 * 30 * 8, f"peak {peak} B"
 
 
+def assert_params_view_flat(model):
+    """Every parameter's data is a view of ``model.flat``, in checkpoint
+    order: a write to ``flat`` shows in every parameter."""
+    for p in model.params:
+        assert np.shares_memory(p.data, model.flat)
+    saved = model.flat.copy()
+    marker = np.arange(model.flat.size, dtype=float)
+    model.flat[:] = marker
+    seen = np.concatenate([np.empty(0), *(p.data.ravel() for p in model.params)])
+    model.flat[:] = saved
+    np.testing.assert_array_equal(seen, marker)
+
+
+class TestFlatParameters:
+    def test_params_view_flat_after_build(self):
+        model = build_model([Conv2d(2, 3, 2), Flatten(), Dense(12, 4)], seed=0)
+        assert [p.shape for p in model.params] == [(3, 2, 2, 2), (3,), (12, 4), (4,)]
+        assert model.flat.shape == (24 + 3 + 48 + 4,)
+        assert_params_view_flat(model)
+
+    def test_flat_holds_the_initial_values_in_layer_order(self):
+        model = build_model([Dense(3, 5), Activation(TELU), Dense(5, 2)], seed=4)
+        w1 = model.flat[:15].reshape(3, 5)
+        np.testing.assert_array_equal(w1, model.params[0].data)
+        np.testing.assert_array_equal(model.flat[15:20], 0.0)  # first bias
+
+    def test_data_cannot_be_rebound(self):
+        model = build_model([Dense(2, 2)], seed=0)
+        with pytest.raises(AttributeError):
+            model.params[0].data = np.zeros((2, 2))
+        assert_params_view_flat(model)
+
+    def test_model_copies_its_initial_values(self):
+        w = np.ones((2, 3))
+        model = Model((Dense(2, 3),), [w, np.zeros(3)])
+        w[0, 0] = 5.0
+        assert model.flat[0] == 1.0
+        assert_params_view_flat(model)
+
+    def test_views_of_another_vector(self):
+        model = build_model([Dense(2, 3), Dense(3, 2)], seed=0)
+        vec = np.arange(model.flat.size, dtype=float)
+        views = model.views(vec)
+        assert [v.shape for v in views] == [p.shape for p in model.params]
+        assert all(np.shares_memory(v, vec) for v in views)
+        np.testing.assert_array_equal(views[2], vec[9:15].reshape(3, 2))
+        with pytest.raises(ValueError):
+            model.views(vec[1:])
+
+    def test_parameterless_model(self):
+        model = Model((Flatten(),), [])
+        assert model.flat.shape == (0,) and model.params == []
+        assert model.views(np.empty(0)) == []
+
+    def test_optimizer_step_writes_into_flat(self):
+        from telulab.optim import OptimizerConfig, OptimizerState, step
+
+        model = build_model([Dense(3, 2), Activation(TELU), Dense(2, 2)], seed=1)
+        before = model.flat.copy()
+        grads = {p: np.ones(p.shape) for p in model.params}
+        step(OptimizerState(OptimizerConfig("sgd", lr=0.5)), model.params, grads, 0.5)
+        np.testing.assert_array_equal(model.flat, before - 0.5)
+        assert_params_view_flat(model)
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         model = build_model([Dense(3, 5), Activation(TELU), Dense(5, 2)], seed=4)
@@ -614,6 +679,23 @@ class TestCheckpoints:
         load_params(clone, stem)
         for pa, pb in zip(model.params, clone.params):
             np.testing.assert_array_equal(pa.data, pb.data)
+        assert_params_view_flat(clone)
+
+    def test_blob_is_flat_little_endian(self, tmp_path):
+        model = build_model([Conv2d(1, 2, 2), Flatten(), Dense(2, 3)], seed=4)
+        save_params(model, tmp_path / "ckpt")
+        blob = (tmp_path / "ckpt.bin").read_bytes()
+        assert blob == model.flat.astype("<f8").tobytes()
+        manifest = json.loads((tmp_path / "ckpt.json").read_text())
+        assert manifest == {"shapes": [[2, 1, 2, 2], [2], [2, 3], [3]]}
+
+    def test_parameterless_round_trip(self, tmp_path):
+        model = Model((Flatten(),), [])
+        save_params(model, tmp_path / "ckpt")
+        assert (tmp_path / "ckpt.bin").read_bytes() == b""
+        clone = Model((Flatten(),), [])
+        load_params(clone, tmp_path / "ckpt")
+        assert clone.flat.shape == (0,)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = build_model([Dense(3, 5)], seed=4)
@@ -622,12 +704,14 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_params(other, tmp_path / "ckpt")
 
-    def test_truncated_blob_rejected(self, tmp_path):
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_truncated_blob_rejected(self, tmp_path, cut):
+        # a cut inside a value leaves a blob numpy cannot decode as float64
         model = build_model([Dense(3, 5)], seed=4)
         stem = tmp_path / "ckpt"
         save_params(model, stem)
         blob = stem.with_suffix(".bin").read_bytes()
-        stem.with_suffix(".bin").write_bytes(blob[:-8])
+        stem.with_suffix(".bin").write_bytes(blob[:-cut])
         with pytest.raises(FormatError):
             load_params(model, stem)
 

@@ -107,9 +107,10 @@ class TestExitCodes:
             (["train", "--set", "dataset.blobs.seed=18446744073709551616"], "dataset.blobs: seed"),
             (["landscape", "--direction-seed", "-1"], "direction_seed"),
             (["landscape", "--grid-n", "4"], "grid_n"),
+            (["landscape", "--grid-n", "1000001"], "grid_n"),
             (["landscape", "--radius", "nan"], "radius"),
         ],
-        ids=["seeds", "split-seed", "blobs-seed", "direction-seed", "grid-n", "radius"],
+        ids=["seeds", "split-seed", "blobs-seed", "direction-seed", "grid-n", "grid-cells", "radius"],
     )
     def test_bad_seed_or_probe_flag_rejected_before_training(
         self, blob_cfg, tmp_path, capsys, monkeypatch, argv, named

@@ -3,10 +3,13 @@ setups write byte-identical CSVs from one change of the engine to the next,
 and ``verify`` and ``kernels`` over every kind (ELU at alpha 1 and 2) write
 byte-identical ``property_report.json`` and ``kernels.csv``.  On the blobs
 setup ``fisher --samples 37`` (a partial last batch), ``replicate`` over two
-seeds, a two-cell ``grid`` and a 3x3 ``landscape`` pin a second
-``fisher.csv``, ``summary.json``, ``grid_cells.csv``, ``best_config.json``
-and ``landscape.csv`` too.  Every hash is the same with the engine on one
-worker thread.
+seeds and a two-cell ``grid`` pin a second ``fisher.csv``,
+``summary.json``, ``grid_cells.csv`` and ``best_config.json`` too.  On both
+setups a 3x3 ``landscape
+--save-checkpoint`` pins ``landscape.csv`` and the checkpoint's
+``model.bin`` and ``model.json``, and ``fisher --checkpoint`` on that
+checkpoint pins the trained model's ``fisher.csv``.  Every hash is the same
+with the engine on one worker thread.
 
 The setups are the blobs MLP used across the CLI tests and a tiny generated
 CIFAR-10 archive run through every layer type of the reference CNN (conv,
@@ -100,6 +103,16 @@ GOLDEN = {
     "blobs/landscape/landscape.csv": (
         "606d8715d1c2d3ab3974ccf2607953eaf273c6e77a7ecab6e93fcfccb667abe3"
     ),
+    "blobs/landscape/model.bin": (
+        "6a495b6a71c6dc6bff26b3ef6b00806c4377aa37ac54dd6085ac0611d201a66b"
+    ),
+    "blobs/landscape/model.json": (
+        "9067dae1cb7bd18a4d6a1656ef45c4c2018317ab0b022792153987cb21a72936"
+    ),
+    # the checkpoint holds the trained model, so its probe is the trained one's
+    "blobs/fisher_checkpoint/fisher.csv": (
+        "661e0ae753881f85ef1d8af8cb3e41c0be997fdb97d5c210704c11df78e40a08"
+    ),
     "cifar/train/results.csv": (
         "4d0debc46e2620517468fade7dd9778de3fcb2639c8946048e213c1f5052490f"
     ),
@@ -107,6 +120,18 @@ GOLDEN = {
         "5cde0c2cf3400f0f705458205a07e1f96eefc06ee4c3c3fb655152d32f8ebcdc"
     ),
     "cifar/fisher/fisher.csv": (
+        "07adb072479203075177d822f74350f1b2dd39bb4e2e7d1780faa8d542e2a1e2"
+    ),
+    "cifar/landscape/landscape.csv": (
+        "6765d06182971dc74ac2d3bfbf114eddc750ce7e0baa63db8fd7deb561249473"
+    ),
+    "cifar/landscape/model.bin": (
+        "82c2ae501c6317975bbd48eee0ce462f8988e18e2867233604881243482a2b82"
+    ),
+    "cifar/landscape/model.json": (
+        "a6d6c8fe6d94d652e74a0c43cf4516cddc154711afc8b40794a6e560c1c972ba"
+    ),
+    "cifar/fisher_checkpoint/fisher.csv": (
         "07adb072479203075177d822f74350f1b2dd39bb4e2e7d1780faa8d542e2a1e2"
     ),
     "verify/property_report.json": (
@@ -117,6 +142,17 @@ GOLDEN = {
     ),
 }
 
+# a 3x3 landscape that saves the trained model, then the Fisher probe of
+# that checkpoint ("{setup}" is the setup's run directory)
+CHECKPOINT_RUNS = (
+    (
+        "landscape",
+        ["landscape", "--grid-n", "3", "--save-checkpoint"],
+        ("landscape.csv", "model.bin", "model.json"),
+    ),
+    ("fisher_checkpoint", ["fisher", "--checkpoint", "{setup}/landscape/model"], ("fisher.csv",)),
+)
+
 # (run name, command and extra argv, artifacts) per setup
 RUNS = {
     "blobs": (
@@ -125,11 +161,12 @@ RUNS = {
         ("fisher37", ["fisher", "--samples", "37"], ("fisher.csv",)),
         ("replicate", ["replicate", "--set", "seeds=[0, 1]"], ("summary.json",)),
         ("grid", ["grid", "--set", "grid.lr=[0.1, 0.05]"], ("grid_cells.csv", "best_config.json")),
-        ("landscape", ["landscape", "--grid-n", "3"], ("landscape.csv",)),
+        *CHECKPOINT_RUNS,
     ),
     "cifar": (
         ("train", ["train"], ("results.csv", "curves.csv")),
         ("fisher", ["fisher", "--samples", "0"], ("fisher.csv",)),
+        *CHECKPOINT_RUNS,
     ),
 }
 
@@ -172,6 +209,7 @@ def artifact_hashes(tmp_path):
         config.write_text(json.dumps(cfg))
         for run, (command, *extra), files in RUNS[name]:
             run_dir = tmp_path / name / run
+            extra = [a.format(setup=tmp_path / name) for a in extra]
             argv = [command, "--config", str(config), "--out", str(run_dir), *extra]
             assert main(argv) == 0
             for f in files:

@@ -25,11 +25,13 @@ from telulab.errors import ConfigError, DivergenceError
 import telulab.autograd as autograd
 import telulab.harness as harness
 from telulab.harness import (
+    MAX_LANDSCAPE_CELLS,
     BlobsSpec,
     DatasetSpec,
     GridSpec,
     TrainConfig,
     _evaluate,
+    check_landscape_args,
     conc_metric,
     draw_directions,
     empirical_fisher_diag,
@@ -98,7 +100,7 @@ class TestRunTrial:
         # true class far behind, so the loss is +inf while its gradient is finite
         def huge_model(layers, seed):
             model = build_model(layers, seed)
-            model.set_param_values([np.array([[-1.5e308, 1.5e308], [0.0, 0.0]]), np.zeros(2)])
+            model.flat[:] = [-1.5e308, 1.5e308, 0.0, 0.0, 0.0, 0.0]
             return model
 
         monkeypatch.setattr(harness, "build_model", huge_model)
@@ -318,7 +320,7 @@ class TestMaterialize:
 
 def toy_quadratic_model() -> Model:
     model = build_model([Dense(1, 1)], seed=0)
-    model.set_param_values([np.array([[0.0]]), np.array([0.0])])
+    model.flat[:] = 0.0
     return model
 
 
@@ -362,8 +364,8 @@ class TestLandscape:
             return 0.5 * float(m.params[0].data[0, 0]) ** 2
 
         surface = landscape_slice(model, None, 3, 1.0, seed=11, loss_fn=loss_fn)
-        u = d1[0][0, 0] + 0.0  # weight component of direction 1
-        v = d2[0][0, 0]
+        u = d1[0] + 0.0  # weight component of direction 1
+        v = d2[0]
         for i, a in enumerate((-1.0, 0.0, 1.0)):
             for j, b in enumerate((-1.0, 0.0, 1.0)):
                 expected = 0.5 * (a * u + b * v) ** 2
@@ -375,30 +377,35 @@ class TestLandscape:
     def test_params_restored_after_slice(self):
         model, _ = train_model(blob_config(epochs=2))
         train, _, _ = materialize_datasets(blob_config().dataset)
-        before = model.copy_param_values()
+        before = model.flat.copy()
         landscape_slice(model, train, 3, 1.0, seed=0)
-        for orig, now in zip(before, model.params):
-            np.testing.assert_array_equal(orig, now.data)
+        np.testing.assert_array_equal(before, model.flat)
 
     def test_diverging_cells_are_inf_and_center_exact(self):
         # two stacked dense layers scaled by 1e200 give logits near 1e400:
         # every perturbed forward overflows and raises DivergenceError
         model = build_model([Dense(4, 8), Dense(8, 3)], seed=2)
         ds = synthetic_blobs(30, classes=3, dim=4, spread=0.2, seed=5)
-        before = model.copy_param_values()
+        before = model.flat.copy()
         d1, _ = draw_directions(model, seed=7)
-        model.set_param_values([t + 1e200 * u for t, u in zip(before, d1)])
+        model.flat[:] = before + 1e200 * d1
         with pytest.raises(DivergenceError):
             forward(model, ds.images)
-        model.set_param_values(before)
+        model.flat[:] = before
 
         surface = landscape_slice(model, ds, grid_n=3, radius=1e200, seed=7)
         off_center = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
         for i, j in off_center:
             assert surface.losses[i, j] == math.inf, (i, j)
         assert surface.losses[1, 1] == _evaluate(model, ds)[1]
-        for orig, now in zip(before, model.params):
-            assert orig.tobytes() == now.data.tobytes()
+        assert before.tobytes() == model.flat.tobytes()
+
+    def test_cell_bound_admits_the_largest_odd_grid_only(self):
+        largest = math.isqrt(MAX_LANDSCAPE_CELLS)
+        largest -= 1 - largest % 2
+        check_landscape_args(largest, 1.0, 0)
+        with pytest.raises(ConfigError, match="cells"):
+            check_landscape_args(largest + 2, 1.0, 0)
 
     def test_even_grid_rejected(self):
         model = toy_quadratic_model()
@@ -416,8 +423,9 @@ class TestLandscape:
         model, _ = train_model(blob_config(epochs=1))
         d1, _ = draw_directions(model, seed=0)
         w = model.params[0].data  # dense weight (in, out)
+        d1_w = model.views(d1)[0]
         for j in range(w.shape[1]):
-            assert np.linalg.norm(d1[0][:, j]) == pytest.approx(
+            assert np.linalg.norm(d1_w[:, j]) == pytest.approx(
                 np.linalg.norm(w[:, j]), rel=1e-12
             )
 
@@ -427,7 +435,7 @@ class TestFisher:
         # p(y=1) = sigmoid(w*x) realized as 2-logit softmax with both
         # weights zero; at x = 1, y = 1 every squared gradient entry is 0.25
         model = build_model([Dense(1, 2)], seed=0)
-        model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+        model.flat[:] = 0.0
         ds = synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
         ds = type(ds)(
             images=np.array([[1.0]]), labels=np.array([1]), meta=ds.meta
@@ -443,7 +451,7 @@ class TestFisher:
             ds = synthetic_blobs(40, classes=3, dim=6, spread=0.3, seed=seed)
             diag = empirical_fisher_diag(model, ds, 40)
             assert np.all(diag >= 0.0)
-            assert diag.shape == (model.param_count(),)
+            assert diag.shape == model.flat.shape
 
     def test_halves_average_equals_full(self):
         model = build_model([Dense(4, 6), Activation(TELU), Dense(6, 2)], seed=1)
@@ -458,9 +466,7 @@ class TestFisher:
         # negative biases kill the ReLU for zero input: every parameter
         # behind the dead unit has exactly zero Fisher information
         model = build_model([Dense(2, 3), Activation(RELU), Dense(3, 2)], seed=0)
-        values = model.copy_param_values()
-        values[1] = np.full(3, -1.0)  # hidden biases force pre-activation < 0
-        model.set_param_values(values)
+        model.params[1].data[...] = -1.0  # hidden biases force pre-activation < 0
         ds = synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
         ds = type(ds)(
             images=np.zeros((1, 2)), labels=np.array([0]), meta=ds.meta
@@ -481,14 +487,14 @@ class TestFisher:
 def batch1_fisher(model, dataset, n):
     """Reference Fisher diagonal: one batch-1 forward and backward per
     sample through the public engine, the squares summed in sample order."""
-    accum = [np.zeros_like(p.data) for p in model.params]
+    accum = np.zeros_like(model.flat)
     for x, y in itertools.islice(batch_iter(dataset, 1), n):
         logits, tape = forward(model, x, record=True)
         _, loss_grad = softmax_cross_entropy(logits, y)
         grads = backward(tape, loss_grad)
-        for buf, p in zip(accum, model.params):
-            buf += grads[p] ** 2
-    return np.concatenate([a.reshape(-1) for a in accum]) / n
+        for view, p in zip(model.views(accum), model.params):
+            view += grads[p] ** 2
+    return accum / n
 
 
 def small_cnn():
@@ -532,7 +538,7 @@ class TestBatchedFisher:
         model, ds = (small_cnn(), image_dataset(80)) if case == "cnn" else mlp_case()
         got = empirical_fisher_diag(model, ds, n)
         want = batch1_fisher(model, ds, n)
-        assert got.shape == (model.param_count(),)
+        assert got.shape == model.flat.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.all(got > 0.0)
 
@@ -550,9 +556,7 @@ class TestBatchedFisher:
         # a label-1 row has loss gradient (1, -1), and the hidden gradient
         # 1.5e308 + 1.5e308 overflows
         model = build_model([Dense(1, 1), Dense(1, 2)], seed=0)
-        model.set_param_values(
-            [np.zeros((1, 1)), np.zeros(1), np.array([[1.5e308, -1.5e308]]), np.array([100.0, 0.0])]
-        )
+        model.flat[:] = [0.0, 0.0, 1.5e308, -1.5e308, 100.0, 0.0]
         ds = Dataset(np.zeros((3, 1)), np.array([1, 1, 1]), DataMeta("blobs", 2, "train"))
         with pytest.raises(DivergenceError):
             empirical_fisher_diag(model, ds, 3)
@@ -560,7 +564,7 @@ class TestBatchedFisher:
     def test_overflowing_squared_gradient_raises(self):
         # the gradient 0.5e200 is finite; its square is not
         model = build_model([Dense(1, 2)], seed=0)
-        model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+        model.flat[:] = 0.0
         ds = Dataset(np.array([[1e200]]), np.array([1]), DataMeta("blobs", 2, "train"))
         with pytest.raises(DivergenceError):
             empirical_fisher_diag(model, ds, 1)
@@ -569,9 +573,56 @@ class TestBatchedFisher:
         # each batch of 32 sums its squared weight gradients to 1.5e308,
         # finite; two batches overflow
         model = build_model([Dense(1, 2)], seed=0)
-        model.set_param_values([np.zeros((1, 2)), np.zeros(2)])
+        model.flat[:] = 0.0
         x = math.sqrt(1.5e308 / 32 / 0.25)
         ds = Dataset(np.full((64, 1), x), np.ones(64, int), DataMeta("blobs", 2, "train"))
         assert np.all(np.isfinite(empirical_fisher_diag(model, ds, 32)))
         with pytest.raises(DivergenceError, match="Fisher"):
             empirical_fisher_diag(model, ds, 64)
+
+
+def assert_params_share_flat(model):
+    assert model.params
+    for p in model.params:
+        assert np.shares_memory(p.data, model.flat)
+
+
+class TestFlatParametersSurviveProbes:
+    """Training, the landscape and the Fisher probe all leave every
+    parameter a view of ``model.flat``."""
+
+    def test_after_fit(self):
+        model, _ = train_model(blob_config(epochs=1))
+        assert_params_share_flat(model)
+
+    def test_after_landscape_slice(self):
+        model = small_cnn()
+        before = model.flat.copy()
+        ds = image_dataset(6)
+        landscape_slice(model, ds, 3, 0.5, seed=1)
+        assert_params_share_flat(model)
+        assert model.flat.tobytes() == before.tobytes()
+
+    def test_after_fisher_probe(self):
+        model = small_cnn()
+        before = model.flat.copy()
+        empirical_fisher_diag(model, image_dataset(6), 6)
+        assert_params_share_flat(model)
+        assert model.flat.tobytes() == before.tobytes()
+
+    def test_directions_are_filter_normalized_per_view(self):
+        model = small_cnn()
+        d1, d2 = draw_directions(model, seed=5)
+        assert d1.shape == d2.shape == model.flat.shape
+        conv_w = model.params[0].data
+        d1_conv_w = model.views(d1)[0]
+        for o in range(conv_w.shape[0]):
+            assert np.linalg.norm(d1_conv_w[o]) == pytest.approx(np.linalg.norm(conv_w[o]), rel=1e-12)
+        # a zero bias keeps the raw draw
+        assert np.count_nonzero(model.views(d1)[1]) == model.params[1].data.size
+
+    def test_parameterless_model_has_an_empty_fisher_vector(self):
+        model = Model((Flatten(),), [])
+        ds = Dataset(np.eye(3), np.array([0, 1, 2]), DataMeta("blobs", 3, "train"))
+        diag = empirical_fisher_diag(model, ds, 3)
+        assert diag.shape == (0,)

@@ -1,18 +1,27 @@
 """The claim battery's numerics against an independent 40-digit oracle.
 
 ``gaussian_mean`` and ``interval_mean`` are checked against mpmath's
-tanh-sinh quadrature (``mp.quad``) and TeLU's negative f' root against
-``mp.findroot``.  Each activation is written out again in mpmath from its
-defining formula, not from the float64 kernels.  The Gaussian integrals
+tanh-sinh quadrature (``mp.quad``), TeLU's negative f' root against
+``mp.findroot``, ``sup_abs_derivative`` against the f'' root that
+``mp.findroot`` finds from its argmax (f' and f'' by ``mp.diff``), and
+TeLU's f and f' kernels pointwise.  Each activation is written out again in
+mpmath from its defining formula, not from the float64 kernels.  The Gaussian integrals
 run over a finite range, +-20 sigma (the tail beyond holds ~5e-89 of the
 mass): over an infinite range mpmath evaluates tanh(exp(x)) at huge x.
 """
 
+import numpy as np
 import pytest
 
 from telulab import kernels
-from telulab.kernels import TELU
-from telulab.properties import Interval, find_derivative_roots, gaussian_mean, interval_mean
+from telulab.kernels import GELU, LOGISH, MISH, RELU, SILU, SMISH, TELU, elu
+from telulab.properties import (
+    Interval,
+    find_derivative_roots,
+    gaussian_mean,
+    interval_mean,
+    sup_abs_derivative,
+)
 
 mp = pytest.importorskip("mpmath").mp
 
@@ -28,6 +37,11 @@ def _sigmoid(x):
 def _telu(x):
     # tanh(exp(x)) is 1 to far beyond 40 digits once x >= 30
     return x if x >= 30 else x * mp.tanh(mp.exp(x))
+
+
+def _telu_d1(x):
+    u = mp.exp(x)
+    return mp.tanh(u) + x * u * mp.sech(u) ** 2
 
 
 def _gelu(x):
@@ -72,11 +86,39 @@ def test_interval_mean_matches_mpmath(kind):
 
 
 def test_telu_negative_derivative_root_matches_mpmath():
-    def d1(x):
-        u = mp.exp(x)
-        return mp.tanh(u) + x * u * mp.sech(u) ** 2
-
     with mp.workdps(40):
-        exact = mp.findroot(d1, -1.08)
+        exact = mp.findroot(_telu_d1, -1.08)
     (root,) = find_derivative_roots(TELU, Interval(-5.0, 0.0, 5001), 1e-10)
     assert abs(root - float(exact)) <= 1e-10
+
+
+SUP_INTERVAL = Interval(-10.0, 10.0, 10001)
+
+
+@pytest.mark.parametrize("kind", [TELU, GELU, SILU, MISH, LOGISH, SMISH], ids=lambda k: k.spec_string())
+def test_sup_abs_derivative_matches_mpmath(kind):
+    # each kind's |f'| peaks inside the interval, where f'' has a root
+    f = ORACLE_F[kind.tag]
+    est = sup_abs_derivative(kind, SUP_INTERVAL)
+    with mp.workdps(40):
+        x_star = mp.findroot(lambda x: mp.diff(f, x, 2), est.argmax)
+        exact = abs(mp.diff(f, x_star))
+    assert est.refined_value == pytest.approx(float(exact), rel=RTOL)
+    assert abs(est.argmax - float(x_star)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind, sup", [(RELU, 1.0), (elu(), 1.0), (elu(2.0), 2.0)], ids=["relu", "elu", "elu:2"])
+def test_sup_abs_derivative_of_piecewise_kinds_is_exact(kind, sup):
+    assert sup_abs_derivative(kind, SUP_INTERVAL).refined_value == sup
+
+
+def test_telu_kernels_match_mpmath_pointwise():
+    xs = np.linspace(-30.0, 30.0, 1201)
+    f, d1 = kernels.value(TELU, xs), kernels.derivative(TELU, xs)
+    with mp.workdps(40):
+        for x, fx, dx in zip(xs, f, d1):
+            exact = _telu(mp.mpf(x))
+            # within 2 ULP of the unrounded value (worst measured 1.73, at x = -10.15)
+            assert abs(mp.mpf(fx) - exact) <= 2 * np.spacing(abs(float(exact))), x
+            # within 1e-14 absolute (worst measured 5.7e-15, at x = 2.95)
+            assert abs(mp.mpf(dx) - _telu_d1(mp.mpf(x))) <= 1e-14, x
