@@ -399,7 +399,7 @@ def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> M
 
 
 def _require_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DivergenceError(f"non-finite value in {context}")
 
 
@@ -551,16 +551,15 @@ def cross_entropy_rows(
 
     with np.errstate(over="ignore"):  # caught by the finite-loss check below
         shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
+    grad = np.exp(shifted)  # the softmax once divided by its row sums below
+    sums = grad.sum(axis=1)
     rows = np.arange(z.shape[0])
-    losses = logsumexp - shifted[rows, labels]
+    losses = np.log(sums) - shifted[rows, labels]
 
-    softmax = np.exp(shifted)
-    softmax /= softmax.sum(axis=1, keepdims=True)
-    grad = softmax
+    grad /= sums[:, None]
     grad[rows, labels] -= 1.0
     _require_finite(grad, "loss gradient")
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         raise DivergenceError("non-finite loss")
     return losses, grad
 
@@ -631,6 +630,6 @@ def load_params(model: Model, stem: Union[str, Path]) -> None:
     if len(raw) != 8 * model.flat.size:
         raise FormatError(f"checkpoint blob has {len(raw)} bytes, expected {8 * model.flat.size}")
     blob = np.frombuffer(raw, dtype="<f8")
-    if not np.all(np.isfinite(blob)):
+    if not np.isfinite(blob).all():
         raise FormatError(f"checkpoint {stem} holds non-finite values")
     model.flat[:] = blob

@@ -259,6 +259,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         spec = load_run_spec(args.config, args.set) if "config" in args else None
         out = Path(args.out)
         code, meta = args.fn(args, spec, out)

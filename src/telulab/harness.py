@@ -17,6 +17,7 @@ raised to the caller.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -388,22 +389,15 @@ class GridSpec:
         return len(self.lr) * len(self.weight_decay) * len(self.gamma)
 
     def configs(self) -> list[TrainConfig]:
-        out = []
-        for lr in self.lr:
-            for wd in self.weight_decay:
-                for gamma in self.gamma:
-                    out.append(
-                        replace(
-                            self.base,
-                            optimizer=replace(
-                                self.base.optimizer, lr=lr, weight_decay=wd
-                            ),
-                            schedule=replace(
-                                self.base.schedule, initial_lr=lr, gamma=gamma
-                            ),
-                        )
-                    )
-        return out
+        base = self.base
+        return [
+            replace(
+                base,
+                optimizer=replace(base.optimizer, lr=lr, weight_decay=wd),
+                schedule=replace(base.schedule, initial_lr=lr, gamma=gamma),
+            )
+            for lr, wd, gamma in itertools.product(self.lr, self.weight_decay, self.gamma)
+        ]
 
 
 @dataclass(frozen=True)
@@ -427,15 +421,9 @@ def grid_search(
     trials = _run_trials([c for cfg in configs for c in _seeded(cfg, seeds)], jobs)
     cells = []
     for i, cfg in enumerate(configs):
-        cell_trials = trials[i * len(seeds) : (i + 1) * len(seeds)]
-        cells.append(
-            GridCell(
-                config=cfg,
-                mean_best_valid=float(np.mean([t.best_valid_acc for t in cell_trials])),
-                summary=_summarize(cfg, cell_trials),
-                trials=tuple(cell_trials),
-            )
-        )
+        cell = trials[i * len(seeds) : (i + 1) * len(seeds)]
+        mean_best = float(np.mean([t.best_valid_acc for t in cell]))
+        cells.append(GridCell(cfg, mean_best, _summarize(cfg, cell), tuple(cell)))
     best = min(
         cells,
         key=lambda c: (
@@ -570,6 +558,6 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
         with np.errstate(over="ignore"):  # caught by the finiteness check below
             for view, p in zip(views, model.params):
                 view += squares[p]
-    if not np.all(np.isfinite(accum)):
+    if not np.isfinite(accum).all():
         raise DivergenceError("non-finite Fisher diagonal")
     return accum / n_samples

@@ -371,7 +371,7 @@ def _prepare(kind: ActivationKind, x) -> tuple[_Kind, tuple, bool]:
     """The kind's record, the arguments its closed forms take for ``x``,
     and whether ``x`` is a scalar."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("activation input must be finite")
     rec = _KINDS[kind.tag]
     return rec, ((arr, kind.alpha) if rec.takes_alpha else (arr,)), arr.ndim == 0

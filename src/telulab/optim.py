@@ -1,7 +1,9 @@
 """The four optimizers under study (SGD, SGD+Momentum, AdamW, RMSprop)
 and the step-decay learning-rate schedule.
 
-Update rules, written out exactly since implementations differ:
+Update rules, written out exactly since implementations differ; :func:`step`
+applies one to the whole parameter list at once, with values, gradients and
+buffers flat vectors in list order (elementwise, so the same bits):
 
     SGD       p <- p - lr * (g + wd * p)
     Momentum  buf <- m * buf + g + wd * p;  p <- p - lr * buf
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adamw", "rmsprop")
+#: the flat buffers each kind keeps between steps
+_BUFFERS = {"sgd": (), "momentum": ("momentum",), "adamw": ("m", "v"), "rmsprop": ("s",)}
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,13 @@ def lr_at_epoch(schedule: LrSchedule, epoch: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter auxiliary buffers, keyed by the parameter, plus the
-    AdamW step counter."""
+    """Flat vectors over the concatenated ``params`` of :func:`step`, made at its
+    first call: the kind's buffers (``momentum``, ``m``, ``v``, ``s``, zero at
+    first) and the step's reused work vectors; plus AdamW's step count."""
 
     cfg: OptimizerConfig
-    buffers: dict[Tensor, dict[str, np.ndarray]] = field(default_factory=dict)
+    buffers: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-
-    def _buf(self, p: Tensor, name: str) -> np.ndarray:
-        slot = self.buffers.setdefault(p, {})
-        if name not in slot:
-            slot[name] = np.zeros_like(p.data)
-        return slot[name]
 
 
 def step(
@@ -114,48 +113,61 @@ def step(
     grads: dict[Tensor, np.ndarray],
     lr_now: float,
 ) -> None:
-    """Apply one update in place: every new value is computed and checked
+    """Apply one update in place: the new values are computed and checked
     before any is copied into its parameter's array.
 
     A non-finite gradient (or a non-finite updated parameter) raises
     :class:`DivergenceError` before any parameter is modified, so a
-    diverging trial never commits a partial parameter update.
+    diverging trial never commits a partial parameter update.  Parameters
+    of another total size than at the state's first step raise ``ValueError``
+    (the work vectors do not fit them).
     """
     cfg = state.cfg
-    if not all(np.all(np.isfinite(grads[p])) for p in params):
+    bufs = state.buffers
+    if not bufs:
+        size = sum(p.data.size for p in params)
+        names = ("grad", "value", "scratch", *_BUFFERS[cfg.kind])
+        bufs.update((name, np.zeros(size)) for name in names)
+    g = np.concatenate([np.empty(0), *(grads[p] for p in params)], axis=None, out=bufs["grad"])
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in optimizer step")
+    x = np.concatenate([np.empty(0), *(p.data for p in params)], axis=None, out=bufs["value"])
 
+    # the rules above, op for op, in place on g, x and one scratch vector
+    tmp = bufs["scratch"]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        updates: list[np.ndarray] = []
-        if cfg.kind == "adamw":
+        if cfg.kind == "sgd":
+            direction = g
+            direction += np.multiply(x, cfg.weight_decay, out=tmp)
+        elif cfg.kind == "momentum":
+            direction = bufs["momentum"]
+            direction *= cfg.momentum
+            direction += np.add(g, np.multiply(x, cfg.weight_decay, out=tmp), out=tmp)
+        elif cfg.kind == "adamw":
+            b1, b2 = cfg.betas
+            m, v = bufs["m"], bufs["v"]
             state.t += 1
-        for p in params:
-            g = grads[p]
-            if cfg.kind == "sgd":
-                direction = g + cfg.weight_decay * p.data
-            elif cfg.kind == "momentum":
-                direction = state._buf(p, "momentum")
-                direction *= cfg.momentum
-                direction += g + cfg.weight_decay * p.data
-            elif cfg.kind == "adamw":
-                b1, b2 = cfg.betas
-                m = state._buf(p, "m")
-                v = state._buf(p, "v")
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                m_hat = m / (1.0 - b1**state.t)
-                v_hat = v / (1.0 - b2**state.t)
-                direction = m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.data
-            else:  # rmsprop
-                s = state._buf(p, "s")
-                s *= cfg.rms_alpha
-                s += (1.0 - cfg.rms_alpha) * g * g
-                direction = g / (np.sqrt(s) + cfg.eps) + cfg.weight_decay * p.data
-            updates.append(p.data - lr_now * direction)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=tmp)
+            v *= b2
+            v += np.multiply(np.multiply(g, 1.0 - b2, out=tmp), g, out=tmp)
+            direction = np.divide(m, 1.0 - b1**state.t, out=tmp)  # m_hat
+            v_hat = np.divide(v, 1.0 - b2**state.t, out=g)
+            direction /= np.add(np.sqrt(v_hat, out=g), cfg.eps, out=g)
+            direction += np.multiply(x, cfg.weight_decay, out=g)
+        else:  # rmsprop
+            s = bufs["s"]
+            s *= cfg.rms_alpha
+            s += np.multiply(np.multiply(g, 1.0 - cfg.rms_alpha, out=tmp), g, out=tmp)
+            direction = g
+            direction /= np.add(np.sqrt(s, out=tmp), cfg.eps, out=tmp)
+            direction += np.multiply(x, cfg.weight_decay, out=tmp)
+        new = x
+        new -= np.multiply(direction, lr_now, out=tmp)
 
-    if not all(np.all(np.isfinite(new)) for new in updates):
+    if not np.isfinite(new).all():
         raise DivergenceError("non-finite parameter after optimizer step")
-    for p, new in zip(params, updates):
-        p.data[...] = new
+    start = 0
+    for p in params:
+        p.data[...] = new[start : start + p.data.size].reshape(p.shape)
+        start += p.data.size

@@ -198,17 +198,16 @@ def write_landscape_csv(surface: LandscapeSurface, path) -> None:
     """Matrix layout: header carries the beta axis, first column the alpha
     axis, cell (i, j) the loss at (alpha_i, beta_j)."""
     header = ["alpha\\beta"] + [repr(float(b)) for b in surface.betas]
-    rows = []
-    for i, a in enumerate(surface.alphas):
-        rows.append([float(a)] + [float(v) for v in surface.losses[i]])
+    rows = ([a, *row] for a, row in zip(surface.alphas.tolist(), surface.losses.tolist()))
     _write_csv(path, header, rows)
 
 
 def write_fisher_csv(values: np.ndarray, path) -> None:
     """The bytes :func:`_write_csv` writes for these rows, joined directly:
     an int and a float repr never need CSV quoting."""
-    rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(np.asarray(values, float).tolist()))
-    atomic_write_text(path, "param_index,fisher_diag\n" + rows)
+    values = np.asarray(values, float).tolist()
+    rows = map(",".join, zip(map(str, range(len(values))), map(repr, values)))
+    atomic_write_text(path, "\n".join(["param_index,fisher_diag", *rows, ""]))
 
 
 def _environment() -> dict:

@@ -81,6 +81,20 @@ class TestForward:
             forward(model, np.full((1, 2), 1e6))
 
 
+class TestRequireFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    def test_nonfinite_rejected_anywhere(self, bad, at):
+        arr = np.ones((3, 4))
+        arr.flat[at] = bad
+        with pytest.raises(DivergenceError, match="non-finite value in probe"):
+            autograd._require_finite(arr, "probe")
+
+    def test_empty_and_zero_dimensional_accepted(self):
+        autograd._require_finite(np.empty((0, 4)), "probe")
+        autograd._require_finite(np.array(-2.5), "probe")
+
+
 class TestBackward:
     def test_telu_chain_rule_at_zero_weight(self):
         # y = telu(w * x), x = 1, w = 0: dy/dw = x * f'(0) = tanh(1)

@@ -126,6 +126,23 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["replicate", "grid"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected_before_loading(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, command, jobs
+    ):
+        def no_loading(*args, **kwargs):
+            pytest.fail("loaded data before the usage error")
+
+        monkeypatch.setattr(harness, "materialize_datasets", no_loading)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(blob_cfg), "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_seeds_beyond_the_key_width_usage_error(self, blob_cfg, tmp_path):
         # -1 and 2**64 - 1 are distinct, but a masked key would make them
         # one stream and two identical trials

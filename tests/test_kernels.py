@@ -194,6 +194,18 @@ class TestInputHandling:
         with pytest.raises(DomainError):
             kernels.derivative(MISH, float("inf"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    def test_nonfinite_rejected_anywhere_in_an_array(self, bad, at):
+        x = np.linspace(-1.0, 1.0, 7)
+        x[at] = bad
+        with pytest.raises(DomainError):
+            kernels.value(TELU, x)
+
+    def test_empty_and_zero_dimensional_accepted(self):
+        assert kernels.value(TELU, np.empty(0)).shape == (0,)
+        assert kernels.value(TELU, np.array(0.0)) == 0.0
+
     def test_arrays_and_scalars(self):
         out = kernels.value(TELU, np.array([0.0, 1.0]))
         assert isinstance(out, np.ndarray)

@@ -75,22 +75,34 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
 
+def _fisher_bytes(tmp_path, values):
+    """write_fisher_csv's bytes, after checking them against _write_csv's."""
+    reporting.write_fisher_csv(values, tmp_path / "fast.csv")
+    reporting._write_csv(
+        tmp_path / "generic.csv",
+        ("param_index", "fisher_diag"),
+        ((i, float(v)) for i, v in enumerate(values)),
+    )
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "generic.csv").read_bytes()
+    return fast
+
+
 class TestFisherCsv:
     def test_bytes_match_the_generic_csv_writer(self, tmp_path):
         # zero, the smallest subnormal, and values whose repr switches to
         # or stays in exponent form, up to near the float maximum
         values = np.array([0.0, 5e-324, 1e-5, 1e16, 1.5e308, 0.1, 123.456, 1e-300])
-        reporting.write_fisher_csv(values, tmp_path / "fast.csv")
-        reporting._write_csv(
-            tmp_path / "generic.csv",
-            ("param_index", "fisher_diag"),
-            ((i, float(v)) for i, v in enumerate(values)),
-        )
-        fast = (tmp_path / "fast.csv").read_bytes()
-        assert fast == (tmp_path / "generic.csv").read_bytes()
-        assert fast.splitlines()[1:6] == [
+        assert _fisher_bytes(tmp_path, values).splitlines()[1:6] == [
             b"0,0.0", b"1,5e-324", b"2,1e-05", b"3,1e+16", b"4,1.5e+308"
         ]
+
+    def test_signed_zero_and_shortest_reprs(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 0.1, 1 / 3, 1e16, 0.0])
+        assert _fisher_bytes(tmp_path, values) == (
+            b"param_index,fisher_diag\n0,-0.0\n1,5e-324\n2,0.1\n"
+            b"3,0.3333333333333333\n4,1e+16\n5,0.0\n"
+        )
 
     def test_empty_vector_writes_the_header(self, tmp_path):
         reporting.write_fisher_csv(np.empty(0), tmp_path / "f.csv")
