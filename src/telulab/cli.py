@@ -155,12 +155,13 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
 
 def _probe_target(spec, args):
     """The model to probe (trained per config, or loaded from a checkpoint
-    with no training record) and the train split; data is loaded once."""
-    splits = materialize_datasets(spec.train.dataset)
+    with no training record) and the train split; data is loaded once, and
+    only after a checkpoint has loaded."""
     if args.checkpoint:
         model = build_model(spec.train.layers, spec.train.seed)
         load_params(model, args.checkpoint)
-        return model, None, splits[0]
+        return model, None, materialize_datasets(spec.train.dataset)[0]
+    splits = materialize_datasets(spec.train.dataset)
     model, result = fit(spec.train, splits)
     return model, result, splits[0]
 
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = command("landscape", cmd_landscape, "loss surface around a trained model", config=True)
-    p.add_argument("--grid-n", "--grid", dest="grid_n", type=int, default=41)
+    p.add_argument("--grid-n", type=int, default=41)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--direction-seed", type=int, default=0)
     p.add_argument("--checkpoint", help="parameter checkpoint stem to load")

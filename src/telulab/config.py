@@ -33,8 +33,9 @@ from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .autograd import Activation, Conv2d, Dense, Flatten, LayerSpec, MaxPool2
+from .data import DatasetSpec
 from .errors import ConfigError, DomainError
-from .harness import DatasetSpec, GridSpec, TrainConfig
+from .harness import GridSpec, TrainConfig
 from .kernels import ActivationKind, parse_kind
 from .optim import LrSchedule, OptimizerConfig
 from .rng import check_seed

@@ -1,19 +1,19 @@
-"""Dataset ingestion and batching.
+"""Datasets: specs, readers, loading and batching.
 
-Bit-exact readers for the CIFAR-10/100 binary formats, a deterministic
-train/validation split, a synthetic Gaussian-blob generator for fast
-tests, and seeded batch iteration.  CIFAR pixels are kept as the uint8
-bytes read from disk, and a split is an index array into that one store,
-not a copy.  Float64 features exist one batch at a time: bytes are scaled
-by 1/255 into [0, 1], then standardized when the dataset carries
-per-channel statistics.  Those statistics are exact for CIFAR: they are
-computed from integer counts of the stored bytes, so they do not depend
-on the order of the rows.  No augmentation is applied.
-
-CIFAR-10 records are 3073 bytes: one label byte (0..9) then 3072 pixel
-bytes as three 1024-byte channel planes (R, G, B), each plane row-major
-32x32.  CIFAR-100 records are 3074 bytes: coarse label byte, fine label
-byte (0..99, the one used), then the same 3072 pixel bytes.
+The one module that knows datasets.  A :class:`DatasetSpec` names one
+(cifar10, cifar100 or blobs) and how to split it, and
+:func:`materialize_datasets` turns it into (train, valid, test).  Below
+that sit bit-exact readers and writers for the CIFAR binary formats (one
+``_CifarFormat`` record each, read by :func:`load_cifar` and
+:func:`write_cifar`), a deterministic train/validation split, a synthetic
+Gaussian-blob generator for fast tests, and seeded batch iteration.
+CIFAR pixels are kept as the uint8 bytes read from disk, and a split is
+an index array into that one store, not a copy.  Float64 features exist
+one batch at a time: bytes are scaled by 1/255 into [0, 1], then, when
+standardizing, shifted and scaled by the train split's per-channel
+statistics, the same for every split.  Those statistics are exact for
+CIFAR: they come from integer counts of the stored bytes, so they do not
+depend on the order of the rows.  No augmentation is applied.
 """
 
 from __future__ import annotations
@@ -32,8 +32,13 @@ __all__ = [
     "DataMeta",
     "Dataset",
     "SplitSpec",
+    "BlobsSpec",
+    "DatasetSpec",
+    "materialize_datasets",
+    "load_cifar",
     "load_cifar10",
     "load_cifar100",
+    "write_cifar",
     "write_cifar10",
     "write_cifar100",
     "split",
@@ -42,10 +47,6 @@ __all__ = [
     "batch_iter",
 ]
 
-_CIFAR10_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
-_CIFAR10_TEST_FILES = ("test_batch.bin",)
-_CIFAR100_TRAIN_FILES = ("train.bin",)
-_CIFAR100_TEST_FILES = ("test.bin",)
 # rows per chunk of the byte counts behind the CIFAR statistics
 _STATS_CHUNK = 64
 
@@ -113,14 +114,8 @@ class Dataset:
         return x
 
     def take(self, indices: np.ndarray, split_tag: str) -> "Dataset":
-        return Dataset(
-            self.store,
-            self.labels[indices],
-            replace(self.meta, split_tag=split_tag),
-            self.store_rows(indices),
-            self.mean,
-            self.std,
-        )
+        meta, rows = replace(self.meta, split_tag=split_tag), self.store_rows(indices)
+        return Dataset(self.store, self.labels[indices], meta, rows, self.mean, self.std)
 
     def standardized(self, mean: np.ndarray, std: np.ndarray) -> "Dataset":
         """The same examples, standardized per batch by (mean, std)."""
@@ -144,63 +139,116 @@ class SplitSpec:
         check_seed(self.seed)
 
 
-def _read_records(
-    path: Path, record_len: int, label_index: int, num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _CifarFormat:
+    """A CIFAR binary format.  A record is ``label_index`` + 1 label bytes,
+    the last one used (CIFAR-100's first is the coarse label), then 3072
+    pixel bytes: three 1024-byte channel planes (R, G, B), each row-major 32x32."""
+
+    record_len: int
+    label_index: int
+    num_classes: int
+    train_files: tuple[str, ...]
+    test_files: tuple[str, ...]
+
+
+_CIFAR_FORMATS = {
+    "cifar10": _CifarFormat(
+        3073, 0, 10, tuple(f"data_batch_{i}.bin" for i in range(1, 6)), ("test_batch.bin",)
+    ),
+    "cifar100": _CifarFormat(3074, 1, 100, ("train.bin",), ("test.bin",)),
+}
+
+
+@dataclass(frozen=True)
+class BlobsSpec:
+    n: int
+    classes: int
+    dim: int
+    spread: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.classes < 2 or self.dim < 1:
+            raise ConfigError("blobs spec needs n >= 1, classes >= 2, dim >= 1")
+        if self.spread <= 0:
+            raise ConfigError("blobs spread must be positive")
+        check_seed(self.seed)
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Reference to a dataset plus how to split its training portion.
+
+    ``standardize`` (off by default, matching the protocol under study)
+    re-centers every split with the train split's per-channel mean/std.
+    """
+
+    name: str
+    split: SplitSpec
+    path: Optional[str] = None
+    blobs: Optional[BlobsSpec] = None
+    standardize: bool = False
+
+    def __post_init__(self) -> None:
+        if self.name == "blobs":
+            if self.blobs is None:
+                raise ConfigError("dataset.blobs settings required for blobs")
+            if self.split.test <= 0:
+                raise ConfigError("blobs need split.test > 0 (test set is drawn fresh)")
+            if self.split.train + self.split.valid != self.blobs.n:
+                raise ConfigError("split.train + split.valid must equal blobs.n")
+        elif self.name not in _CIFAR_FORMATS:
+            names = "|".join([*_CIFAR_FORMATS, "blobs"])
+            raise ConfigError(f"dataset.name must be {names}, got {self.name!r}")
+        elif self.path is None:
+            raise ConfigError(f"dataset.path required for {self.name}")
+
+
+def _read_records(path: Path, fmt: _CifarFormat) -> tuple[np.ndarray, np.ndarray]:
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-    if raw.size == 0 or raw.size % record_len:
+    if raw.size == 0 or raw.size % fmt.record_len:
         raise FormatError(
             f"{path.name}: length {raw.size} is not a positive multiple of "
-            f"{record_len}"
+            f"{fmt.record_len}"
         )
-    records = raw.reshape(-1, record_len)
-    labels = records[:, label_index].astype(np.int64)
-    if labels.max() >= num_classes:
+    records = raw.reshape(-1, fmt.record_len)
+    labels = records[:, fmt.label_index].astype(np.int64)
+    if labels.max() >= fmt.num_classes:
         raise FormatError(
-            f"{path.name}: label {labels.max()} out of range [0, {num_classes})"
+            f"{path.name}: label {labels.max()} out of range [0, {fmt.num_classes})"
         )
-    pixels = records[:, record_len - 3072 :].reshape(-1, 3, 32, 32)
+    pixels = records[:, fmt.label_index + 1 :].reshape(-1, 3, 32, 32)
     return pixels, labels
 
 
-def _gather(
-    path: Union[str, Path],
-    filenames: tuple[str, ...],
-    record_len: int,
-    label_index: int,
-    num_classes: int,
-    name: str,
-    split_tag: str,
-) -> Dataset:
+def load_cifar(name: str, path: Union[str, Path], split_tag: str = "train") -> Dataset:
+    """Read one split of a CIFAR archive in the format ``name`` (cifar10 or
+    cifar100, fine labels); ``path`` may be the archive directory or a
+    single .bin file.  Record order is preserved exactly as on disk."""
+    fmt = _CIFAR_FORMATS[name]
+    if split_tag not in ("train", "test"):
+        raise ConfigError("split_tag must be 'train' or 'test'")
     path = Path(path)
     if path.is_file():
         files = [path]
     else:
-        files = [path / f for f in filenames]
+        files = [path / f for f in (fmt.train_files if split_tag == "train" else fmt.test_files)]
         missing = [f.name for f in files if not f.is_file()]
         if missing:
             raise FormatError(f"{path}: missing {', '.join(missing)}")
-    parts = [_read_records(f, record_len, label_index, num_classes) for f in files]
+    parts = [_read_records(f, fmt) for f in files]
     pixels = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
-    return Dataset(pixels, labels, DataMeta(name, num_classes, split_tag))
+    return Dataset(pixels, labels, DataMeta(name, fmt.num_classes, split_tag))
 
 
 def load_cifar10(path: Union[str, Path], split_tag: str = "train") -> Dataset:
-    """Read CIFAR-10 binaries; ``path`` may be the archive directory or a
-    single .bin file.  Record order is preserved exactly as on disk."""
-    if split_tag not in ("train", "test"):
-        raise ConfigError("split_tag must be 'train' or 'test'")
-    files = _CIFAR10_TRAIN_FILES if split_tag == "train" else _CIFAR10_TEST_FILES
-    return _gather(path, files, 3073, 0, 10, "cifar10", split_tag)
+    return load_cifar("cifar10", path, split_tag)
 
 
 def load_cifar100(path: Union[str, Path], split_tag: str = "train") -> Dataset:
-    """Read CIFAR-100 binaries (fine labels); layout rules as for CIFAR-10."""
-    if split_tag not in ("train", "test"):
-        raise ConfigError("split_tag must be 'train' or 'test'")
-    files = _CIFAR100_TRAIN_FILES if split_tag == "train" else _CIFAR100_TEST_FILES
-    return _gather(path, files, 3074, 1, 100, "cifar100", split_tag)
+    return load_cifar("cifar100", path, split_tag)
 
 
 def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
@@ -212,23 +260,27 @@ def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
     return np.rint(images * 255.0).astype(np.uint8).reshape(len(images), 3072)
 
 
-def write_cifar10(ds: Dataset, path: Union[str, Path]) -> None:
-    """Write a dataset back to the CIFAR-10 binary record format; pixels
-    outside [0, 1] raise :class:`DataError` before the file is opened."""
-    records = np.empty((len(ds), 3073), dtype=np.uint8)
-    records[:, 0] = ds.labels
-    records[:, 1:] = _pixels_to_bytes(ds.images)
+def write_cifar(name: str, ds: Dataset, path: Union[str, Path], coarse=None) -> None:
+    """Write a dataset back to the binary record format ``name``; ``coarse``
+    fills CIFAR-100's coarse label byte (0 when None).  Pixels outside
+    [0, 1] raise :class:`DataError` before the file is opened."""
+    fmt = _CIFAR_FORMATS[name]
+    records = np.empty((len(ds), fmt.record_len), dtype=np.uint8)
+    if fmt.label_index:
+        records[:, 0] = 0 if coarse is None else coarse
+    elif coarse is not None:
+        raise ConfigError(f"{name} records have no coarse label byte")
+    records[:, fmt.label_index] = ds.labels
+    records[:, fmt.label_index + 1 :] = _pixels_to_bytes(ds.images)
     Path(path).write_bytes(records.tobytes())
+
+
+def write_cifar10(ds: Dataset, path: Union[str, Path]) -> None:
+    write_cifar("cifar10", ds, path)
 
 
 def write_cifar100(ds: Dataset, path: Union[str, Path], coarse=None) -> None:
-    """Write a dataset back to the CIFAR-100 binary record format; pixels
-    outside [0, 1] raise :class:`DataError` before the file is opened."""
-    records = np.empty((len(ds), 3074), dtype=np.uint8)
-    records[:, 0] = 0 if coarse is None else coarse
-    records[:, 1] = ds.labels
-    records[:, 2:] = _pixels_to_bytes(ds.images)
-    Path(path).write_bytes(records.tobytes())
+    write_cifar("cifar100", ds, path, coarse)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -311,6 +363,30 @@ def synthetic_blobs(
     return Dataset(images, labels, DataMeta("blobs", classes, tag))
 
 
+def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
+    """(train, valid, test) datasets for a spec; pure function of the spec.
+    With ``spec.standardize`` every split takes the train split's
+    :func:`channel_statistics`."""
+    if spec.name == "blobs":
+        b = spec.blobs
+        full = synthetic_blobs(b.n, b.classes, b.dim, b.spread, b.seed, tag="train")
+        train, valid = split(full, spec.split)
+        test = synthetic_blobs(spec.split.test, b.classes, b.dim, b.spread, b.seed, tag="test")
+    else:
+        if Path(spec.path).is_file():
+            # a single file would serve as its own test split
+            raise ConfigError(
+                f"dataset.path must name the {spec.name} archive directory "
+                f"(train and test files), not the single file {spec.path}"
+            )
+        train, valid = split(load_cifar(spec.name, spec.path, "train"), spec.split)
+        test = load_cifar(spec.name, spec.path, "test")
+    if spec.standardize:
+        mean, std = channel_statistics(train)
+        train, valid, test = (ds.standardized(mean, std) for ds in (train, valid, test))
+    return train, valid, test
+
+
 def batch_iter(
     ds: Dataset,
     batch: int,
@@ -321,8 +397,9 @@ def batch_iter(
     """Yield (images, labels) batches; the final short batch is included.
 
     Each batch's float64 images are built from the store on demand, so an
-    epoch never holds more than one batch of them.  With ``shuffle`` the order is a pure function of (seed, epoch), so an
-    epoch's batch stream can be replayed exactly.
+    epoch never holds more than one batch of them.  With ``shuffle`` the
+    order is a pure function of (seed, epoch), so an epoch's batch stream
+    can be replayed exactly.
     """
     if batch < 1:
         raise ConfigError("batch size must be >= 1")

@@ -4,9 +4,9 @@ Reproduces the benchmark protocol at desk scale: step-decay schedules,
 fixed batch sizes, multi-seed replication with mean +- sample-std cells,
 validation-selected grid search, loss-landscape slices with filter-wise
 direction normalization, and an empirical Fisher-diagonal probe that sums
-squared per-example gradients over fixed batches.  Standardization
-takes the train split's per-channel statistics from
-:func:`telulab.data.channel_statistics` and applies them to every split.
+squared per-example gradients over fixed batches.  Dataset specs and
+loading live in :mod:`telulab.data`; a trial loads through this module's
+``materialize_datasets``, imported from there with the two spec classes.
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs.  Divergence (first
@@ -21,7 +21,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,21 +37,18 @@ from .autograd import (
     softmax_cross_entropy,
     usable_cpus,
 )
-from .data import Dataset, SplitSpec
+from .data import BlobsSpec, Dataset, DatasetSpec, materialize_datasets
 from .errors import ConfigError, DivergenceError
 from .kernels import ActivationKind
 from .optim import LrSchedule, OptimizerConfig, OptimizerState, lr_at_epoch, step
 from .rng import TAG_DIRECTIONS, check_seed, generator
 
 __all__ = [
-    "BlobsSpec",
-    "DatasetSpec",
     "TrainConfig",
     "TrialResult",
     "TrialSummary",
     "GridSpec",
     "GridCell",
-    "materialize_datasets",
     "run_trial",
     "train_model",
     "fit",
@@ -71,81 +67,6 @@ _EVAL_BATCH = 512
 # examples per batched pass of the Fisher probe: a constant, so the
 # rounding of its sums never depends on the CPU count
 _FISHER_BATCH = 32
-
-
-@dataclass(frozen=True)
-class BlobsSpec:
-    n: int
-    classes: int
-    dim: int
-    spread: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.classes < 2 or self.dim < 1:
-            raise ConfigError("blobs spec needs n >= 1, classes >= 2, dim >= 1")
-        if self.spread <= 0:
-            raise ConfigError("blobs spread must be positive")
-        check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Reference to a dataset plus how to split its training portion.
-
-    ``standardize`` (off by default, matching the protocol under study)
-    re-centers every split with the train split's per-channel mean/std.
-    """
-
-    name: str
-    split: SplitSpec
-    path: Optional[str] = None
-    blobs: Optional[BlobsSpec] = None
-    standardize: bool = False
-
-    def __post_init__(self) -> None:
-        if self.name not in ("cifar10", "cifar100", "blobs"):
-            raise ConfigError(f"dataset.name must be cifar10|cifar100|blobs, got {self.name!r}")
-        if self.name == "blobs":
-            if self.blobs is None:
-                raise ConfigError("dataset.blobs settings required for blobs")
-            if self.split.test <= 0:
-                raise ConfigError("blobs need split.test > 0 (test set is drawn fresh)")
-            if self.split.train + self.split.valid != self.blobs.n:
-                raise ConfigError("split.train + split.valid must equal blobs.n")
-        else:
-            if self.path is None:
-                raise ConfigError(f"dataset.path required for {self.name}")
-
-
-def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, valid, test) datasets for a spec; pure function of the spec."""
-    if spec.name == "blobs":
-        b = spec.blobs
-        full = data_mod.synthetic_blobs(
-            b.n, b.classes, b.dim, b.spread, b.seed, tag="train"
-        )
-        train, valid = data_mod.split(full, spec.split)
-        test = data_mod.synthetic_blobs(
-            spec.split.test, b.classes, b.dim, b.spread, b.seed, tag="test"
-        )
-    else:
-        if Path(spec.path).is_file():
-            # a single file would serve as its own test split
-            raise ConfigError(
-                f"dataset.path must name the {spec.name} archive directory "
-                f"(train and test files), not the single file {spec.path}"
-            )
-        loader = (
-            data_mod.load_cifar10 if spec.name == "cifar10" else data_mod.load_cifar100
-        )
-        full = loader(spec.path, "train")
-        train, valid = data_mod.split(full, spec.split)
-        test = loader(spec.path, "test")
-    if spec.standardize:
-        mean, std = data_mod.channel_statistics(train)
-        train, valid, test = (ds.standardized(mean, std) for ds in (train, valid, test))
-    return train, valid, test
 
 
 @dataclass(frozen=True)

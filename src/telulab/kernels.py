@@ -54,9 +54,6 @@ __all__ = [
 # clamping the exponent there keeps every evaluation overflow-free while
 # agreeing with the direct formula to the last bit.
 _TELU_HI = 20.0
-# exp(x) is exactly 0.0 below about -745.13, so f'' = u*(...) is exactly
-# -0.0 there; clamping x at -746 keeps 2*x*u*th from overflowing
-_TELU_LO = -746.0
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
@@ -170,12 +167,14 @@ def _telu_d1(x):
 
 
 def _telu_d2(x):
-    mid = x < _TELU_HI
-    xm = np.maximum(_masked(x, mid), _TELU_LO)
+    # sech(u)^2 as 4e/(1+e)^2, e = exp(-2u): 1 - th*th cancels once th rounds
+    # to 1 (x >~ 2.9).  Not 2*xm*u*th: 2*xm overflows below -9e307, u*th is 0.
+    xm = np.minimum(x, _TELU_HI)
     u = np.exp(xm)
     th = np.tanh(u)
-    sech2 = 1.0 - th * th
-    return np.where(mid, u * sech2 * (2.0 + xm - 2.0 * xm * u * th), 0.0)
+    e = np.exp(-2.0 * u)
+    sech2 = 4.0 * e / (1.0 + e) ** 2
+    return u * sech2 * (2.0 + xm - xm * (2.0 * u * th))
 
 
 def _relu_value(x):

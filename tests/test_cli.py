@@ -483,7 +483,8 @@ class TestLandscapeCommand:
             str(blob_cfg),
             "--set",
             "epochs=2",
-            "--grid-n",
+            # argparse's prefix matching takes --grid for --grid-n
+            "--grid",
             "5",
             "--radius",
             "0.5",
@@ -704,3 +705,27 @@ class TestProbeDataLoad:
         argv = probe + ["--config", str(blob_cfg), "--set", "epochs=1", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(loads) == 1
+
+    @pytest.mark.parametrize("command", ["fisher", "landscape"])
+    @pytest.mark.parametrize("checkpoint", ["missing", "mismatched"])
+    def test_bad_checkpoint_rejected_before_loading(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, command, checkpoint
+    ):
+        def no_loading(*args, **kwargs):
+            pytest.fail("loaded data before checking the checkpoint")
+
+        monkeypatch.setattr(cli, "materialize_datasets", no_loading)
+        stem = tmp_path / "model"
+        if checkpoint == "mismatched":
+            # a well-formed checkpoint of a one-layer 3x2 model
+            stem.with_suffix(".json").write_text('{"shapes": [[3, 2]]}')
+            stem.with_suffix(".bin").write_bytes(np.zeros(6, "<f8").tobytes())
+        out = tmp_path / "out"
+        argv = [command, "--config", str(blob_cfg), "--checkpoint", str(stem), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if checkpoint == "missing":
+            assert err.startswith(f"error: cannot read checkpoint {stem}:")
+        else:
+            assert err == "error: checkpoint shapes do not match the model\n"
+        assert not out.exists()

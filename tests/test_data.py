@@ -7,12 +7,15 @@ import pytest
 from telulab.data import (
     Dataset,
     DataMeta,
+    DatasetSpec,
     SplitSpec,
     batch_iter,
+    load_cifar,
     load_cifar10,
     load_cifar100,
     split,
     synthetic_blobs,
+    write_cifar,
     write_cifar10,
     write_cifar100,
 )
@@ -152,6 +155,49 @@ class TestCifar100:
         dst = tmp_path / "dst.bin"
         write_cifar100(ds, dst)
         assert src.read_bytes() == dst.read_bytes()
+
+
+class TestCifarFormats:
+    # (format, train files, test file, record length, label byte, classes)
+    FORMATS = [
+        ("cifar10", [f"data_batch_{i}.bin" for i in range(1, 6)], "test_batch.bin", 3073, 0, 10),
+        ("cifar100", ["train.bin"], "test.bin", 3074, 1, 100),
+    ]
+
+    @pytest.mark.parametrize("name, train, test, length, label, classes", FORMATS)
+    def test_archive_round_trip_per_split(self, tmp_path, name, train, test, length, label, classes):
+        rng = np.random.default_rng(3)
+        records = rng.integers(0, 256, size=(2 * len(train) + 3, length), dtype=np.uint8)
+        records[:, label] = rng.integers(0, classes, size=len(records))
+        archive = tmp_path / "archive"
+        archive.mkdir()
+        for i, f in enumerate(train):
+            (archive / f).write_bytes(records[2 * i : 2 * i + 2].tobytes())
+        (archive / test).write_bytes(records[-3:].tobytes())
+        for tag, rows in (("train", records[:-3]), ("test", records[-3:])):
+            ds = load_cifar(name, archive, tag)
+            assert ds.meta == DataMeta(name, classes, tag)
+            np.testing.assert_array_equal(ds.labels, rows[:, label])
+            dst = tmp_path / f"{tag}.bin"
+            write_cifar(name, ds, dst, coarse=rows[:, 0] if label else None)
+            assert dst.read_bytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("name, train, test, length, label, classes", FORMATS)
+    def test_missing_test_file_reported(self, tmp_path, name, train, test, length, label, classes):
+        with pytest.raises(FormatError, match=test):
+            load_cifar(name, tmp_path, "test")
+
+    def test_coarse_labels_only_in_cifar100(self, tmp_path):
+        path = make_cifar10_fixture(tmp_path, labels=[1, 2], fill=[0, 255])
+        dst = tmp_path / "dst.bin"
+        with pytest.raises(ConfigError, match="no coarse label"):
+            write_cifar("cifar10", load_cifar10(path), dst, coarse=[3, 4])
+        assert not dst.exists()
+
+    def test_dataset_spec_names_the_known_datasets(self):
+        with pytest.raises(ConfigError) as err:
+            DatasetSpec(name="svhn", split=SplitSpec(train=8, valid=2, seed=0), path="x")
+        assert str(err.value) == "dataset.name must be cifar10|cifar100|blobs, got 'svhn'"
 
 
 def blob_ds(n=100, classes=4, dim=8, spread=0.05, seed=7):

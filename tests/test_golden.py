@@ -135,10 +135,10 @@ GOLDEN = {
         "07adb072479203075177d822f74350f1b2dd39bb4e2e7d1780faa8d542e2a1e2"
     ),
     "verify/property_report.json": (
-        "5e1d4535721a1f37f191c522f38b2a0d21b207182b587581b22f50251038d46b"
+        "ac6abe3f052d1176914789c72f6525cbf5b93ebebf6c422cf671f2f842d91c5f"
     ),
     "kernels/kernels.csv": (
-        "6a981155967444eeca97b622a1206589c5df4cf7c70c3c48db445c51d53e4785"
+        "79cabbad2742c71517d9efe84a964bec8da41b6e8f508b9f8df7fb846a72a6d0"
     ),
 }
 
