@@ -67,7 +67,7 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import kernels
+from . import kernels, reporting
 from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .kernels import ActivationKind
 from .rng import TAG_INIT, generator
@@ -607,13 +607,10 @@ def finite_difference_check(
 def save_params(model: Model, stem: Union[str, Path]) -> None:
     """Write ``model.flat`` as ``<stem>.bin`` (little-endian float64) plus a
     ``<stem>.json`` shape manifest, each atomically."""
-    # imported here: reporting imports the harness, which imports this module
-    from .reporting import atomic_write_bytes, atomic_write_text
-
     stem = Path(stem)
-    atomic_write_bytes(stem.with_suffix(".bin"), model.flat.astype("<f8").tobytes())
+    reporting.atomic_write_bytes(stem.with_suffix(".bin"), model.flat.astype("<f8").tobytes())
     manifest = {"shapes": [list(s) for s in model.shapes]}
-    atomic_write_text(stem.with_suffix(".json"), json.dumps(manifest, indent=2))
+    reporting.atomic_write_text(stem.with_suffix(".json"), json.dumps(manifest, indent=2))
 
 
 def load_params(model: Model, stem: Union[str, Path]) -> None:

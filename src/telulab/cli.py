@@ -11,6 +11,12 @@ returns plus, for config commands, the resolved config.  ``--out`` is
 created when the first artifact is written, so a run that fails before
 writing anything leaves no output directory behind.
 
+Each command imports the modules it runs when it starts: ``verify`` adds
+only ``properties``, ``kernels`` nothing, and the config commands load
+``config`` and the training engine (``harness``, ``autograd``, ``data``,
+``optim``).  They call it through the module (``harness.fit``), so a name
+replaced on that module is the one called.
+
 Exit codes: 0 success (training divergence counts as success: it is
 data), 1 at least one property claim failed, 2 usage or configuration
 error, 3 any other error (a one-line ``error:`` message on stderr, never a
@@ -27,22 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
-from .autograd import build_model, load_params, save_params
-from .config import load_run_spec, run_spec_to_dict
+from . import __version__, kernels, reporting
 from .errors import ConfigError, DataError, DomainError, FormatError
-from .harness import (
-    check_landscape_args,
-    empirical_fisher_diag,
-    fit,
-    grid_search,
-    landscape_slice,
-    materialize_datasets,
-    replicate,
-    run_trial,
-)
-from .properties import verify_activation
-from . import reporting
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -54,10 +46,12 @@ MAX_KERNEL_ROWS = 10**6
 
 
 def cmd_verify(args, spec, out: Path) -> tuple[int, dict]:
+    from . import properties
+
     kinds = [kernels.parse_kind(n) for n in args.activations]
     reports = []
     for kind in kinds:
-        reports.extend(verify_activation(kind))
+        reports.extend(properties.verify_activation(kind))
     reporting.write_property_report(reports, out / "property_report.json")
     failed = [r for r in reports if r.verdict == "fails"]
     for r in reports:
@@ -108,7 +102,9 @@ def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
 
 
 def cmd_train(args, spec, out: Path) -> tuple[int, dict]:
-    result = run_trial(spec.train)
+    from . import harness
+
+    result = harness.run_trial(spec.train)
     reporting.write_results_csv([result], out / "results.csv")
     reporting.write_curves_csv([result], out / "curves.csv")
     status = "diverged" if result.diverged else "ok"
@@ -120,7 +116,9 @@ def cmd_train(args, spec, out: Path) -> tuple[int, dict]:
 
 
 def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
-    summary, trials = replicate(spec.train, list(spec.seeds), jobs=args.jobs)
+    from . import harness
+
+    summary, trials = harness.replicate(spec.train, list(spec.seeds), jobs=args.jobs)
     reporting.write_results_csv(trials, out / "results.csv")
     reporting.write_curves_csv(trials, out / "curves.csv")
     reporting.write_summary_json(summary, out / "summary.json")
@@ -131,11 +129,13 @@ def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
 
 
 def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
+    from . import harness
+
     if spec.grid is None:
         raise ConfigError("grid: section required for the grid command")
     print(f"grid: {spec.grid.size()} configuration(s) x {len(spec.seeds)} seed(s)")
     t0 = time.perf_counter()
-    best, cells = grid_search(spec.grid, list(spec.seeds), jobs=args.jobs)
+    best, cells = harness.grid_search(spec.grid, list(spec.seeds), jobs=args.jobs)
     all_trials = [t for c in cells for t in c.trials]
     reporting.write_results_csv(all_trials, out / "results.csv")
     reporting.write_grid_cells_csv(cells, out / "grid_cells.csv")
@@ -153,28 +153,37 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {"wall_time_seconds": wall}
 
 
-def _probe_target(spec, args):
+def _probe_target(spec, args, check_train=None):
     """The model to probe (trained per config, or loaded from a checkpoint
     with no training record) and the train split; data is loaded once, and
-    only after a checkpoint has loaded."""
+    only after a checkpoint has loaded.  ``check_train(train_split)`` runs
+    before any training."""
+    from . import autograd, harness
+
+    model = None
     if args.checkpoint:
-        model = build_model(spec.train.layers, spec.train.seed)
-        load_params(model, args.checkpoint)
-        return model, None, materialize_datasets(spec.train.dataset)[0]
-    splits = materialize_datasets(spec.train.dataset)
-    model, result = fit(spec.train, splits)
+        model = autograd.build_model(spec.train.layers, spec.train.seed)
+        autograd.load_params(model, args.checkpoint)
+    splits = harness.materialize_datasets(spec.train.dataset)
+    if check_train is not None:
+        check_train(splits[0])
+    if model is not None:
+        return model, None, splits[0]
+    model, result = harness.fit(spec.train, splits)
     return model, result, splits[0]
 
 
 def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
-    check_landscape_args(args.grid_n, args.radius, args.direction_seed)
+    from . import autograd, harness
+
+    harness.check_landscape_args(args.grid_n, args.radius, args.direction_seed)
     model, result, train_ds = _probe_target(spec, args)
-    surface = landscape_slice(
+    surface = harness.landscape_slice(
         model, train_ds, args.grid_n, args.radius, args.direction_seed
     )
     reporting.write_landscape_csv(surface, out / "landscape.csv")
     if args.save_checkpoint:
-        save_params(model, out / "model")
+        autograd.save_params(model, out / "model")
     center = surface.losses[args.grid_n // 2, args.grid_n // 2]
     print(f"landscape {args.grid_n}x{args.grid_n}, center loss {center:.6f}")
     probe = {
@@ -187,9 +196,20 @@ def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
 
 
 def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
-    model, result, train_ds = _probe_target(spec, args)
+    from . import harness
+
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0 (0 = full train split), got {args.samples}")
+
+    def check_samples(train_ds) -> None:
+        if args.samples > len(train_ds):
+            raise ConfigError(
+                f"--samples {args.samples} exceeds the train split's {len(train_ds)} examples"
+            )
+
+    model, result, train_ds = _probe_target(spec, args, check_samples)
     n = args.samples or len(train_ds)
-    values = empirical_fisher_diag(model, train_ds, n)
+    values = harness.empirical_fisher_diag(model, train_ds, n)
     reporting.write_fisher_csv(values, out / "fisher.csv")
     print(
         f"fisher diagonal over {n} samples: mean {values.mean():.3e} "
@@ -262,11 +282,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        spec = load_run_spec(args.config, args.set) if "config" in args else None
+        spec = None
+        if "config" in args:
+            from . import config
+
+            spec = config.load_run_spec(args.config, args.set)
         out = Path(args.out)
         code, meta = args.fn(args, spec, out)
         if spec is not None:
-            meta["config"] = run_spec_to_dict(spec)
+            meta["config"] = config.run_spec_to_dict(spec)
         reporting.write_metadata(out / "metadata.json", args.command, **meta)
         return code
     except (ConfigError, DomainError, FormatError, DataError) as exc:

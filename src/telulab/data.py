@@ -260,17 +260,30 @@ def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
     return np.rint(images * 255.0).astype(np.uint8).reshape(len(images), 3072)
 
 
+def _label_bytes(labels, stop: int, what: str) -> np.ndarray:
+    """Labels in [0, ``stop``) as bytes; the uint8 cast would wrap any
+    other value (300 becomes 44), so it raises instead."""
+    labels = np.asarray(labels)
+    if not (labels.min() >= 0 and labels.max() < stop):
+        raise DataError(
+            f"{what} must be in [0, {stop}) to write CIFAR bytes, got "
+            f"{labels.min()}..{labels.max()}"
+        )
+    return labels.astype(np.uint8)
+
+
 def write_cifar(name: str, ds: Dataset, path: Union[str, Path], coarse=None) -> None:
     """Write a dataset back to the binary record format ``name``; ``coarse``
-    fills CIFAR-100's coarse label byte (0 when None).  Pixels outside
-    [0, 1] raise :class:`DataError` before the file is opened."""
+    fills CIFAR-100's coarse label byte (0 when None).  Labels outside
+    [0, classes), coarse labels outside a byte and pixels outside [0, 1]
+    raise :class:`DataError` before the file is opened."""
     fmt = _CIFAR_FORMATS[name]
     records = np.empty((len(ds), fmt.record_len), dtype=np.uint8)
     if fmt.label_index:
-        records[:, 0] = 0 if coarse is None else coarse
+        records[:, 0] = 0 if coarse is None else _label_bytes(coarse, 256, "coarse labels")
     elif coarse is not None:
         raise ConfigError(f"{name} records have no coarse label byte")
-    records[:, fmt.label_index] = ds.labels
+    records[:, fmt.label_index] = _label_bytes(ds.labels, fmt.num_classes, "labels")
     records[:, fmt.label_index + 1 :] = _pixels_to_bytes(ds.images)
     Path(path).write_bytes(records.tobytes())
 

@@ -5,6 +5,11 @@ writer goes through an atomic write-temp-then-rename so readers never see
 a half-written artifact.  All emitted values are deterministic functions
 of the run configuration; wall-clock timings go only into the metadata
 JSON, which is the one non-deterministic artifact.
+
+The module imports no engine code at load time, so the commands that never
+train (``verify``, ``kernels``) can write through it: the training record
+types are named for annotations only, and a writer that needs a helper of
+the harness or the property verifiers imports it when called.
 """
 
 from __future__ import annotations
@@ -14,14 +19,17 @@ import dataclasses
 import io
 import json
 import os
+import sys
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
-from . import __version__, autograd
-from .harness import GridCell, LandscapeSurface, TrialResult, TrialSummary, conc_metric
-from .properties import PropertyReport, report_to_dict
+from . import __version__
+
+if TYPE_CHECKING:
+    from .harness import GridCell, LandscapeSurface, TrialResult, TrialSummary
+    from .properties import PropertyReport
 
 __all__ = [
     "atomic_write_bytes",
@@ -91,6 +99,8 @@ def _write_json(path, payload) -> None:
 
 
 def write_property_report(reports: list[PropertyReport], path) -> None:
+    from .properties import report_to_dict
+
     _write_json(path, [report_to_dict(r) for r in reports])
 
 
@@ -116,25 +126,27 @@ _RESULT_COLUMNS = (
 )
 
 
-def _result_row(t: TrialResult) -> tuple:
-    return (
-        t.activation,
-        t.optimizer,
-        t.seed,
-        t.lr,
-        t.weight_decay,
-        t.gamma,
-        t.test_acc,
-        t.best_valid_acc,
-        conc_metric(t),
-        t.diverged,
-    )
-
-
 def write_results_csv(trials: Iterable[TrialResult], path) -> None:
     """One row per trial.  Per-trial wall time lives in metadata, not here,
     so identical runs produce byte-identical files."""
-    _write_csv(path, _RESULT_COLUMNS, (_result_row(t) for t in trials))
+    from .harness import conc_metric
+
+    rows = (
+        (
+            t.activation,
+            t.optimizer,
+            t.seed,
+            t.lr,
+            t.weight_decay,
+            t.gamma,
+            t.test_acc,
+            t.best_valid_acc,
+            conc_metric(t),
+            t.diverged,
+        )
+        for t in trials
+    )
+    _write_csv(path, _RESULT_COLUMNS, rows)
 
 
 def write_curves_csv(trials: Iterable[TrialResult], path) -> None:
@@ -216,8 +228,13 @@ def _environment() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         blas = "unknown"
+    usable = len(os.sched_getaffinity(0))
+    # the engine starts with one prefix thread per usable CPU; a command that
+    # loaded it reports the count it runs with
+    engine = sys.modules.get(f"{__package__}.autograd")
+    workers = usable if engine is None else engine.WORKERS
     return dict(numpy=np.__version__, blas=blas, cpu_count=os.cpu_count(),
-                usable_cpus=autograd.usable_cpus(), engine_workers=autograd.WORKERS)
+                usable_cpus=usable, engine_workers=workers)
 
 
 def write_metadata(path, command: str, config: dict, **extra) -> None:

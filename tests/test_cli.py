@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telulab import autograd, cli, harness, properties
+from telulab import autograd, harness, properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -119,7 +119,6 @@ class TestExitCodes:
             pytest.fail("trained before the usage error")
 
         monkeypatch.setattr(harness, "fit", no_training)
-        monkeypatch.setattr(cli, "fit", no_training)
         out = tmp_path / "out"
         command, *rest = argv
         assert main([command, "--config", str(blob_cfg), *rest, "--out", str(out)]) == 2
@@ -141,6 +140,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "samples, loads, message",
+        [
+            ("-5", False, "--samples must be >= 0 (0 = full train split), got -5"),
+            # blob_cfg's train split holds 480 examples
+            ("481", True, "--samples 481 exceeds the train split's 480 examples"),
+        ],
+    )
+    def test_fisher_samples_rejected_before_training(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, samples, loads, message
+    ):
+        def no_work(*args, **kwargs):
+            pytest.fail("worked before the usage error")
+
+        monkeypatch.setattr(harness, "fit", no_work)
+        if not loads:
+            monkeypatch.setattr(harness, "materialize_datasets", no_work)
+        out = tmp_path / "out"
+        argv = ["fisher", "--config", str(blob_cfg), "--samples", samples, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_seeds_beyond_the_key_width_usage_error(self, blob_cfg, tmp_path):
@@ -294,6 +316,63 @@ def test_blas_threads_default_to_one_unless_set(preset):
     code = f"import os, telulab; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.stdout.split() == [preset or "1"] * 3
+
+
+#: the training engine, the config parser and the property verifiers
+HEAVY = {
+    "concurrent.futures",
+    *(f"telulab.{m}" for m in ("autograd", "harness", "data", "optim", "config", "properties")),
+}
+
+# imports the CLI, runs one command through main and reports which modules
+# the import and the run left in sys.modules
+IMPORT_PROBE = """
+import json, sys
+from telulab.cli import main
+imported = set(sys.modules)
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"code": code, "imported": sorted(imported),
+                  "added": sorted(set(sys.modules) - imported)}))
+"""
+
+
+class TestImportGraph:
+    """Each command loads only the modules it runs, in a fresh interpreter."""
+
+    @staticmethod
+    def modules_after(argv):
+        """(exit code, modules loaded by the import, modules added by the run)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        report = json.loads(run.stdout.splitlines()[-1])
+        return report["code"], set(report["imported"]), set(report["added"])
+
+    def test_importing_the_cli_loads_no_engine(self):
+        _, imported, _ = self.modules_after([])
+        assert "telulab.cli" in imported
+        assert not imported & HEAVY
+
+    def test_verify_adds_only_the_property_verifiers(self, tmp_path):
+        argv = ["verify", "--activations", "telu", "--out", str(tmp_path)]
+        code, imported, added = self.modules_after(argv)
+        assert code == 0
+        assert {m for m in added if m.startswith("telulab")} == {"telulab.properties"}
+        assert (imported | added) & HEAVY == {"telulab.properties"}
+
+    def test_kernels_loads_no_engine(self, tmp_path):
+        argv = ["kernels", "--activations", "telu", "relu", "--step", "0.5", "--out", str(tmp_path)]
+        code, imported, added = self.modules_after(argv)
+        assert code == 0
+        assert not (imported | added) & HEAVY
+
+    def test_train_loads_the_engine_but_not_the_verifiers(self, blob_cfg, tmp_path):
+        argv = ["train", "--config", str(blob_cfg), "--out", str(tmp_path / "out")]
+        code, imported, added = self.modules_after(argv)
+        assert code == 0
+        assert (imported | added) & HEAVY == HEAVY - {"telulab.properties"}
 
 
 class TestVerifyArtifacts:
@@ -699,9 +778,7 @@ class TestProbeDataLoad:
             loads.append(spec)
             return real(spec)
 
-        # the two names the program loads through
         monkeypatch.setattr(harness, "materialize_datasets", counted)
-        monkeypatch.setattr(cli, "materialize_datasets", counted)
         argv = probe + ["--config", str(blob_cfg), "--set", "epochs=1", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert len(loads) == 1
@@ -714,7 +791,7 @@ class TestProbeDataLoad:
         def no_loading(*args, **kwargs):
             pytest.fail("loaded data before checking the checkpoint")
 
-        monkeypatch.setattr(cli, "materialize_datasets", no_loading)
+        monkeypatch.setattr(harness, "materialize_datasets", no_loading)
         stem = tmp_path / "model"
         if checkpoint == "mismatched":
             # a well-formed checkpoint of a one-layer 3x2 model

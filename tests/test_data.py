@@ -115,6 +115,22 @@ class TestCifarWriters:
             write_cifar10(ds, dst)
         assert not dst.exists()
 
+    @pytest.mark.parametrize("bad", [300, 10, -1])
+    def test_out_of_range_label_rejected(self, tmp_path, bad):
+        # 300 would wrap to 44 and 10 is no CIFAR-10 class
+        ds = Dataset(np.full((2, 3, 32, 32), 0.5), np.array([3, bad]), DataMeta("cifar10", 10, "train"))
+        dst = tmp_path / "out.bin"
+        with pytest.raises(DataError, match=r"labels must be in \[0, 10\)"):
+            write_cifar10(ds, dst)
+        assert not dst.exists()
+
+    def test_coarse_label_beyond_a_byte_rejected(self, tmp_path):
+        ds = Dataset(np.full((2, 3, 32, 32), 0.5), np.array([3, 99]), DataMeta("cifar100", 100, "train"))
+        dst = tmp_path / "out.bin"
+        with pytest.raises(DataError, match=r"coarse labels must be in \[0, 256\)"):
+            write_cifar100(ds, dst, coarse=[1, 256])
+        assert not dst.exists()
+
     def test_range_ends_round_trip_bytewise(self, tmp_path):
         path = make_cifar10_fixture(tmp_path, labels=[4, 9], fill=[0, 255])
         ds = load_cifar10(path)

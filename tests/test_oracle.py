@@ -3,8 +3,9 @@
 ``gaussian_mean`` and ``interval_mean`` are checked against mpmath's
 tanh-sinh quadrature (``mp.quad``), TeLU's negative f' root against
 ``mp.findroot``, ``sup_abs_derivative`` against the f'' root that
-``mp.findroot`` finds from its argmax (f' and f'' by ``mp.diff``), and
-TeLU's f, f' and f'' kernels pointwise.  Each activation is written out again in
+``mp.findroot`` finds from its argmax (f' and f'' by ``mp.diff``), TeLU's
+f, f' and f'' kernels pointwise, and every other kind's f, f' and f'' over
+the sweep grid (f' and f'' by ``mp.diff``).  Each activation is written out again in
 mpmath from its defining formula, not from the float64 kernels.  The Gaussian integrals
 run over a finite range, +-20 sigma (the tail beyond holds ~5e-89 of the
 mass): over an infinite range mpmath evaluates tanh(exp(x)) at huge x.
@@ -136,4 +137,61 @@ def test_telu_second_derivative_matches_mpmath(x):
     with mp.workdps(40):
         exact = _telu_d2(mp.mpf(x))
     # worst measured 2.1e-15 relative, at x = 2.9
-    assert kernels.second_derivative(TELU, x) == pytest.approx(float(exact), rel=1e-14)
+    assert kernels.second_derivative(TELU, x) == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+
+SWEEP = np.linspace(-30.0, 30.0, 241)
+OTHER_KINDS = [GELU, SILU, MISH, LOGISH, SMISH, RELU, elu(), elu(2.0)]
+
+
+def _piece(kind, x):
+    """The oracle f of ``kind`` on the piece of its domain that holds ``x``.
+    ReLU and ELU are differentiated on one branch; x = 0 lies on the x <= 0
+    branch, which is the convention of the kernels."""
+    if kind.tag == "relu":
+        return (lambda t: t) if x > 0 else (lambda t: 0 * t)
+    if kind.tag == "elu":
+        return (lambda t: t) if x > 0 else (lambda t: kind.alpha * mp.expm1(t))
+    return ORACLE_F[kind.tag]
+
+
+@pytest.mark.parametrize("kind", OTHER_KINDS, ids=lambda k: k.spec_string())
+def test_kernels_match_mpmath_over_the_sweep(kind):
+    f, d1 = kernels.value(kind, SWEEP), kernels.derivative(kind, SWEEP)
+    d2 = kernels.second_derivative(kind, SWEEP) if kernels.has_second_derivative(kind) else None
+    with mp.workdps(40):
+        for i, x in enumerate(SWEEP):
+            g, t = _piece(kind, x), mp.mpf(x)
+            exact = g(t)
+            err = abs(mp.mpf(f[i]) - exact)
+            if kind == GELU and x < 0:
+                # 1 + tanh(t) cancels, so only an absolute bound holds here
+                # (worst measured 1.9e-16, at x = -5.25); see the tail test
+                assert err <= 3e-16, x
+            else:
+                # worst measured 3.3e-16, Logish and Smish at x = -26.25
+                assert err <= 4e-16 * abs(exact), x
+            # worst measured 2.8e-15, SiLU at x = 30
+            assert abs(mp.mpf(d1[i]) - mp.diff(g, t)) <= 3e-15, x
+            if d2 is not None:
+                # worst measured 2.1e-14, GELU at x = 6.75
+                assert abs(mp.mpf(d2[i]) - mp.diff(g, t, 2)) <= 3e-14, x
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect: 1 - s (SiLU, Logish, Smish), 1 - w*w (Mish) and "
+    "1 + tanh(t) (GELU) cancel in float64 in the tails",
+)
+@pytest.mark.parametrize(
+    "kind, x, order",
+    # relative errors measured: 1.0e-3 for the first three, 1.0 (an exact
+    # 0 returned) for Mish, 4.0e-3 for GELU's f
+    [(SILU, 30.0, 2), (LOGISH, 30.0, 2), (SMISH, 30.0, 2), (MISH, 19.0, 2), (GELU, -6.75, 0)],
+    ids=["silu", "logish", "smish", "mish", "gelu"],
+)
+def test_tails_keep_relative_accuracy(kind, x, order):
+    got = (kernels.value, kernels.derivative, kernels.second_derivative)[order](kind, x)
+    with mp.workdps(40):
+        exact = mp.diff(ORACLE_F[kind.tag], mp.mpf(x), order)
+    assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
