@@ -108,11 +108,12 @@ def cmd_train(args, spec, out: Path) -> tuple[int, dict]:
     reporting.write_results_csv([result], out / "results.csv")
     reporting.write_curves_csv([result], out / "curves.csv")
     status = "diverged" if result.diverged else "ok"
+    cfg = result.config
     print(
-        f"{result.activation} {result.optimizer}: test {result.test_acc:.2f} "
+        f"{cfg.activation.spec_string()} {cfg.optimizer.kind}: test {result.test_acc:.2f} "
         f"best-valid {result.best_valid_acc:.2f} ({status})"
     )
-    return EXIT_OK, {"wall_time_seconds": {str(result.seed): result.wall_time}}
+    return EXIT_OK, {"wall_time_seconds": {str(cfg.seed): result.wall_time}}
 
 
 def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
@@ -125,7 +126,7 @@ def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
     print(f"{summary.activation} {summary.optimizer}: {summary.cell()}")
     if summary.divergence_count:
         print(f"divergences: {summary.divergence_count}/{summary.n_trials}")
-    return EXIT_OK, {"wall_time_seconds": {str(t.seed): t.wall_time for t in trials}}
+    return EXIT_OK, {"wall_time_seconds": {str(t.config.seed): t.wall_time for t in trials}}
 
 
 def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
@@ -168,6 +169,7 @@ def _probe_target(spec, args, check_train=None):
     if check_train is not None:
         check_train(splits[0])
     if model is not None:
+        harness.check_logit_width(model.layers, splits[0])
         return model, None, splits[0]
     model, result = harness.fit(spec.train, splits)
     return model, result, splits[0]

@@ -9,8 +9,10 @@ loading live in :mod:`telulab.data`; a trial loads through this module's
 ``materialize_datasets``, imported from there with the two spec classes.
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
-fully determines every number in the outputs.  Divergence (first
-non-finite value) ends a trial early and is recorded as data, never
+fully determines every number in the outputs.  A trial's record, a
+:class:`TrialResult`, carries its config and one :class:`Epoch` per
+completed epoch, and the writers read every column from it.  Divergence
+(first non-finite value) ends a trial early and is recorded as data, never
 raised to the caller.
 """
 
@@ -21,12 +23,13 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import data as data_mod
 from .autograd import (
+    Dense,
     LayerSpec,
     Model,
     build_model,
@@ -45,10 +48,12 @@ from .rng import TAG_DIRECTIONS, check_seed, generator
 
 __all__ = [
     "TrainConfig",
+    "Epoch",
     "TrialResult",
     "TrialSummary",
     "GridSpec",
     "GridCell",
+    "check_logit_width",
     "run_trial",
     "train_model",
     "fit",
@@ -91,30 +96,34 @@ class TrainConfig:
             raise ConfigError("model needs at least one layer")
 
 
+class Epoch(NamedTuple):
+    """One completed epoch's figures, in ``curves.csv`` column order."""
+
+    train_acc: float
+    train_loss: float
+    valid_acc: float
+    valid_loss: float
+
+
 @dataclass(frozen=True)
 class TrialResult:
-    """Curves and outcome of a single training run.
+    """Outcome of one training run of ``config``: one :class:`Epoch` per
+    completed epoch (a diverged trial stops at its divergence epoch), with
+    accuracies as percentages in [0, 100].  ``wall_time`` (seconds, data
+    loading included when the trial loaded its data) is the one field that
+    ``config`` does not determine."""
 
-    Curves hold one entry per completed epoch; a diverged trial truncates
-    at the divergence epoch.  Accuracies are percentages in [0, 100].
-    """
-
-    seed: int
-    activation: str
-    optimizer: str
-    lr: float
-    weight_decay: float
-    gamma: float
-    train_acc: tuple[float, ...]
-    train_loss: tuple[float, ...]
-    valid_acc: tuple[float, ...]
-    valid_loss: tuple[float, ...]
+    config: TrainConfig
+    epochs: tuple[Epoch, ...]
     test_acc: float
-    best_valid_acc: float
-    best_epoch: Optional[int]
     diverged: bool
     divergence_epoch: Optional[int]
     wall_time: float
+
+    @property
+    def best_valid_acc(self) -> float:
+        """Highest validation accuracy over the epochs (0.0 with none)."""
+        return max((e.valid_acc for e in self.epochs), default=0.0)
 
 
 def conc_metric(result: TrialResult) -> float:
@@ -122,7 +131,7 @@ def conc_metric(result: TrialResult) -> float:
     the final recorded epoch (0.0 when a trial diverged before its first
     evaluation).  This definition travels with the outputs in metadata.
     """
-    return result.valid_acc[-1] if result.valid_acc else 0.0
+    return result.epochs[-1].valid_acc if result.epochs else 0.0
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,20 @@ class TrialSummary:
 def format_cell(mean: float, std: float) -> str:
     """Summary-table cell, two decimals each side: ``93.20±0.41``."""
     return f"{mean:.2f}±{std:.2f}"
+
+
+def check_logit_width(layers: tuple[LayerSpec, ...], ds: Dataset) -> None:
+    """Raise :class:`ConfigError` unless the logits have one column per
+    class of ``ds``.  The logits are the last dense layer's outputs (layers
+    after it keep the width or fail); a stack with no dense layer takes its
+    width from the input shape and is left to the loss's label check."""
+    head = next((layer for layer in reversed(layers) if isinstance(layer, Dense)), None)
+    classes = ds.meta.num_classes
+    if head is not None and head.out_dim != classes:
+        raise ConfigError(
+            f"model: the last dense layer has out={head.out_dim}, but the "
+            f"{ds.meta.name} dataset has {classes} classes"
+        )
 
 
 def _evaluate(model: Model, ds: Dataset, batch: int = _EVAL_BATCH) -> tuple[float, float]:
@@ -173,13 +196,11 @@ def fit(
     and return the trained model and its record."""
     t0 = time.perf_counter()
     train, valid, test = splits
+    check_logit_width(cfg.layers, train)
     model = build_model(cfg.layers, cfg.seed)
     state = OptimizerState(cfg.optimizer)
 
-    train_acc: list[float] = []
-    train_loss: list[float] = []
-    valid_acc: list[float] = []
-    valid_loss: list[float] = []
+    epochs: list[Epoch] = []
     diverged = False
     divergence_epoch: Optional[int] = None
 
@@ -193,23 +214,10 @@ def fit(
                 _, loss_grad = softmax_cross_entropy(logits, yb)
                 grads = backward(tape, loss_grad)
                 step(state, model.params, grads, lr_now)
-            ta, tl = _evaluate(model, train)
-            va, vl = _evaluate(model, valid)
+            epochs.append(Epoch(*_evaluate(model, train), *_evaluate(model, valid)))
         except DivergenceError:
-            diverged = True
-            divergence_epoch = epoch
+            diverged, divergence_epoch = True, epoch
             break
-        train_acc.append(ta)
-        train_loss.append(tl)
-        valid_acc.append(va)
-        valid_loss.append(vl)
-
-    if valid_acc:
-        best_epoch = int(np.argmax(valid_acc))
-        best_valid = valid_acc[best_epoch]
-    else:
-        best_epoch = None
-        best_valid = 0.0
 
     try:
         test_acc, _ = _evaluate(model, test)
@@ -218,25 +226,8 @@ def fit(
         if not diverged:
             diverged, divergence_epoch = True, cfg.epochs - 1
 
-    result = TrialResult(
-        seed=cfg.seed,
-        activation=cfg.activation.spec_string(),
-        optimizer=cfg.optimizer.kind,
-        lr=cfg.optimizer.lr,
-        weight_decay=cfg.optimizer.weight_decay,
-        gamma=cfg.schedule.gamma,
-        train_acc=tuple(train_acc),
-        train_loss=tuple(train_loss),
-        valid_acc=tuple(valid_acc),
-        valid_loss=tuple(valid_loss),
-        test_acc=test_acc,
-        best_valid_acc=best_valid,
-        best_epoch=best_epoch,
-        diverged=diverged,
-        divergence_epoch=divergence_epoch,
-        wall_time=time.perf_counter() - t0,
-    )
-    return model, result
+    wall_time = time.perf_counter() - t0
+    return model, TrialResult(cfg, tuple(epochs), test_acc, diverged, divergence_epoch, wall_time)
 
 
 def run_trial(cfg: TrainConfig) -> TrialResult:

@@ -133,12 +133,12 @@ def write_results_csv(trials: Iterable[TrialResult], path) -> None:
 
     rows = (
         (
-            t.activation,
-            t.optimizer,
-            t.seed,
-            t.lr,
-            t.weight_decay,
-            t.gamma,
+            t.config.activation.spec_string(),
+            t.config.optimizer.kind,
+            t.config.seed,
+            t.config.optimizer.lr,
+            t.config.optimizer.weight_decay,
+            t.config.schedule.gamma,
             t.test_acc,
             t.best_valid_acc,
             conc_metric(t),
@@ -150,19 +150,8 @@ def write_results_csv(trials: Iterable[TrialResult], path) -> None:
 
 
 def write_curves_csv(trials: Iterable[TrialResult], path) -> None:
-    rows = []
-    for t in trials:
-        for epoch in range(len(t.train_acc)):
-            rows.append(
-                (
-                    t.seed,
-                    epoch,
-                    t.train_acc[epoch],
-                    t.train_loss[epoch],
-                    t.valid_acc[epoch],
-                    t.valid_loss[epoch],
-                )
-            )
+    """One row per trial and epoch: seed, epoch index, then the Epoch."""
+    rows = ((t.config.seed, i, *epoch) for t in trials for i, epoch in enumerate(t.epochs))
     _write_csv(
         path,
         ("seed", "epoch", "train_acc", "train_loss", "valid_acc", "valid_loss"),

@@ -58,7 +58,7 @@ class TestForward:
     def test_telu_sum_chain(self):
         model = dense_model([[1.0], [1.0]], [0.0], TELU)
         logits, _ = forward(model, np.array([[1.0, 0.0]]))
-        assert logits[0, 0] == pytest.approx(TANH_E, rel=1e-15)
+        assert logits[0, 0] == pytest.approx(TANH_E, rel=1e-15, abs=0)
 
     def test_shape_mismatch_rejected(self):
         model = dense_model(np.eye(2), [0.0, 0.0])
@@ -101,7 +101,7 @@ class TestBackward:
         model = dense_model([[0.0]], [0.0], TELU)
         logits, tape = forward(model, np.array([[1.0]]), record=True)
         grads = backward(tape, np.ones_like(logits))
-        assert grads[model.params[0]][0, 0] == pytest.approx(TANH_1, rel=1e-15)
+        assert grads[model.params[0]][0, 0] == pytest.approx(TANH_1, rel=1e-15, abs=0)
 
     def test_relu_inactive_region_zero_grad(self):
         model = dense_model([[-1.0]], [0.0], RELU)
@@ -126,7 +126,7 @@ class TestBackward:
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_class(self):
         loss, _ = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
-        assert loss == pytest.approx(math.log(2.0), rel=1e-15)
+        assert loss == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
 
     def test_saturated_correct_prediction(self):
         loss, _ = softmax_cross_entropy(np.array([[10.0, -10.0]]), np.array([0]))

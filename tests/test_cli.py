@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telulab import autograd, harness, properties
+from telulab import autograd, config, harness, properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -283,6 +283,46 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read checkpoint {stem}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", [6, 3], ids=["wide", "narrow"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train"],
+            ["replicate"],
+            ["replicate", "--jobs", "2"],
+            ["grid"],
+            ["landscape", "--grid-n", "3"],
+            ["fisher"],
+            ["landscape", "--grid-n", "3", "--checkpoint"],
+            ["fisher", "--checkpoint"],
+        ],
+        ids=lambda argv: "-".join(a.strip("-") for a in argv),
+    )
+    def test_logit_width_other_than_the_class_count_usage_error(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, argv, width
+    ):
+        # the blobs have 4 classes: a wider and a narrower head are both
+        # config errors, each named with both numbers
+        override = f"model.layers.2.out={width}"
+        if argv[-1] == "--checkpoint":
+            layers = config.load_run_spec(blob_cfg, [override]).train.layers
+            autograd.save_params(autograd.build_model(layers, 0), tmp_path / "model")
+            argv = argv + [str(tmp_path / "model")]
+
+        def no_training(*args, **kwargs):
+            pytest.fail("trained before the usage error")
+
+        monkeypatch.setattr(harness, "step", no_training)
+        out = tmp_path / "out"
+        command, *rest = argv
+        argv = [command, "--config", str(blob_cfg), "--set", override, *rest, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: model: the last dense layer has out={width}, "
+            "but the blobs dataset has 4 classes\n"
+        )
         assert not out.exists()
 
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):

@@ -34,10 +34,10 @@ class TestTeluValues:
         assert kernels.value(TELU, 0.0) == 0.0
 
     def test_at_one(self):
-        assert kernels.value(TELU, 1.0) == pytest.approx(TANH_E, rel=1e-15)
+        assert kernels.value(TELU, 1.0) == pytest.approx(TANH_E, rel=1e-15, abs=0)
 
     def test_at_minus_one(self):
-        assert kernels.value(TELU, -1.0) == pytest.approx(NEG_TANH_INV_E, rel=1e-15)
+        assert kernels.value(TELU, -1.0) == pytest.approx(NEG_TANH_INV_E, rel=1e-15, abs=0)
 
     def test_positive_tail_is_identity(self):
         for x in [20.0, 25.0, 100.0, 500.0]:
@@ -46,12 +46,12 @@ class TestTeluValues:
     def test_negative_tail_matches_x_exp_x(self):
         for x in [-20.0, -50.0, -500.0]:
             expected = x * math.exp(x)
-            assert kernels.value(TELU, x) == pytest.approx(expected, rel=1e-12)
+            assert kernels.value(TELU, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_not_monotone_on_negative_axis(self):
         # the negative lobe has a genuine dip: f(-2) > f(-1)
         assert kernels.value(TELU, -2.0) > kernels.value(TELU, -1.0)
-        assert kernels.value(TELU, -2.0) == pytest.approx(TELU_AT_MINUS_2, rel=1e-15)
+        assert kernels.value(TELU, -2.0) == pytest.approx(TELU_AT_MINUS_2, rel=1e-15, abs=0)
 
     def test_sign_follows_input(self):
         xs = np.linspace(-40, 40, 4001)
@@ -71,7 +71,7 @@ class TestTeluValues:
 
 class TestTeluDerivatives:
     def test_first_derivative_at_zero(self):
-        assert kernels.derivative(TELU, 0.0) == pytest.approx(TANH_1, rel=1e-15)
+        assert kernels.derivative(TELU, 0.0) == pytest.approx(TANH_1, rel=1e-15, abs=0)
 
     def test_first_derivative_positive_on_nonnegative_axis(self):
         xs = np.linspace(0.0, 50.0, 5001)
@@ -83,14 +83,14 @@ class TestTeluDerivatives:
 
     def test_second_derivative_at_zero(self):
         assert kernels.second_derivative(TELU, 0.0) == pytest.approx(
-            TELU_D2_AT_0, rel=1e-15
+            TELU_D2_AT_0, rel=1e-15, abs=0
         )
 
     def test_second_derivative_vanishes_far_left(self):
         # asymptotically f''(x) ~ exp(x) * (2 + x); at x = -30 that is
         # -2.62e-12, decaying to zero exponentially further left
         assert kernels.second_derivative(TELU, -30.0) == pytest.approx(
-            math.exp(-30.0) * (2.0 - 30.0), rel=1e-9
+            math.exp(-30.0) * (2.0 - 30.0), rel=1e-9, abs=0
         )
         assert abs(kernels.second_derivative(TELU, -40.0)) < 1e-12
 
@@ -141,16 +141,16 @@ class TestComparisonKernels:
         sig = lambda x: 1.0 / (1.0 + math.exp(-x))
         for x in [-3.0, -0.7, 0.0, 0.9, 4.0]:
             assert kernels.value(kernels.MISH, x) == pytest.approx(
-                x * math.tanh(math.log1p(math.exp(x))), rel=1e-12
+                x * math.tanh(math.log1p(math.exp(x))), rel=1e-12, abs=0
             )
             assert kernels.value(kernels.SILU, x) == pytest.approx(
-                x * sig(x), rel=1e-12
+                x * sig(x), rel=1e-12, abs=0
             )
             assert kernels.value(kernels.LOGISH, x) == pytest.approx(
-                x * math.log1p(sig(x)), rel=1e-12
+                x * math.log1p(sig(x)), rel=1e-12, abs=0
             )
             assert kernels.value(kernels.SMISH, x) == pytest.approx(
-                x * math.tanh(math.log1p(sig(x))), rel=1e-12
+                x * math.tanh(math.log1p(sig(x))), rel=1e-12, abs=0
             )
 
 

@@ -80,7 +80,7 @@ class TestAdamw:
         for _ in range(5):
             step(state, params, {params[0]: np.array([0.0])}, lr_now=0.01)
             expected *= 1.0 - 0.01 * 0.1
-            assert float(params[0].data[0]) == pytest.approx(expected, rel=1e-12)
+            assert float(params[0].data[0]) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_step_counter_increments_once(self):
         cfg = OptimizerConfig("adamw", lr=0.001)
@@ -96,7 +96,7 @@ class TestRmsprop:
         # s = 0.01 * g^2 = 0.01; update = g / (0.1 + eps)
         cfg = OptimizerConfig("rmsprop", lr=0.001, rms_alpha=0.99)
         p, _ = run_step(cfg, 0.0, 1.0)
-        assert p == pytest.approx(-0.001 / (0.1 + 1e-8), rel=1e-9)
+        assert p == pytest.approx(-0.001 / (0.1 + 1e-8), rel=1e-9, abs=0)
 
 
 class TestSharedBehavior:

@@ -79,7 +79,7 @@ def test_gaussian_mean_matches_mpmath(kind):
             density = lambda x: f(x) * mp.exp(-x * x / (2 * sigma**2))
             exact = mp.quad(density, [-20 * sigma, 0, 20 * sigma])
             exact /= sigma * mp.sqrt(2 * mp.pi)
-            assert gaussian_mean(kind, sigma) == pytest.approx(float(exact), rel=RTOL)
+            assert gaussian_mean(kind, sigma) == pytest.approx(float(exact), rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize("kind", kernels.ALL_KINDS, ids=lambda k: k.spec_string())
@@ -88,7 +88,7 @@ def test_interval_mean_matches_mpmath(kind):
     with mp.workdps(40):
         for a in HALF_WIDTHS:
             exact = mp.quad(f, [-a, 0, a]) / (2 * a)
-            assert interval_mean(kind, a) == pytest.approx(float(exact), rel=RTOL)
+            assert interval_mean(kind, a) == pytest.approx(float(exact), rel=RTOL, abs=0)
 
 
 def test_telu_negative_derivative_root_matches_mpmath():
@@ -109,7 +109,7 @@ def test_sup_abs_derivative_matches_mpmath(kind):
     with mp.workdps(40):
         x_star = mp.findroot(lambda x: mp.diff(f, x, 2), est.argmax)
         exact = abs(mp.diff(f, x_star))
-    assert est.refined_value == pytest.approx(float(exact), rel=RTOL)
+    assert est.refined_value == pytest.approx(float(exact), rel=RTOL, abs=0)
     assert abs(est.argmax - float(x_star)) <= 1e-6
 
 

@@ -191,7 +191,7 @@ class TestBoundedOutput:
 class TestIntervalMean:
     def test_relu_quarter_identity(self):
         for a in (1.0, 4.0, 8.0, 100.0):
-            assert interval_mean(RELU, a) == pytest.approx(a / 4.0, rel=1e-12)
+            assert interval_mean(RELU, a) == pytest.approx(a / 4.0, rel=1e-12, abs=0)
 
     def test_relu_examples(self):
         assert interval_mean(RELU, 4.0) == pytest.approx(1.0, abs=1e-9)
@@ -199,7 +199,7 @@ class TestIntervalMean:
 
     def test_telu_matches_oracle(self):
         for a, expected in TELU_INTERVAL_MEAN.items():
-            assert interval_mean(TELU, a) == pytest.approx(expected, rel=1e-9)
+            assert interval_mean(TELU, a) == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_telu_below_relu(self):
         for a in (1.0, 2.0, 8.0, 32.0, 128.0):
@@ -217,12 +217,12 @@ class TestGaussianMean:
     def test_relu_scales_linearly(self):
         for s in (0.5, 2.0, 4.0):
             assert gaussian_mean(RELU, s) == pytest.approx(
-                s * E_RELU_SIGMA1, rel=1e-10
+                s * E_RELU_SIGMA1, rel=1e-10, abs=0
             )
 
     def test_telu_matches_oracle(self):
         for s, expected in E_TELU_SIGMA.items():
-            assert gaussian_mean(TELU, s) == pytest.approx(expected, rel=1e-10)
+            assert gaussian_mean(TELU, s) == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_telu_between_zero_and_relu(self):
         for s in (0.5, 1.0, 2.0, 4.0):
@@ -266,7 +266,7 @@ class TestSensitivityRanking:
         rows = sensitivity_ranking([TELU], Interval(-5, 5, 10001))
         xs = np.linspace(-5, 5, 200001)
         quad = np.trapezoid(np.abs(kernels.second_derivative(TELU, xs)), xs)
-        assert rows[0].derivative_oscillation == pytest.approx(quad, rel=0.01)
+        assert rows[0].derivative_oscillation == pytest.approx(quad, rel=0.01, abs=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(DomainError):
