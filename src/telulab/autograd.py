@@ -341,7 +341,7 @@ class Flatten(_Parameterless):
         if x.ndim < 2:
             raise ConfigError(f"flatten expects a batch dimension, got {x.shape}")
         shape = x.shape
-        y = x.reshape(shape[0], -1)
+        y = x.reshape(shape[0], math.prod(shape[1:]))  # -1 fails on zero rows
         if not (record and grad_x):
             return y, None
         return y, lambda g, squares=False: (g.reshape(shape), ())

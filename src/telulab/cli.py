@@ -5,9 +5,10 @@ Each run writes its machine-readable artifacts plus a metadata.json into
 the output directory; stdout carries a short human-readable summary.
 
 :func:`main` runs every command the same way: it loads the run spec when
-the command takes ``--config`` (applying each ``--set``), calls the
-command, and writes ``metadata.json`` once from the fields the command
-returns plus, for config commands, the resolved config.  ``--out`` is
+the command takes ``--config`` (applying each ``--set``) and checks its
+layers against its dataset (``harness.check_model``), calls the command,
+and writes ``metadata.json`` once from the fields the command returns
+plus, for config commands, the resolved config.  ``--out`` is
 created when the first artifact is written, so a run that fails before
 writing anything leaves no output directory behind.
 
@@ -154,24 +155,19 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {"wall_time_seconds": wall}
 
 
-def _probe_target(spec, args, check_train=None):
+def _probe_target(spec, args):
     """The model to probe (trained per config, or loaded from a checkpoint
     with no training record) and the train split; data is loaded once, and
-    only after a checkpoint has loaded.  ``check_train(train_split)`` runs
-    before any training."""
+    only after a checkpoint has loaded."""
     from . import autograd, harness
 
-    model = None
+    model = result = None
     if args.checkpoint:
         model = autograd.build_model(spec.train.layers, spec.train.seed)
         autograd.load_params(model, args.checkpoint)
     splits = harness.materialize_datasets(spec.train.dataset)
-    if check_train is not None:
-        check_train(splits[0])
-    if model is not None:
-        harness.check_logit_width(model.layers, splits[0])
-        return model, None, splits[0]
-    model, result = harness.fit(spec.train, splits)
+    if model is None:
+        model, result = harness.fit(spec.train, splits)
     return model, result, splits[0]
 
 
@@ -202,14 +198,12 @@ def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
 
     if args.samples < 0:
         raise ConfigError(f"--samples must be >= 0 (0 = full train split), got {args.samples}")
+    # split() makes the train split exactly split.train examples
+    n_train = spec.train.dataset.split.train
+    if args.samples > n_train:
+        raise ConfigError(f"--samples {args.samples} exceeds the train split's {n_train} examples")
 
-    def check_samples(train_ds) -> None:
-        if args.samples > len(train_ds):
-            raise ConfigError(
-                f"--samples {args.samples} exceeds the train split's {len(train_ds)} examples"
-            )
-
-    model, result, train_ds = _probe_target(spec, args, check_samples)
+    model, result, train_ds = _probe_target(spec, args)
     n = args.samples or len(train_ds)
     values = harness.empirical_fisher_diag(model, train_ds, n)
     reporting.write_fisher_csv(values, out / "fisher.csv")
@@ -286,9 +280,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         spec = None
         if "config" in args:
-            from . import config
+            from . import autograd, config, harness
 
             spec = config.load_run_spec(args.config, args.set)
+            harness.check_model(autograd.build_model(spec.train.layers, 0), spec.train.dataset)
         out = Path(args.out)
         code, meta = args.fn(args, spec, out)
         if spec is not None:

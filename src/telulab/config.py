@@ -15,7 +15,7 @@ Schema (see README for the full reference):
                           maxpool2 | flatten | activation[{kind}]
     activation            "telu" | "relu" | ... | "elu:2.0"
     optimizer             kind, lr, weight_decay, momentum, betas, eps, rms_alpha
-    schedule              gamma, milestones[]
+    schedule              gamma, milestones[]  (the decay of optimizer.lr)
     epochs, batch         positive integers
     dataset               name, path, blobs{n,classes,dim,spread,seed},
                           split{train,valid,test,seed}, standardize
@@ -67,7 +67,7 @@ _LAYER_TYPES = {cls: name for name, cls in _LAYERS.items()}
 # field name -> config key, where they differ
 _KEYS = {"in_dim": "in", "out_dim": "out"}
 # fields the caller fills in from elsewhere, never config keys
-_DERIVED = {(LrSchedule, "initial_lr"), (GridSpec, "base")}
+_DERIVED = {(GridSpec, "base")}
 # scalar field type -> (accepted JSON values, what the error says)
 _SCALARS = {
     int: (int, "an integer"),
@@ -201,9 +201,7 @@ def build_run_spec(raw: dict) -> RunSpec:
     )
 
     optimizer = _parse(OptimizerConfig, _req(raw, "optimizer", "config"), "optimizer")
-    schedule = _parse_fields(
-        LrSchedule, _req(raw, "schedule", "config"), "schedule", {"initial_lr": optimizer.lr}
-    )
+    schedule = _parse(LrSchedule, _req(raw, "schedule", "config"), "schedule")
     dataset = _parse(DatasetSpec, _req(raw, "dataset", "config"), "dataset")
     train = TrainConfig(
         layers=layers,

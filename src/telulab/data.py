@@ -49,6 +49,7 @@ __all__ = [
 
 # rows per chunk of the byte counts behind the CIFAR statistics
 _STATS_CHUNK = 64
+_CIFAR_SHAPE = (3, 32, 32)
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,14 @@ class DatasetSpec:
         elif self.path is None:
             raise ConfigError(f"dataset.path required for {self.name}")
 
+    @property
+    def example_shape(self) -> tuple[int, ...]:
+        return (self.blobs.dim,) if self.name == "blobs" else _CIFAR_SHAPE
+
+    @property
+    def num_classes(self) -> int:
+        return self.blobs.classes if self.name == "blobs" else _CIFAR_FORMATS[self.name].num_classes
+
 
 def _read_records(path: Path, fmt: _CifarFormat) -> tuple[np.ndarray, np.ndarray]:
     raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
@@ -218,7 +227,7 @@ def _read_records(path: Path, fmt: _CifarFormat) -> tuple[np.ndarray, np.ndarray
         raise FormatError(
             f"{path.name}: label {labels.max()} out of range [0, {fmt.num_classes})"
         )
-    pixels = records[:, fmt.label_index + 1 :].reshape(-1, 3, 32, 32)
+    pixels = records[:, fmt.label_index + 1 :].reshape(-1, *_CIFAR_SHAPE)
     return pixels, labels
 
 

@@ -9,11 +9,12 @@ loading live in :mod:`telulab.data`; a trial loads through this module's
 ``materialize_datasets``, imported from there with the two spec classes.
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
-fully determines every number in the outputs.  A trial's record, a
-:class:`TrialResult`, carries its config and one :class:`Epoch` per
-completed epoch, and the writers read every column from it.  Divergence
-(first non-finite value) ends a trial early and is recorded as data, never
-raised to the caller.
+fully determines every number in the outputs, and :func:`check_model`
+checks its layers against its dataset before any data is read.  A trial's
+record, a :class:`TrialResult`, carries its config and one :class:`Epoch`
+per completed epoch, and the writers read every column from it.
+Divergence (first non-finite value) ends a trial early and is recorded as
+data, never raised to the caller.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import autograd
 from . import data as data_mod
 from .autograd import (
-    Dense,
     LayerSpec,
     Model,
     build_model,
@@ -53,7 +54,7 @@ __all__ = [
     "TrialSummary",
     "GridSpec",
     "GridCell",
-    "check_logit_width",
+    "check_model",
     "run_trial",
     "train_model",
     "fit",
@@ -155,17 +156,16 @@ def format_cell(mean: float, std: float) -> str:
     return f"{mean:.2f}±{std:.2f}"
 
 
-def check_logit_width(layers: tuple[LayerSpec, ...], ds: Dataset) -> None:
-    """Raise :class:`ConfigError` unless the logits have one column per
-    class of ``ds``.  The logits are the last dense layer's outputs (layers
-    after it keep the width or fail); a stack with no dense layer takes its
-    width from the input shape and is left to the loss's label check."""
-    head = next((layer for layer in reversed(layers) if isinstance(layer, Dense)), None)
-    classes = ds.meta.num_classes
-    if head is not None and head.out_dim != classes:
+def check_model(model: Model, spec: DatasetSpec) -> None:
+    """Raise :class:`ConfigError` unless ``model`` maps an example of
+    ``spec`` to one logit per class: one forward of zero examples runs each
+    layer's own shape check and no arithmetic (through ``autograd``, so it
+    is never taken for a training forward)."""
+    logits, _ = autograd.forward(model, np.zeros((0, *spec.example_shape)))
+    if logits.shape[1:] != (spec.num_classes,):
         raise ConfigError(
-            f"model: the last dense layer has out={head.out_dim}, but the "
-            f"{ds.meta.name} dataset has {classes} classes"
+            f"model: the layers give each example an output of shape "
+            f"{logits.shape[1:]}, but the {spec.name} dataset has {spec.num_classes} classes"
         )
 
 
@@ -196,8 +196,8 @@ def fit(
     and return the trained model and its record."""
     t0 = time.perf_counter()
     train, valid, test = splits
-    check_logit_width(cfg.layers, train)
     model = build_model(cfg.layers, cfg.seed)
+    check_model(model, cfg.dataset)
     state = OptimizerState(cfg.optimizer)
 
     epochs: list[Epoch] = []
@@ -205,7 +205,7 @@ def fit(
     divergence_epoch: Optional[int] = None
 
     for epoch in range(cfg.epochs):
-        lr_now = lr_at_epoch(cfg.schedule, epoch)
+        lr_now = lr_at_epoch(cfg.schedule, cfg.optimizer.lr, epoch)
         try:
             for xb, yb in data_mod.batch_iter(
                 train, cfg.batch, shuffle=True, seed=cfg.seed, epoch=epoch
@@ -306,7 +306,7 @@ class GridSpec:
             replace(
                 base,
                 optimizer=replace(base.optimizer, lr=lr, weight_decay=wd),
-                schedule=replace(base.schedule, initial_lr=lr, gamma=gamma),
+                schedule=replace(base.schedule, gamma=gamma),
             )
             for lr, wd, gamma in itertools.product(self.lr, self.weight_decay, self.gamma)
         ]

@@ -1,5 +1,5 @@
 """The four optimizers under study (SGD, SGD+Momentum, AdamW, RMSprop)
-and the step-decay learning-rate schedule.
+and the step-decay schedule of ``OptimizerConfig.lr``.
 
 Update rules, written out exactly since implementations differ; :func:`step`
 applies one to the whole parameter list at once, with values, gradients and
@@ -72,15 +72,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Step decay: lr(e) = initial_lr * gamma ** (#milestones <= e)."""
+    """Step decay of ``OptimizerConfig.lr``: lr(e) = lr * gamma ** (#milestones <= e)."""
 
-    initial_lr: float
     gamma: float
     milestones: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.initial_lr > 0:
-            raise ConfigError("schedule initial_lr must be > 0")
         if not 0 < self.gamma <= 1:
             raise ConfigError("schedule gamma must be in (0, 1]")
         if list(self.milestones) != sorted(set(self.milestones)):
@@ -89,11 +86,11 @@ class LrSchedule:
             raise ConfigError("schedule milestones must be non-negative")
 
 
-def lr_at_epoch(schedule: LrSchedule, epoch: int) -> float:
+def lr_at_epoch(schedule: LrSchedule, lr: float, epoch: int) -> float:
     if epoch < 0:
         raise ConfigError("epoch must be non-negative")
     k = sum(1 for m in schedule.milestones if m <= epoch)
-    return schedule.initial_lr * schedule.gamma**k
+    return lr * schedule.gamma**k
 
 
 @dataclass

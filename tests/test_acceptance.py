@@ -165,12 +165,12 @@ def test_c09_optimizer_unit_identities():
         expected *= 1.0 - 0.01 * 0.1
         assert float(params[0].data[0]) == pytest.approx(expected, rel=1e-12, abs=0)
 
-    sched = LrSchedule(initial_lr=0.1, gamma=0.2, milestones=(60, 120, 160))
-    assert lr_at_epoch(sched, 0) == 0.1
-    assert lr_at_epoch(sched, 60) == pytest.approx(0.02)
-    assert lr_at_epoch(sched, 120) == pytest.approx(0.004)
-    assert lr_at_epoch(sched, 160) == pytest.approx(8e-4)
-    assert lr_at_epoch(sched, 199) == pytest.approx(8e-4)
+    sched = LrSchedule(gamma=0.2, milestones=(60, 120, 160))
+    assert lr_at_epoch(sched, 0.1, 0) == 0.1
+    assert lr_at_epoch(sched, 0.1, 60) == pytest.approx(0.02)
+    assert lr_at_epoch(sched, 0.1, 120) == pytest.approx(0.004)
+    assert lr_at_epoch(sched, 0.1, 160) == pytest.approx(8e-4)
+    assert lr_at_epoch(sched, 0.1, 199) == pytest.approx(8e-4)
 
 
 def test_c10_cifar_reader_contract(tmp_path):
@@ -214,7 +214,7 @@ def smoke_config(kind, opt_kind, lr) -> TrainConfig:
         layers=(Dense(32, 32), Activation(kind), Dense(32, 10)),
         activation=kind,
         optimizer=OptimizerConfig(opt_kind, lr=lr, weight_decay=0.0003),
-        schedule=LrSchedule(initial_lr=lr, gamma=0.2, milestones=(6, 12, 16)),
+        schedule=LrSchedule(gamma=0.2, milestones=(6, 12, 16)),
         epochs=20,
         batch=128,
         dataset=DatasetSpec(

@@ -28,7 +28,7 @@ from telulab.autograd import (
     softmax_cross_entropy,
 )
 from telulab.errors import ConfigError, DataError, DivergenceError, FormatError
-from telulab.kernels import ALL_KINDS, GELU, RELU, TELU
+from telulab.kernels import ALL_KINDS, GELU, RELU, TELU, elu
 
 TANH_E = 0.9913289158005998378
 TANH_1 = 0.76159415595576488812
@@ -64,6 +64,17 @@ class TestForward:
         model = dense_model(np.eye(2), [0.0, 0.0])
         with pytest.raises(ConfigError):
             forward(model, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("kind", [*ALL_KINDS, elu(2.0)], ids=lambda k: k.spec_string())
+    def test_zero_row_batch_runs_every_layer(self, kind):
+        # the model check before any data is one forward of no examples
+        model = build_model(
+            [Conv2d(3, 4, 3), Activation(kind), MaxPool2(), Flatten(), Dense(4 * 15 * 15, 10),
+             Activation(kind)],
+            seed=0,
+        )
+        logits, _ = forward(model, np.zeros((0, 3, 32, 32)))
+        assert logits.shape == (0, 10)
 
     def test_input_without_batch_dimension_rejected(self):
         model = build_model([Conv2d(1, 1, 1), Flatten(), Dense(1, 2)], seed=0)

@@ -6,7 +6,8 @@ not only in a benchmark run:
   and the optimizers: gradients keyed by the parameter handles,
   ``step(state, model.params, grads, lr)``.
 - The tracer (``perfbench/tracing.py``) wraps ``harness`` names in spans
-  and sums each trial's ``wall_time`` into its parallel efficiency.
+  and sums each trial's ``wall_time`` into its parallel efficiency; a
+  forward outside evaluation counts as a training step's.
 """
 
 import json
@@ -80,5 +81,14 @@ def test_tracer_records_a_pooled_replicate(tmp_path, monkeypatch):
         "harness.softmax_cross_entropy",
         "harness.evaluate",
     } <= names
+    # every traced forward outside evaluation is a training step's, so the
+    # zero-row model check stays out of harness.train_fwd_s
+    for spans in procs:
+        span_names = [s[tracing.NAME] for s in spans]
+        train_forwards = sum(
+            name == "harness.forward" and not tracing._under(spans, i, "harness.evaluate")
+            for i, name in enumerate(span_names)
+        )
+        assert train_forwards == span_names.count("harness.backward")
     # the trials' wall_time, summed by the tracer, over the pool's capacity
     assert tracing.summarize(procs)["harness.parallel_efficiency"] > 0

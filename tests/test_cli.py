@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telulab import autograd, config, harness, properties
+from telulab import autograd, config, data, harness, properties
 from telulab.cli import main
 from telulab.harness import format_cell
 
@@ -41,6 +41,46 @@ def blob_cfg(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail any load of a dataset: the test's error must come first."""
+
+    def no_loading(*args, **kwargs):
+        pytest.fail("loaded data before the usage error")
+
+    for module in (harness, data):
+        monkeypatch.setattr(module, "materialize_datasets", no_loading)
+
+
+# every config command that builds the model, with both checkpoint probes
+MODEL_COMMANDS = [
+    ["train"],
+    ["replicate"],
+    ["replicate", "--jobs", "2"],
+    ["grid"],
+    ["landscape", "--grid-n", "3"],
+    ["fisher"],
+    ["landscape", "--grid-n", "3", "--checkpoint"],
+    ["fisher", "--checkpoint"],
+]
+
+
+def model_command_id(argv):
+    return "-".join(a.strip("-") for a in argv)
+
+
+def run_with_layers(blob_cfg, tmp_path, argv, overrides):
+    """Run ``argv`` on ``blob_cfg`` with ``overrides``; a trailing
+    ``--checkpoint`` gets a checkpoint of the overridden model."""
+    if argv[-1] == "--checkpoint":
+        layers = config.load_run_spec(blob_cfg, overrides).train.layers
+        autograd.save_params(autograd.build_model(layers, 0), tmp_path / "model")
+        argv = argv + [str(tmp_path / "model")]
+    command, *rest = argv
+    sets = [a for s in overrides for a in ("--set", s)]
+    return main([command, "--config", str(blob_cfg), *sets, *rest, "--out", str(tmp_path / "out")])
 
 
 def read_csv(path):
@@ -143,22 +183,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "samples, loads, message",
+        "samples, message",
         [
-            ("-5", False, "--samples must be >= 0 (0 = full train split), got -5"),
+            ("-5", "--samples must be >= 0 (0 = full train split), got -5"),
             # blob_cfg's train split holds 480 examples
-            ("481", True, "--samples 481 exceeds the train split's 480 examples"),
+            ("481", "--samples 481 exceeds the train split's 480 examples"),
         ],
     )
-    def test_fisher_samples_rejected_before_training(
-        self, blob_cfg, tmp_path, capsys, monkeypatch, samples, loads, message
+    def test_fisher_samples_rejected_before_loading(
+        self, blob_cfg, tmp_path, capsys, monkeypatch, no_data, samples, message
     ):
         def no_work(*args, **kwargs):
             pytest.fail("worked before the usage error")
 
         monkeypatch.setattr(harness, "fit", no_work)
-        if not loads:
-            monkeypatch.setattr(harness, "materialize_datasets", no_work)
         out = tmp_path / "out"
         argv = ["fisher", "--config", str(blob_cfg), "--samples", samples, "--out", str(out)]
         assert main(argv) == 2
@@ -286,44 +324,43 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("width", [6, 3], ids=["wide", "narrow"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["train"],
-            ["replicate"],
-            ["replicate", "--jobs", "2"],
-            ["grid"],
-            ["landscape", "--grid-n", "3"],
-            ["fisher"],
-            ["landscape", "--grid-n", "3", "--checkpoint"],
-            ["fisher", "--checkpoint"],
-        ],
-        ids=lambda argv: "-".join(a.strip("-") for a in argv),
-    )
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=model_command_id)
     def test_logit_width_other_than_the_class_count_usage_error(
-        self, blob_cfg, tmp_path, capsys, monkeypatch, argv, width
+        self, blob_cfg, tmp_path, capsys, monkeypatch, no_data, argv, width
     ):
         # the blobs have 4 classes: a wider and a narrower head are both
         # config errors, each named with both numbers
-        override = f"model.layers.2.out={width}"
-        if argv[-1] == "--checkpoint":
-            layers = config.load_run_spec(blob_cfg, [override]).train.layers
-            autograd.save_params(autograd.build_model(layers, 0), tmp_path / "model")
-            argv = argv + [str(tmp_path / "model")]
-
         def no_training(*args, **kwargs):
             pytest.fail("trained before the usage error")
 
         monkeypatch.setattr(harness, "step", no_training)
-        out = tmp_path / "out"
-        command, *rest = argv
-        argv = [command, "--config", str(blob_cfg), "--set", override, *rest, "--out", str(out)]
-        assert main(argv) == 2
+        assert run_with_layers(blob_cfg, tmp_path, argv, [f"model.layers.2.out={width}"]) == 2
         assert capsys.readouterr().err == (
-            f"error: model: the last dense layer has out={width}, "
+            f"error: model: the layers give each example an output of shape ({width},), "
             "but the blobs dataset has 4 classes\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, problem",
+        [
+            # no dense layer: 16 features would be read as 16 logits
+            (
+                'model.layers=[{"type": "flatten"}, {"type": "activation"}]',
+                "model: the layers give each example an output of shape (16,), "
+                "but the blobs dataset has 4 classes",
+            ),
+            ("model.layers.0.in=15", "dense layer expects (batch, 15), got (0, 16)"),
+        ],
+        ids=["no-dense", "input-width"],
+    )
+    @pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=model_command_id)
+    def test_stack_that_does_not_fit_the_data_exits_before_loading(
+        self, blob_cfg, tmp_path, capsys, no_data, argv, override, problem
+    ):
+        assert run_with_layers(blob_cfg, tmp_path, argv, [override]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):
         out = tmp_path / "div"
@@ -582,6 +619,30 @@ class TestGridCommand:
         assert main(argv) == 0
         for name in ("results.csv", "grid_cells.csv", "best_config.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_trials_train_at_the_lr_their_rows_report(self, blob_cfg, tmp_path, monkeypatch):
+        # each trial steps at its row's lr, then at lr * gamma from the milestone
+        trials = []
+        fit, step = harness.fit, harness.step
+
+        def recorded_fit(cfg, splits):
+            trials.append([])
+            return fit(cfg, splits)
+
+        def recorded_step(state, params, grads, lr_now):
+            trials[-1].append(lr_now)
+            return step(state, params, grads, lr_now)
+
+        monkeypatch.setattr(harness, "fit", recorded_fit)
+        monkeypatch.setattr(harness, "step", recorded_step)
+        out = tmp_path / "grid"
+        overrides = ["--set", "epochs=2", "--set", "schedule.milestones=[1]"]
+        assert main(["grid", "--config", str(blob_cfg), *overrides, "--out", str(out)]) == 0
+        rows = read_csv(out / "results.csv")
+        assert len(rows) == len(trials) == 4 * 3
+        for row, lrs in zip(rows, trials):
+            lr, gamma, half = float(row["lr"]), float(row["gamma"]), len(lrs) // 2
+            assert lrs == [lr] * half + [lr * gamma] * half
 
     def test_grid_requires_section(self, blob_cfg, tmp_path):
         cfg = json.loads(Path(blob_cfg).read_text())

@@ -7,6 +7,7 @@ import pytest
 from telulab.autograd import Activation, Conv2d, Dense
 from telulab.config import build_run_spec, load_run_spec, run_spec_to_dict
 from telulab.errors import ConfigError
+from telulab.optim import lr_at_epoch
 
 
 def base_config() -> dict:
@@ -37,7 +38,7 @@ class TestParsing:
         spec = build_run_spec(base_config())
         assert spec.train.activation.tag == "telu"
         assert spec.train.optimizer.lr == 0.1
-        assert spec.train.schedule.initial_lr == 0.1
+        assert lr_at_epoch(spec.train.schedule, spec.train.optimizer.lr, 0) == 0.1
         assert spec.seeds == (0, 1)
         assert spec.grid is None
 
@@ -167,7 +168,7 @@ class TestOverrides:
         path = self.write(tmp_path, base_config())
         spec = load_run_spec(path, ["optimizer.lr=0.05"])
         assert spec.train.optimizer.lr == 0.05
-        assert spec.train.schedule.initial_lr == 0.05
+        assert lr_at_epoch(spec.train.schedule, spec.train.optimizer.lr, 0) == 0.05
 
     def test_override_json_values(self, tmp_path):
         path = self.write(tmp_path, base_config())

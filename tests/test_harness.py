@@ -44,7 +44,7 @@ from telulab.harness import (
     train_model,
 )
 from telulab.kernels import RELU, TELU, ActivationKind
-from telulab.optim import LrSchedule, OptimizerConfig
+from telulab.optim import LrSchedule, OptimizerConfig, lr_at_epoch
 
 
 def strip_timing(result):
@@ -67,7 +67,7 @@ def blob_config(
         layers=(Dense(16, 24), Activation(kind), Dense(24, 4)),
         activation=kind,
         optimizer=OptimizerConfig(opt, lr=lr, weight_decay=0.0003),
-        schedule=LrSchedule(initial_lr=lr, gamma=0.2, milestones=(6, 8)),
+        schedule=LrSchedule(gamma=0.2, milestones=(6, 8)),
         epochs=epochs,
         batch=64,
         dataset=DatasetSpec(
@@ -108,7 +108,7 @@ class TestRunTrial:
             layers=(Dense(2, 2),),
             activation=TELU,
             optimizer=OptimizerConfig("sgd", lr=0.1),
-            schedule=LrSchedule(initial_lr=0.1, gamma=1.0),
+            schedule=LrSchedule(gamma=1.0),
             epochs=2,
             batch=8,
             dataset=DatasetSpec(
@@ -130,6 +130,18 @@ class TestRunTrial:
         a = run_trial(blob_config(seed=0, epochs=2))
         b = run_trial(blob_config(seed=1, epochs=2))
         assert [e.train_loss for e in a.epochs] != [e.train_loss for e in b.epochs]
+
+    def test_stack_without_one_logit_per_class_rejected_before_training(self, monkeypatch):
+        # no dense layer: the 16 features would be read as 16 logits
+        from dataclasses import replace
+
+        def no_training(*args, **kwargs):
+            pytest.fail("trained before the config error")
+
+        monkeypatch.setattr(harness, "step", no_training)
+        cfg = replace(blob_config(n=100), layers=(Flatten(), Activation(TELU)))
+        with pytest.raises(ConfigError, match=r"shape \(16,\), but the blobs dataset has 4 classes"):
+            harness.fit(cfg, materialize_datasets(cfg.dataset))
 
     def test_accuracies_are_percentages(self):
         result = run_trial(blob_config(epochs=3))
@@ -270,7 +282,7 @@ class TestGridSearch:
         )
         assert grid.size() == 8
         for cfg in grid.configs():
-            assert cfg.schedule.initial_lr == cfg.optimizer.lr
+            assert lr_at_epoch(cfg.schedule, cfg.optimizer.lr, 0) == cfg.optimizer.lr
 
 
 class TestFormatCell:

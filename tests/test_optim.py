@@ -136,24 +136,24 @@ class TestSharedBehavior:
 
 class TestSchedule:
     def test_step_decay_sequence(self):
-        sched = LrSchedule(initial_lr=0.1, gamma=0.2, milestones=(60, 120, 160))
-        assert lr_at_epoch(sched, 0) == 0.1
-        assert lr_at_epoch(sched, 59) == 0.1
-        assert lr_at_epoch(sched, 60) == pytest.approx(0.02)
-        assert lr_at_epoch(sched, 120) == pytest.approx(0.004)
-        assert lr_at_epoch(sched, 200) == pytest.approx(8e-4)
+        sched = LrSchedule(gamma=0.2, milestones=(60, 120, 160))
+        assert lr_at_epoch(sched, 0.1, 0) == 0.1
+        assert lr_at_epoch(sched, 0.1, 59) == 0.1
+        assert lr_at_epoch(sched, 0.1, 60) == pytest.approx(0.02)
+        assert lr_at_epoch(sched, 0.1, 120) == pytest.approx(0.004)
+        assert lr_at_epoch(sched, 0.1, 200) == pytest.approx(8e-4)
 
     def test_non_increasing_piecewise_constant(self):
-        sched = LrSchedule(initial_lr=0.1, gamma=0.5, milestones=(3, 7))
-        lrs = [lr_at_epoch(sched, e) for e in range(12)]
+        sched = LrSchedule(gamma=0.5, milestones=(3, 7))
+        lrs = [lr_at_epoch(sched, 0.1, e) for e in range(12)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
         assert len(set(lrs)) == len(sched.milestones) + 1
 
     def test_milestones_must_increase(self):
         with pytest.raises(ConfigError):
-            LrSchedule(0.1, 0.5, milestones=(5, 5))
+            LrSchedule(0.5, milestones=(5, 5))
         with pytest.raises(ConfigError):
-            LrSchedule(0.1, 0.5, milestones=(7, 3))
+            LrSchedule(0.5, milestones=(7, 3))
 
 
 class FrozenState:
