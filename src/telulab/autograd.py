@@ -318,18 +318,19 @@ class MaxPool2(_Parameterless):
         # wins ties with the bottom one, the left column with the right one
         in_top = top >= bottom
         a_wins, c_wins = a >= b, c >= d
-        masks = (
-            in_top & a_wins,
-            in_top & ~a_wins,
-            ~in_top & c_wins,
-            ~in_top & ~c_wins,
-        )
-        shape = x.shape
+        wins = np.empty(x.shape, dtype=bool)
+        wins[:, :, 0::2, 0::2] = in_top & a_wins
+        wins[:, :, 0::2, 1::2] = in_top & ~a_wins
+        wins[:, :, 1::2, 0::2] = ~in_top & c_wins
+        wins[:, :, 1::2, 1::2] = ~in_top & ~c_wins
 
         def step(g, squares=False):
-            gx = np.zeros(shape)
-            for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
-                np.copyto(gx[:, :, di::2, dj::2], g, where=mask)
+            # each window's gradient spread over its 2x2 block and kept at
+            # the winner; adding +0.0 makes every zero +0.0, so a loser holds
+            # +0.0, not the -0.0 of a negative g times False
+            gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
+            gx *= wins
+            gx += 0.0
             return gx, ()
 
         return y, step

@@ -141,17 +141,10 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
     all_trials = [t for c in cells for t in c.trials]
     reporting.write_results_csv(all_trials, out / "results.csv")
     reporting.write_grid_cells_csv(cells, out / "grid_cells.csv")
-    best_dict = {
-        "lr": best.optimizer.lr,
-        "weight_decay": best.optimizer.weight_decay,
-        "gamma": best.schedule.gamma,
-    }
-    reporting.write_best_config_json(best_dict, out / "best_config.json")
+    point = harness.grid_point(best)
+    reporting.write_best_config_json(point, out / "best_config.json")
     wall = {"total": time.perf_counter() - t0}
-    print(
-        f"best: lr={best.optimizer.lr:g} wd={best.optimizer.weight_decay:g} "
-        f"gamma={best.schedule.gamma:g}"
-    )
+    print("best: " + " ".join(f"{axis}={value:g}" for axis, value in point.items()))
     return EXIT_OK, {"wall_time_seconds": wall}
 
 

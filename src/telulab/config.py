@@ -5,7 +5,9 @@ is parsed by :func:`_parse` from its dataclass's field types and echoed
 for run metadata by the inverse, :func:`_echo`.  A field's name is its key
 (but ``in``/``out`` for a dense layer's ``in_dim``/``out_dim``), a field
 without a default is required, and unknown keys are errors, so typos fail
-loudly with their field path.  Only the root is written out by hand.
+loudly with their field path.  The root's keys are the fields of
+:class:`~telulab.harness.TrainConfig` but ``layers`` and ``seed``, plus
+``model``, ``seeds`` and ``grid``, the three with code of their own.
 Overrides use dotted paths (``optimizer.lr=0.05``); values parse as JSON
 literals with a bare-string fallback.
 
@@ -20,7 +22,8 @@ Schema (see README for the full reference):
     dataset               name, path, blobs{n,classes,dim,spread,seed},
                           split{train,valid,test,seed}, standardize
     seeds[]               trial seeds (replicate/grid)
-    grid                  lr[], weight_decay[], gamma[]  (grid command)
+    grid                  lr[], weight_decay[], gamma[]  (harness.GRID_AXES;
+                          grid command)
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .autograd import Activation, Conv2d, Dense, Flatten, LayerSpec, MaxPool2
-from .data import DatasetSpec
 from .errors import ConfigError, DomainError
-from .harness import GridSpec, TrainConfig
+from .harness import GridSpec, TrainConfig, grid_point
 from .kernels import ActivationKind, parse_kind
-from .optim import LrSchedule, OptimizerConfig
 from .rng import check_seed
 
 __all__ = ["RunSpec", "load_run_spec", "run_spec_to_dict"]
@@ -52,9 +53,6 @@ class RunSpec:
     grid: Optional[GridSpec]
 
 
-_ROOT_KEYS = {
-    "model", "activation", "optimizer", "schedule", "epochs", "batch", "dataset", "seeds", "grid"
-}
 # a layer entry's "type" -> its spec class
 _LAYERS = {
     "dense": Dense,
@@ -66,8 +64,9 @@ _LAYERS = {
 _LAYER_TYPES = {cls: name for name, cls in _LAYERS.items()}
 # field name -> config key, where they differ
 _KEYS = {"in_dim": "in", "out_dim": "out"}
-# fields the caller fills in from elsewhere, never config keys
-_DERIVED = {(GridSpec, "base")}
+# fields the caller fills in from elsewhere, never config keys: the root
+# reads a TrainConfig's layers from model.layers and its seed from seeds
+_DERIVED = {(GridSpec, "base"), (TrainConfig, "layers"), (TrainConfig, "seed")}
 # scalar field type -> (accepted JSON values, what the error says)
 _SCALARS = {
     int: (int, "an integer"),
@@ -91,6 +90,10 @@ def _schema(cls) -> tuple[tuple[str, Optional[str], object, bool], ...]:
         )
         for f in fields(cls)
     )
+
+
+# the root's keys: TrainConfig's own, and those with code of their own
+_ROOT_KEYS = {key for _, key, _, _ in _schema(TrainConfig) if key} | {"model", "seeds", "grid"}
 
 
 def _check_keys(d: dict, allowed: set[str], path: str) -> None:
@@ -187,7 +190,13 @@ def build_run_spec(raw: dict) -> RunSpec:
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected an object")
     _check_keys(raw, _ROOT_KEYS, "config")
-    activation = _parse(ActivationKind, _req(raw, "activation", "config"), "activation")
+    # TrainConfig's own keys come first: an activation layer defaults to
+    # the parsed ``activation``
+    root = {
+        name: _parse(tp, _req(raw, key, "config"), key)
+        for name, key, tp, _ in _schema(TrainConfig)
+        if key is not None
+    }
     model_d = _req(raw, "model", "config")
     if not isinstance(model_d, dict):
         raise ConfigError("model: expected an object")
@@ -196,22 +205,10 @@ def build_run_spec(raw: dict) -> RunSpec:
     if not isinstance(layers_raw, list) or not layers_raw:
         raise ConfigError("model.layers: expected a non-empty list")
     layers = tuple(
-        _parse_layer(entry, f"model.layers[{i}]", activation)
+        _parse_layer(entry, f"model.layers[{i}]", root["activation"])
         for i, entry in enumerate(layers_raw)
     )
-
-    optimizer = _parse(OptimizerConfig, _req(raw, "optimizer", "config"), "optimizer")
-    schedule = _parse(LrSchedule, _req(raw, "schedule", "config"), "schedule")
-    dataset = _parse(DatasetSpec, _req(raw, "dataset", "config"), "dataset")
-    train = TrainConfig(
-        layers=layers,
-        activation=activation,
-        optimizer=optimizer,
-        schedule=schedule,
-        epochs=_parse(int, _req(raw, "epochs", "config"), "epochs"),
-        batch=_parse(int, _req(raw, "batch", "config"), "batch"),
-        dataset=dataset,
-    )
+    train = TrainConfig(layers=layers, **root)
 
     seeds = _parse(tuple[int, ...], raw.get("seeds", [0]), "seeds")
     if not seeds:
@@ -222,13 +219,8 @@ def build_run_spec(raw: dict) -> RunSpec:
     grid = None
     if raw.get("grid") is not None:
         # an axis the grid leaves out stays at its base value
-        base = {
-            "base": train,
-            "lr": (optimizer.lr,),
-            "weight_decay": (optimizer.weight_decay,),
-            "gamma": (schedule.gamma,),
-        }
-        grid = _parse_fields(GridSpec, raw["grid"], "grid", base)
+        point = {axis: (value,) for axis, value in grid_point(train).items()}
+        grid = _parse_fields(GridSpec, raw["grid"], "grid", {"base": train, **point})
     return RunSpec(train=train, seeds=seeds, grid=grid)
 
 
@@ -299,17 +291,8 @@ def _echo(value):
 def run_spec_to_dict(spec: RunSpec) -> dict:
     """Fully resolved config (defaults filled in) for run metadata;
     ``build_run_spec`` parses it back to ``spec``."""
-    t = spec.train
-    out = {
-        "model": {"layers": [{"type": _LAYER_TYPES[type(l)], **_echo(l)} for l in t.layers]},
-        "activation": _echo(t.activation),
-        "optimizer": _echo(t.optimizer),
-        "schedule": _echo(t.schedule),
-        "epochs": t.epochs,
-        "batch": t.batch,
-        "dataset": _echo(t.dataset),
-        "seeds": _echo(spec.seeds),
-    }
+    layers = [{"type": _LAYER_TYPES[type(l)], **_echo(l)} for l in spec.train.layers]
+    out = {"model": {"layers": layers}, **_echo(spec.train), "seeds": _echo(spec.seeds)}
     if spec.grid is not None:
         out["grid"] = _echo(spec.grid)
     return out

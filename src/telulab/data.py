@@ -49,6 +49,8 @@ __all__ = [
 
 # rows per chunk of the byte counts behind the CIFAR statistics
 _STATS_CHUNK = 64
+# rows per block of float64 pixels that write_cifar converts to bytes
+_WRITE_ROWS = 1024
 _CIFAR_SHAPE = (3, 32, 32)
 
 
@@ -107,8 +109,7 @@ class Dataset:
         gather copies, so the scaling below never writes to ``store``."""
         x = self.store[store_rows]
         if x.dtype == np.uint8:
-            x = x.astype(np.float64)
-            x /= 255.0
+            x = np.divide(x, 255.0, dtype=np.float64)
         if self.mean is not None:
             x -= self.mean
             x /= self.std
@@ -261,12 +262,14 @@ def load_cifar100(path: Union[str, Path], split_tag: str = "train") -> Dataset:
 
 
 def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
-    """Pixels in [0, 1] as bytes; anything else (a standardized split, say)
-    would wrap around in the uint8 cast, so it raises instead."""
+    """Pixels in [0, 1] as bytes, scaled and rounded in place in
+    ``images``; anything else (a standardized split, say) would wrap
+    around in the uint8 cast, so it raises instead."""
     # min and max propagate NaN, which fails both comparisons
     if not (images.min() >= 0.0 and images.max() <= 1.0):
         raise DataError("pixel values must be finite and in [0, 1] to write CIFAR bytes")
-    return np.rint(images * 255.0).astype(np.uint8).reshape(len(images), 3072)
+    images *= 255.0
+    return np.rint(images, out=images).astype(np.uint8).reshape(len(images), 3072)
 
 
 def _label_bytes(labels, stop: int, what: str) -> np.ndarray:
@@ -283,17 +286,27 @@ def _label_bytes(labels, stop: int, what: str) -> np.ndarray:
 
 def write_cifar(name: str, ds: Dataset, path: Union[str, Path], coarse=None) -> None:
     """Write a dataset back to the binary record format ``name``; ``coarse``
-    fills CIFAR-100's coarse label byte (0 when None).  Labels outside
-    [0, classes), coarse labels outside a byte and pixels outside [0, 1]
-    raise :class:`DataError` before the file is opened."""
+    fills CIFAR-100's coarse label byte (0 when None), one label per
+    record.  Labels outside [0, classes), coarse labels outside a byte or
+    not one per record, and pixels outside [0, 1] raise :class:`DataError`
+    before the file is opened.  Pixels are converted :data:`_WRITE_ROWS`
+    rows at a time, so no float64 copy of the whole dataset is made."""
     fmt = _CIFAR_FORMATS[name]
     records = np.empty((len(ds), fmt.record_len), dtype=np.uint8)
     if fmt.label_index:
+        if coarse is not None and np.shape(coarse) != (len(ds),):
+            raise DataError(
+                f"coarse labels: need one per record, got shape {np.shape(coarse)} "
+                f"for {len(ds)} records"
+            )
         records[:, 0] = 0 if coarse is None else _label_bytes(coarse, 256, "coarse labels")
     elif coarse is not None:
         raise ConfigError(f"{name} records have no coarse label byte")
     records[:, fmt.label_index] = _label_bytes(ds.labels, fmt.num_classes, "labels")
-    records[:, fmt.label_index + 1 :] = _pixels_to_bytes(ds.images)
+    rows = ds.store_rows(np.arange(len(ds)))
+    for start in range(0, len(ds), _WRITE_ROWS):
+        block = ds.features(rows[start : start + _WRITE_ROWS])
+        records[start : start + len(block), fmt.label_index + 1 :] = _pixels_to_bytes(block)
     Path(path).write_bytes(records.tobytes())
 
 

@@ -52,6 +52,8 @@ __all__ = [
     "Epoch",
     "TrialResult",
     "TrialSummary",
+    "GRID_AXES",
+    "grid_point",
     "GridSpec",
     "GridCell",
     "check_model",
@@ -283,9 +285,20 @@ def replicate(
     return _summarize(cfg, trials), trials
 
 
+#: the hyperparameters a grid searches, in column and tie-break order
+GRID_AXES = ("lr", "weight_decay", "gamma")
+
+
+def grid_point(cfg: TrainConfig) -> dict[str, float]:
+    """``cfg``'s value on each of :data:`GRID_AXES`, in that order."""
+    values = (cfg.optimizer.lr, cfg.optimizer.weight_decay, cfg.schedule.gamma)
+    return dict(zip(GRID_AXES, values, strict=True))
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian hyperparameter grid over a fixed base configuration."""
+    """Cartesian hyperparameter grid over a fixed base configuration: one
+    tuple of values per entry of :data:`GRID_AXES`."""
 
     base: TrainConfig
     lr: tuple[float, ...]
@@ -293,14 +306,15 @@ class GridSpec:
     gamma: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for axis in ("lr", "weight_decay", "gamma"):
+        for axis in GRID_AXES:
             if not getattr(self, axis):
                 raise ConfigError(f"grid.{axis} must be non-empty")
 
     def size(self) -> int:
-        return len(self.lr) * len(self.weight_decay) * len(self.gamma)
+        return math.prod(len(getattr(self, axis)) for axis in GRID_AXES)
 
     def configs(self) -> list[TrainConfig]:
+        """One config per point of the grid, the last axis varying fastest."""
         base = self.base
         return [
             replace(
@@ -308,7 +322,7 @@ class GridSpec:
                 optimizer=replace(base.optimizer, lr=lr, weight_decay=wd),
                 schedule=replace(base.schedule, gamma=gamma),
             )
-            for lr, wd, gamma in itertools.product(self.lr, self.weight_decay, self.gamma)
+            for lr, wd, gamma in itertools.product(*(getattr(self, a) for a in GRID_AXES))
         ]
 
 
@@ -325,8 +339,8 @@ def grid_search(
 ) -> tuple[TrainConfig, list[GridCell]]:
     """Evaluate the full grid; select by mean best-validation accuracy.
 
-    Ties break toward the lower (lr, weight_decay, gamma) triple so the
-    selection is deterministic.
+    Ties break toward the lower :func:`grid_point`, compared axis by axis
+    in :data:`GRID_AXES` order, so the selection is deterministic.
     """
     configs = grid.configs()
     # every (cell x seed) trial goes through one pool, in cell-major order
@@ -336,15 +350,7 @@ def grid_search(
         cell = trials[i * len(seeds) : (i + 1) * len(seeds)]
         mean_best = float(np.mean([t.best_valid_acc for t in cell]))
         cells.append(GridCell(cfg, mean_best, _summarize(cfg, cell), tuple(cell)))
-    best = min(
-        cells,
-        key=lambda c: (
-            -c.mean_best_valid,
-            c.config.optimizer.lr,
-            c.config.optimizer.weight_decay,
-            c.config.schedule.gamma,
-        ),
-    )
+    best = min(cells, key=lambda c: (-c.mean_best_valid, *grid_point(c.config).values()))
     return best.config, cells
 
 

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -112,18 +112,17 @@ def write_kernel_table(rows: Iterable[Sequence], path) -> None:
     _write_csv(path, ("activation", "x", "f", "f_prime", "f_second"), rows)
 
 
-_RESULT_COLUMNS = (
-    "activation",
-    "optimizer",
-    "seed",
-    "lr",
-    "weight_decay",
-    "gamma",
-    "final_test_acc",
-    "best_valid_acc",
-    "conc",
-    "diverged",
-)
+def _write_columns(path, columns: dict[str, Callable], items: Iterable) -> None:
+    """A CSV of one row per item and one column per entry of ``columns``:
+    its header name, and the function that gives an item's value."""
+    _write_csv(path, list(columns), ([value(x) for value in columns.values()] for x in items))
+
+
+def _grid_columns() -> dict[str, Callable]:
+    """One column per grid axis, read from an item's ``config``."""
+    from .harness import GRID_AXES, grid_point
+
+    return {axis: (lambda x, axis=axis: grid_point(x.config)[axis]) for axis in GRID_AXES}
 
 
 def write_results_csv(trials: Iterable[TrialResult], path) -> None:
@@ -131,32 +130,25 @@ def write_results_csv(trials: Iterable[TrialResult], path) -> None:
     so identical runs produce byte-identical files."""
     from .harness import conc_metric
 
-    rows = (
-        (
-            t.config.activation.spec_string(),
-            t.config.optimizer.kind,
-            t.config.seed,
-            t.config.optimizer.lr,
-            t.config.optimizer.weight_decay,
-            t.config.schedule.gamma,
-            t.test_acc,
-            t.best_valid_acc,
-            conc_metric(t),
-            t.diverged,
-        )
-        for t in trials
-    )
-    _write_csv(path, _RESULT_COLUMNS, rows)
+    columns = {
+        "activation": lambda t: t.config.activation.spec_string(),
+        "optimizer": lambda t: t.config.optimizer.kind,
+        "seed": lambda t: t.config.seed,
+        **_grid_columns(),
+        "final_test_acc": lambda t: t.test_acc,
+        "best_valid_acc": lambda t: t.best_valid_acc,
+        "conc": conc_metric,
+        "diverged": lambda t: t.diverged,
+    }
+    _write_columns(path, columns, trials)
 
 
 def write_curves_csv(trials: Iterable[TrialResult], path) -> None:
     """One row per trial and epoch: seed, epoch index, then the Epoch."""
+    from .harness import Epoch
+
     rows = ((t.config.seed, i, *epoch) for t in trials for i, epoch in enumerate(t.epochs))
-    _write_csv(
-        path,
-        ("seed", "epoch", "train_acc", "train_loss", "valid_acc", "valid_loss"),
-        rows,
-    )
+    _write_csv(path, ("seed", "epoch", *Epoch._fields), rows)
 
 
 def write_summary_json(summary: TrialSummary, path) -> None:
@@ -164,31 +156,14 @@ def write_summary_json(summary: TrialSummary, path) -> None:
 
 
 def write_grid_cells_csv(cells: list[GridCell], path) -> None:
-    rows = [
-        (
-            c.config.optimizer.lr,
-            c.config.optimizer.weight_decay,
-            c.config.schedule.gamma,
-            c.mean_best_valid,
-            c.summary.mean_test_acc,
-            c.summary.std_test_acc,
-            c.summary.divergence_count,
-        )
-        for c in cells
-    ]
-    _write_csv(
-        path,
-        (
-            "lr",
-            "weight_decay",
-            "gamma",
-            "mean_best_valid",
-            "mean_test_acc",
-            "std_test_acc",
-            "divergence_count",
-        ),
-        rows,
-    )
+    columns = {
+        **_grid_columns(),
+        "mean_best_valid": lambda c: c.mean_best_valid,
+        "mean_test_acc": lambda c: c.summary.mean_test_acc,
+        "std_test_acc": lambda c: c.summary.std_test_acc,
+        "divergence_count": lambda c: c.summary.divergence_count,
+    }
+    _write_columns(path, columns, cells)
 
 
 def write_best_config_json(config_dict: dict, path) -> None:

@@ -386,6 +386,25 @@ class TestConvAgainstDirectSum:
             ],
         )
 
+    def test_maxpool_backward_bits_match_the_four_mask_rule(self):
+        # windows drawn from 3 values tie often; every window's four corners
+        # are checked against the rule written out corner by corner
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 3, size=(3, 2, 6, 8)).astype(np.float64)
+        g = rng.normal(size=(3, 2, 3, 4))
+        _, step = MaxPool2().forward(x, [], True, True)
+        gx, _ = step(g)
+        a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+        c, d = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+        in_top = np.maximum(a, b) >= np.maximum(c, d)
+        masks = (in_top & (a >= b), in_top & (a < b), ~in_top & (c >= d), ~in_top & (c < d))
+        want = np.zeros(x.shape)
+        for (di, dj), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), masks):
+            np.copyto(want[:, :, di::2, dj::2], g, where=mask)
+        assert (masks[0] & (a == b)).any() and (~in_top & (c == d)).any()
+        np.testing.assert_array_equal(gx.view(np.int64), want.view(np.int64))
+        assert not np.signbit(gx[gx == 0.0]).any()
+
     def test_maxpool_odd_size_rejected(self):
         model = Model((MaxPool2(),), [])
         with pytest.raises(ConfigError):

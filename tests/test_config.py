@@ -1,12 +1,15 @@
 """Run-config parsing: schema validation, field-path errors, overrides."""
 
+import dataclasses
 import json
 
 import pytest
 
+from telulab import config
 from telulab.autograd import Activation, Conv2d, Dense
 from telulab.config import build_run_spec, load_run_spec, run_spec_to_dict
 from telulab.errors import ConfigError
+from telulab.harness import TrainConfig
 from telulab.optim import lr_at_epoch
 
 
@@ -77,11 +80,20 @@ class TestParsing:
         assert spec.grid.weight_decay == (0.003,)
 
     def test_round_trip_through_dict(self):
-        spec = build_run_spec(base_config())
-        echoed = run_spec_to_dict(spec)
-        again = build_run_spec(echoed)
-        assert again.train == spec.train
-        assert again.seeds == spec.seeds
+        with_grid = base_config()
+        with_grid["grid"] = {"lr": [0.1, 0.03], "gamma": [0.2, 0.5]}
+        for raw in (base_config(), with_grid):
+            spec = build_run_spec(raw)
+            echoed = run_spec_to_dict(spec)
+            assert set(echoed) | {"grid"} == config._ROOT_KEYS
+            assert build_run_spec(echoed) == spec
+        # the axis the grid left out is echoed at its base value
+        assert echoed["grid"] == {"lr": [0.1, 0.03], "weight_decay": [0.003], "gamma": [0.2, 0.5]}
+
+    def test_every_train_config_field_but_layers_and_seed_is_a_root_key(self):
+        # model.layers and seeds hold the other two; grid is no TrainConfig field
+        names = {f.name for f in dataclasses.fields(TrainConfig)} - {"layers", "seed"}
+        assert config._ROOT_KEYS == names | {"model", "seeds", "grid"}
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ deterministic splits and batching, blob separability."""
 import numpy as np
 import pytest
 
+from telulab import data as data_mod
 from telulab.data import (
     Dataset,
     DataMeta,
@@ -130,6 +131,36 @@ class TestCifarWriters:
         with pytest.raises(DataError, match=r"coarse labels must be in \[0, 256\)"):
             write_cifar100(ds, dst, coarse=[1, 256])
         assert not dst.exists()
+
+    @pytest.mark.parametrize("coarse", [[7], [1, 2, 3]])
+    def test_coarse_labels_one_per_record(self, tmp_path, coarse):
+        # a single coarse label would broadcast into every record
+        ds = Dataset(np.full((2, 3, 32, 32), 0.5), np.array([3, 99]), DataMeta("cifar100", 100, "train"))
+        dst = tmp_path / "out.bin"
+        shape = rf"\({len(coarse)},\)"
+        with pytest.raises(DataError, match=rf"one per record, got shape {shape} for 2 records"):
+            write_cifar100(ds, dst, coarse=coarse)
+        assert not dst.exists()
+
+    def test_blocks_of_rows_write_the_bytes_of_one_block(self, tmp_path, monkeypatch):
+        # 7 random records through blocks of 3 rows, then a bad pixel in
+        # the last block, which must fail before the file is opened
+        rng = np.random.default_rng(3)
+        records = rng.integers(0, 256, size=(7, 3073), dtype=np.uint8)
+        records[:, 0] %= 10
+        src = tmp_path / "src.bin"
+        src.write_bytes(records.tobytes())
+        ds = load_cifar10(src)
+        monkeypatch.setattr(data_mod, "_WRITE_ROWS", 3)
+        dst = tmp_path / "dst.bin"
+        write_cifar10(ds.take(np.arange(1, 7), "train"), dst)
+        assert dst.read_bytes() == records[1:].tobytes()
+        images = ds.images
+        images[6, 0, 0, 0] = 2.0
+        bad = tmp_path / "bad.bin"
+        with pytest.raises(DataError):
+            write_cifar10(Dataset(images, ds.labels, ds.meta), bad)
+        assert not bad.exists()
 
     def test_range_ends_round_trip_bytewise(self, tmp_path):
         path = make_cifar10_fixture(tmp_path, labels=[4, 9], fill=[0, 255])

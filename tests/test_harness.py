@@ -1,6 +1,7 @@
 """Harness checks: trials, divergence handling, replication statistics,
 grid selection, landscape geometry, Fisher probe."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -25,6 +26,7 @@ from telulab.errors import ConfigError, DivergenceError
 import telulab.autograd as autograd
 import telulab.harness as harness
 from telulab.harness import (
+    GRID_AXES,
     MAX_LANDSCAPE_CELLS,
     BlobsSpec,
     DatasetSpec,
@@ -36,6 +38,7 @@ from telulab.harness import (
     draw_directions,
     empirical_fisher_diag,
     format_cell,
+    grid_point,
     grid_search,
     landscape_slice,
     materialize_datasets,
@@ -274,6 +277,19 @@ class TestGridSearch:
         assert calls == [[(0.1, 0), (0.1, 1), (0.03, 0), (0.03, 1)]]
         assert [[t.config.seed for t in c.trials] for c in cells] == [[0, 1], [0, 1]]
         assert [c.trials[0].config.optimizer.lr for c in cells] == [0.1, 0.03]
+
+    def test_grid_axes_are_the_grid_fields(self):
+        # an axis field left out of GRID_AXES, or an axis without a field,
+        # would be missing from the CSVs, the tie-break or the config's base
+        fields = [f.name for f in dataclasses.fields(GridSpec) if f.name != "base"]
+        assert tuple(fields) == GRID_AXES
+
+    def test_each_config_sits_at_its_grid_point(self):
+        grid = GridSpec(
+            base=blob_config(epochs=1), lr=(0.1, 0.03), weight_decay=(0.0, 0.0003), gamma=(0.2, 0.5)
+        )
+        points = [tuple(grid_point(c).values()) for c in grid.configs()]
+        assert points == list(itertools.product(grid.lr, grid.weight_decay, grid.gamma))
 
     def test_grid_size_and_schedule_lr_tracks_optimizer(self):
         base = blob_config(epochs=2)
