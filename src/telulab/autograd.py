@@ -524,7 +524,8 @@ def softmax_cross_entropy(
     :class:`DivergenceError`.
     """
     losses, grad = cross_entropy_rows(logits, labels)
-    loss = float(np.mean(losses))
+    with np.errstate(over="ignore"):  # caught by the finite-loss check below
+        loss = float(np.mean(losses))
     grad /= len(grad)
     if not math.isfinite(loss):
         raise DivergenceError("non-finite loss")

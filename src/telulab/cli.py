@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels, reporting
-from .errors import ConfigError, DataError, DomainError, FormatError
+from .errors import ConfigError, DataError, DivergenceError, DomainError, FormatError
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -197,8 +197,16 @@ def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
         raise ConfigError(f"--samples {args.samples} exceeds the train split's {n_train} examples")
 
     model, result, train_ds = _probe_target(spec, args)
+    if result is not None and result.diverged:
+        raise ConfigError(
+            f"fisher: training diverged in epoch {result.divergence_epoch}, "
+            "so there is no trained model to probe"
+        )
     n = args.samples or len(train_ds)
-    values = harness.empirical_fisher_diag(model, train_ds, n)
+    try:
+        values = harness.empirical_fisher_diag(model, train_ds, n)
+    except DivergenceError as exc:
+        raise ConfigError(f"fisher: the probed model overflows on the train split: {exc}") from exc
     reporting.write_fisher_csv(values, out / "fisher.csv")
     print(
         f"fisher diagonal over {n} samples: mean {values.mean():.3e} "

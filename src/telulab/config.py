@@ -21,7 +21,8 @@ Schema (see README for the full reference):
     epochs, batch         positive integers
     dataset               name, path, blobs{n,classes,dim,spread,seed},
                           split{train,valid,test,seed}, standardize
-    seeds[]               trial seeds (replicate/grid)
+    seeds[]               trial seeds (replicate/grid; the first for
+                          train/landscape/fisher)
     grid                  lr[], weight_decay[], gamma[]  (harness.GRID_AXES;
                           grid command)
 """
@@ -208,13 +209,13 @@ def build_run_spec(raw: dict) -> RunSpec:
         _parse_layer(entry, f"model.layers[{i}]", root["activation"])
         for i, entry in enumerate(layers_raw)
     )
-    train = TrainConfig(layers=layers, **root)
-
     seeds = _parse(tuple[int, ...], raw.get("seeds", [0]), "seeds")
     if not seeds:
         raise ConfigError("seeds: expected a non-empty list")
     for i, seed in enumerate(seeds):
         check_seed(seed, f"seeds[{i}]")
+    # a single trial (train, landscape, fisher) runs the first seed
+    train = TrainConfig(layers=layers, seed=seeds[0], **root)
 
     grid = None
     if raw.get("grid") is not None:

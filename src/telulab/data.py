@@ -67,29 +67,29 @@ class Dataset:
 
     ``store`` (the ``images`` argument) is what was loaded: the uint8
     pixel bytes (N, 3, 32, 32) for CIFAR, float64 features (N, dim) for
-    synthetic blobs.  ``rows`` picks this dataset's examples out of
-    ``store``, in order (None: all rows), so splits share the store.
-    ``labels`` has one entry per example of this dataset.  Features are
-    built per batch by ``features``: uint8 bytes are scaled by 1/255
-    (float stores pass through unscaled), then, when ``mean`` and ``std``
-    are set, standardized as (x - mean) / std.
+    synthetic blobs.  ``rows``, an index array, picks this dataset's
+    examples out of ``store``, in order (all rows when not given), so
+    splits share the store.  ``labels`` has one entry per example of this
+    dataset.  Features are built per batch by ``features``: uint8 bytes
+    are scaled by 1/255 (float stores pass through unscaled), then, when
+    ``mean`` and ``std`` are set, standardized as (x - mean) / std.
     """
 
     store: np.ndarray
     labels: np.ndarray
     meta: DataMeta
-    rows: Optional[np.ndarray]
+    rows: np.ndarray
     mean: Optional[np.ndarray]
     std: Optional[np.ndarray]
 
     def __init__(self, images, labels, meta, rows=None, mean=None, std=None):
+        rows = np.arange(len(images)) if rows is None else rows
         fields = dict(store=images, labels=labels, meta=meta, rows=rows, mean=mean, std=std)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        n = len(images) if rows is None else len(rows)
-        if n != len(labels):
+        if len(rows) != len(labels):
             raise FormatError("images and labels must have equal length")
-        if n == 0:
+        if len(rows) == 0:
             raise FormatError("dataset must be non-empty")
 
     def __len__(self) -> int:
@@ -98,11 +98,7 @@ class Dataset:
     @property
     def images(self) -> np.ndarray:
         """Every example as one float64 array, built like a batch."""
-        return self.features(self.store_rows(np.arange(len(self))))
-
-    def store_rows(self, positions: np.ndarray) -> np.ndarray:
-        """Rows of ``store`` holding the examples at ``positions``."""
-        return positions if self.rows is None else self.rows[positions]
+        return self.features(self.rows)
 
     def features(self, store_rows: np.ndarray) -> np.ndarray:
         """Float64 features of the store rows in an index array; the
@@ -116,7 +112,7 @@ class Dataset:
         return x
 
     def take(self, indices: np.ndarray, split_tag: str) -> "Dataset":
-        meta, rows = replace(self.meta, split_tag=split_tag), self.store_rows(indices)
+        meta, rows = replace(self.meta, split_tag=split_tag), self.rows[indices]
         return Dataset(self.store, self.labels[indices], meta, rows, self.mean, self.std)
 
     def standardized(self, mean: np.ndarray, std: np.ndarray) -> "Dataset":
@@ -303,9 +299,8 @@ def write_cifar(name: str, ds: Dataset, path: Union[str, Path], coarse=None) -> 
     elif coarse is not None:
         raise ConfigError(f"{name} records have no coarse label byte")
     records[:, fmt.label_index] = _label_bytes(ds.labels, fmt.num_classes, "labels")
-    rows = ds.store_rows(np.arange(len(ds)))
     for start in range(0, len(ds), _WRITE_ROWS):
-        block = ds.features(rows[start : start + _WRITE_ROWS])
+        block = ds.features(ds.rows[start : start + _WRITE_ROWS])
         records[start : start + len(block), fmt.label_index + 1 :] = _pixels_to_bytes(block)
     Path(path).write_bytes(records.tobytes())
 
@@ -346,15 +341,14 @@ def channel_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     are then each one correctly rounded int division.  A float store
     (blobs) takes numpy's mean and std over its rows.
     """
-    rows = ds.store_rows(np.arange(len(ds)))
     if ds.store.dtype == np.uint8:
         channels = ds.store.shape[1]
         counts = np.zeros((channels, 256), dtype=np.int64)
-        for start in range(0, len(rows), _STATS_CHUNK):
-            block = ds.store[rows[start : start + _STATS_CHUNK]]
+        for start in range(0, len(ds), _STATS_CHUNK):
+            block = ds.store[ds.rows[start : start + _STATS_CHUNK]]
             for c in range(channels):
                 counts[c] += np.bincount(block[:, c].ravel(), minlength=256)
-        n = len(rows) * math.prod(ds.store.shape[2:])
+        n = len(ds) * math.prod(ds.store.shape[2:])
         byte = np.arange(256, dtype=np.int64)
         s1, s2 = (counts @ byte).tolist(), (counts @ (byte * byte)).tolist()
         shape = (1, channels) + (1,) * (ds.store.ndim - 2)
@@ -362,7 +356,7 @@ def channel_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
         var = [(n * q - a * a) / (255 * n) ** 2 for a, q in zip(s1, s2)]
         std = np.reshape([math.sqrt(v) for v in var], shape)
     else:
-        x = ds.store[rows]
+        x = ds.store[ds.rows]
         mean, std = x.mean(axis=0, keepdims=True), x.std(axis=0, keepdims=True)
     return mean, np.where(std > 0.0, std, 1.0)
 
@@ -383,7 +377,8 @@ def synthetic_blobs(
     n: int, classes: int, dim: int, spread: float = 0.1, seed: int = 0, tag: str = "train"
 ) -> Dataset:
     """Gaussian blobs around unit-radius simplex vertices, labels balanced
-    to within one sample.  Fully determined by the arguments."""
+    to within one sample.  Fully determined by the arguments; a spread that
+    overflows a feature raises :class:`DataError`."""
     if classes < 2:
         raise ConfigError("blobs need at least 2 classes")
     if n < classes:
@@ -394,7 +389,10 @@ def synthetic_blobs(
     labels = np.arange(n, dtype=np.int64) % classes
     extra = 0 if tag == "train" else 1
     noise = generator(seed, TAG_BLOBS, extra).standard_normal((n, dim))
-    images = means[labels] + spread * noise
+    with np.errstate(over="ignore"):  # caught by the check below
+        images = means[labels] + spread * noise
+    if not np.isfinite(images).all():
+        raise DataError(f"blobs spread {spread!r} overflows the features")
     return Dataset(images, labels, DataMeta("blobs", classes, tag))
 
 
@@ -442,7 +440,7 @@ def batch_iter(
         order = generator(seed, TAG_BATCH, epoch).permutation(len(ds))
     else:
         order = np.arange(len(ds))
-    rows = ds.store_rows(order)
+    rows = ds.rows[order]
     for start in range(0, len(ds), batch):
         stop = start + batch
         yield ds.features(rows[start:stop]), ds.labels[order[start:stop]]

@@ -12,9 +12,9 @@ Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs, and :func:`check_model`
 checks its layers against its dataset before any data is read.  A trial's
 record, a :class:`TrialResult`, carries its config and one :class:`Epoch`
-per completed epoch, and the writers read every column from it.
-Divergence (first non-finite value) ends a trial early and is recorded as
-data, never raised to the caller.
+per completed epoch, and the writers read every column from it or from a
+figure it derives.  Divergence (first non-finite value) ends a trial early
+and is recorded as data, never raised to the caller.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "fit",
     "replicate",
     "grid_search",
-    "conc_metric",
     "format_cell",
     "LandscapeSurface",
     "draw_directions",
@@ -111,30 +110,33 @@ class Epoch(NamedTuple):
 @dataclass(frozen=True)
 class TrialResult:
     """Outcome of one training run of ``config``: one :class:`Epoch` per
-    completed epoch (a diverged trial stops at its divergence epoch), with
-    accuracies as percentages in [0, 100].  ``wall_time`` (seconds, data
-    loading included when the trial loaded its data) is the one field that
-    ``config`` does not determine."""
+    completed epoch (a diverged trial stops at its divergence epoch, None
+    when it never diverged), with accuracies as percentages in [0, 100].
+    ``wall_time`` (seconds, data loading included when the trial loaded its
+    data) is the one field that ``config`` does not determine."""
 
     config: TrainConfig
     epochs: tuple[Epoch, ...]
     test_acc: float
-    diverged: bool
     divergence_epoch: Optional[int]
     wall_time: float
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_epoch is not None
 
     @property
     def best_valid_acc(self) -> float:
         """Highest validation accuracy over the epochs (0.0 with none)."""
         return max((e.valid_acc for e in self.epochs), default=0.0)
 
-
-def conc_metric(result: TrialResult) -> float:
-    """Convergence figure used in summary tables: validation accuracy at
-    the final recorded epoch (0.0 when a trial diverged before its first
-    evaluation).  This definition travels with the outputs in metadata.
-    """
-    return result.epochs[-1].valid_acc if result.epochs else 0.0
+    @property
+    def conc(self) -> float:
+        """Convergence figure used in summary tables: validation accuracy
+        at the final recorded epoch (0.0 when the trial diverged before its
+        first evaluation).  This definition travels with the outputs in
+        metadata."""
+        return self.epochs[-1].valid_acc if self.epochs else 0.0
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,6 @@ def fit(
     state = OptimizerState(cfg.optimizer)
 
     epochs: list[Epoch] = []
-    diverged = False
     divergence_epoch: Optional[int] = None
 
     for epoch in range(cfg.epochs):
@@ -218,18 +219,18 @@ def fit(
                 step(state, model.params, grads, lr_now)
             epochs.append(Epoch(*_evaluate(model, train), *_evaluate(model, valid)))
         except DivergenceError:
-            diverged, divergence_epoch = True, epoch
+            divergence_epoch = epoch
             break
 
     try:
         test_acc, _ = _evaluate(model, test)
     except DivergenceError:
         test_acc = 0.0
-        if not diverged:
-            diverged, divergence_epoch = True, cfg.epochs - 1
+        if divergence_epoch is None:
+            divergence_epoch = cfg.epochs - 1
 
     wall_time = time.perf_counter() - t0
-    return model, TrialResult(cfg, tuple(epochs), test_acc, diverged, divergence_epoch, wall_time)
+    return model, TrialResult(cfg, tuple(epochs), test_acc, divergence_epoch, wall_time)
 
 
 def run_trial(cfg: TrainConfig) -> TrialResult:
@@ -266,7 +267,7 @@ def _summarize(cfg: TrainConfig, trials: list[TrialResult]) -> TrialSummary:
         optimizer=cfg.optimizer.kind,
         mean_test_acc=float(np.mean(accs)),
         std_test_acc=float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-        mean_conc=float(np.mean([conc_metric(t) for t in trials])),
+        mean_conc=float(np.mean([t.conc for t in trials])),
         divergence_count=sum(t.diverged for t in trials),
         n_trials=len(trials),
     )
@@ -359,9 +360,8 @@ def grid_search(
 
 @dataclass(frozen=True)
 class LandscapeSurface:
-    alphas: np.ndarray
-    betas: np.ndarray
-    losses: np.ndarray  # losses[i, j] at (alphas[i], betas[j])
+    axis: np.ndarray  # both directions' steps
+    losses: np.ndarray  # losses[i, j] at (alpha, beta) = (axis[i], axis[j])
 
 
 def _filter_normalize(direction: np.ndarray, param: np.ndarray) -> None:
@@ -374,7 +374,8 @@ def _filter_normalize(direction: np.ndarray, param: np.ndarray) -> None:
     all-zero parameter still explores).
     """
     axes = {4: (1, 2, 3), 2: (0,)}.get(param.ndim, tuple(range(param.ndim)))
-    wnorm = np.sqrt(np.sum(param**2, axis=axes, keepdims=True))
+    with np.errstate(over="ignore"):  # an overflowing norm gives inf losses
+        wnorm = np.sqrt(np.sum(param**2, axis=axes, keepdims=True))
     dnorm = np.sqrt(np.sum(direction**2, axis=axes, keepdims=True))
     direction *= np.where(wnorm > 0.0, wnorm / np.maximum(dnorm, 1e-300), 1.0)
 
@@ -438,14 +439,16 @@ def landscape_slice(
     try:
         for i, a in enumerate(axis):
             for j, b in enumerate(axis):
-                model.flat[:] = theta + a * d1 + b * d2
+                # a non-finite point fails the forward's checks: an inf cell
+                with np.errstate(over="ignore", invalid="ignore"):
+                    model.flat[:] = theta + a * d1 + b * d2
                 try:
                     losses[i, j] = loss_fn(model)
                 except DivergenceError:
                     losses[i, j] = math.inf
     finally:
         model.flat[:] = theta
-    return LandscapeSurface(alphas=axis, betas=axis, losses=losses)
+    return LandscapeSurface(axis, losses)
 
 
 # --- empirical Fisher information probe -------------------------------------------

@@ -120,12 +120,9 @@ class ScalarEval:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows: 1/(1+e) for x >= 0, e/(1+e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -349,7 +346,8 @@ def elu(alpha: float = 1.0) -> ActivationKind:
     return ActivationKind("elu", alpha=float(alpha))
 
 
-ALL_KINDS = (TELU, RELU, GELU, SILU, MISH, LOGISH, SMISH, elu())
+#: one kind per record of ``_KINDS``, in its order (ELU at alpha 1)
+ALL_KINDS = tuple(ActivationKind(tag) for tag in _KINDS)
 
 
 def parse_kind(text: str) -> ActivationKind:

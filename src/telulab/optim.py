@@ -36,9 +36,9 @@ __all__ = [
     "lr_at_epoch",
 ]
 
-OPTIMIZER_KINDS = ("sgd", "momentum", "adamw", "rmsprop")
 #: the flat buffers each kind keeps between steps
 _BUFFERS = {"sgd": (), "momentum": ("momentum",), "adamw": ("m", "v"), "rmsprop": ("s",)}
+OPTIMIZER_KINDS = tuple(_BUFFERS)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ __all__ = [
     "saturation_profile",
     "sensitivity_ranking",
     "verify_activation",
-    "report_to_dict",
 ]
 
 Witness = Union[None, float, tuple[float, float]]
@@ -100,19 +99,6 @@ class PropertyReport:
     @property
     def ok(self) -> bool:
         return self.verdict != "fails"
-
-
-def report_to_dict(report: PropertyReport) -> dict:
-    witness = report.witness
-    if isinstance(witness, tuple):
-        witness = list(witness)
-    return {
-        "claim_id": report.claim_id,
-        "verdict": report.verdict,
-        "witness": witness,
-        "measured": report.measured,
-        "tolerance": report.tolerance,
-    }
 
 
 def _bound_report(

@@ -7,9 +7,9 @@ of the run configuration; wall-clock timings go only into the metadata
 JSON, which is the one non-deterministic artifact.
 
 The module imports no engine code at load time, so the commands that never
-train (``verify``, ``kernels``) can write through it: the training record
-types are named for annotations only, and a writer that needs a helper of
-the harness or the property verifiers imports it when called.
+train (``verify``, ``kernels``) can write through it: the record types are
+named for annotations only, and a writer that needs a helper of the
+harness imports it when called.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ def _write_json(path, payload) -> None:
 
 
 def write_property_report(reports: list[PropertyReport], path) -> None:
-    from .properties import report_to_dict
-
-    _write_json(path, [report_to_dict(r) for r in reports])
+    """One object per report, its fields as keys; a tuple witness is a list."""
+    _write_json(path, [dataclasses.asdict(r) for r in reports])
 
 
 def write_kernel_table(rows: Iterable[Sequence], path) -> None:
@@ -128,8 +127,6 @@ def _grid_columns() -> dict[str, Callable]:
 def write_results_csv(trials: Iterable[TrialResult], path) -> None:
     """One row per trial.  Per-trial wall time lives in metadata, not here,
     so identical runs produce byte-identical files."""
-    from .harness import conc_metric
-
     columns = {
         "activation": lambda t: t.config.activation.spec_string(),
         "optimizer": lambda t: t.config.optimizer.kind,
@@ -137,7 +134,7 @@ def write_results_csv(trials: Iterable[TrialResult], path) -> None:
         **_grid_columns(),
         "final_test_acc": lambda t: t.test_acc,
         "best_valid_acc": lambda t: t.best_valid_acc,
-        "conc": conc_metric,
+        "conc": lambda t: t.conc,
         "diverged": lambda t: t.diverged,
     }
     _write_columns(path, columns, trials)
@@ -171,10 +168,11 @@ def write_best_config_json(config_dict: dict, path) -> None:
 
 
 def write_landscape_csv(surface: LandscapeSurface, path) -> None:
-    """Matrix layout: header carries the beta axis, first column the alpha
-    axis, cell (i, j) the loss at (alpha_i, beta_j)."""
-    header = ["alpha\\beta"] + [repr(float(b)) for b in surface.betas]
-    rows = ([a, *row] for a, row in zip(surface.alphas.tolist(), surface.losses.tolist()))
+    """Matrix layout: the header and the first column both carry the axis
+    (beta across, alpha down), cell (i, j) the loss at (alpha_i, beta_j)."""
+    axis = surface.axis.tolist()
+    header = ["alpha\\beta"] + [repr(b) for b in axis]
+    rows = ([a, *row] for a, row in zip(axis, surface.losses.tolist()))
     _write_csv(path, header, rows)
 
 

@@ -27,7 +27,6 @@ from telulab.harness import (
     BlobsSpec,
     DatasetSpec,
     TrainConfig,
-    conc_metric,
     empirical_fisher_diag,
     format_cell,
     landscape_slice,
@@ -282,7 +281,7 @@ def test_c13_summary_arithmetic():
     std = float(np.std(accs, ddof=1))
     assert summary.cell() == format_cell(mean, std)
     assert summary.mean_conc == pytest.approx(
-        float(np.mean([conc_metric(t) for t in trials])), abs=1e-12
+        float(np.mean([t.conc for t in trials])), abs=1e-12
     )
 
 

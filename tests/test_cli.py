@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 from telulab import autograd, config, data, harness, properties
 from telulab.cli import main
+from telulab.data import BlobsSpec
 from telulab.harness import format_cell
+from telulab.optim import LrSchedule, OptimizerConfig
 
 
 @pytest.fixture
@@ -65,6 +68,18 @@ MODEL_COMMANDS = [
     ["landscape", "--grid-n", "3", "--checkpoint"],
     ["fisher", "--checkpoint"],
 ]
+
+
+# every float field of the optimizer, schedule and blobs sections at the top
+# of the float range, and an ELU alpha there
+EXTREME_FLOATS = [
+    f"{section}.{key}=1e308"
+    for section, cls in (
+        ("optimizer", OptimizerConfig), ("schedule", LrSchedule), ("dataset.blobs", BlobsSpec)
+    )
+    for _, key, tp, _ in config._schema(cls)
+    if tp is float
+] + ["activation=elu:1e308"]
 
 
 def model_command_id(argv):
@@ -285,6 +300,7 @@ class TestExitCodes:
             (["dataset.blobs.spread=-1"], "dataset.blobs: blobs spread must be positive"),
             (["dataset.split.test=0"], "dataset: blobs need split.test > 0 (test set is drawn fresh)"),
             (["grid.gamma=[]"], "grid.gamma must be non-empty"),
+            (["dataset.blobs.spread=1e308"], "blobs spread 1e+308 overflows the features"),
         ],
     )
     def test_bad_layer_size_or_path_usage_error(
@@ -360,6 +376,43 @@ class TestExitCodes:
     ):
         assert run_with_layers(blob_cfg, tmp_path, argv, [override]) == 2
         assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", EXTREME_FLOATS)
+    @pytest.mark.parametrize(
+        "argv", [["train"], ["fisher"], ["landscape", "--grid-n", "3"]], ids=model_command_id
+    )
+    def test_extreme_float_exits_zero_or_two_without_warnings(
+        self, blob_cfg, tmp_path, capsys, argv, override
+    ):
+        # overflowing blobs and a fisher probe of a diverged model exited 3,
+        # and the overflows printed numpy's RuntimeWarnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_with_layers(blob_cfg, tmp_path, argv, ["epochs=1", override])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert err.count("error:") <= 1
+        if code == 2:
+            assert not (tmp_path / "out").exists()
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
+    def test_fisher_after_diverged_training_usage_error(self, blob_cfg, tmp_path, capsys):
+        assert run_with_layers(blob_cfg, tmp_path, ["fisher"], ["optimizer.lr=1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fisher: training diverged in epoch 0, so there is no trained model to probe\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_fisher_of_an_overflowing_checkpoint_usage_error(self, blob_cfg, tmp_path, capsys):
+        model = autograd.build_model(config.load_run_spec(blob_cfg).train.layers, 0)
+        model.flat[:] = 1e200
+        autograd.save_params(model, tmp_path / "model")
+        argv = ["fisher", "--config", str(blob_cfg), "--checkpoint", str(tmp_path / "model")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: fisher: the probed model overflows on the train split: non-finite value"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):
@@ -544,6 +597,18 @@ class TestKernelsCommand:
 
 
 class TestReplicateCommand:
+    def test_train_runs_the_first_seed(self, blob_cfg, tmp_path):
+        # train's one trial is replicate's trial of the same seed
+        for command, seeds in (("train", "[5, 3]"), ("replicate", "[3, 5]")):
+            sets = ["--set", f"seeds={seeds}", "--set", "epochs=1"]
+            argv = [command, "--config", str(blob_cfg), *sets, "--out", str(tmp_path / command)]
+            assert main(argv) == 0
+        (row,) = read_csv(tmp_path / "train" / "results.csv")
+        by_seed = {r["seed"]: r for r in read_csv(tmp_path / "replicate" / "results.csv")}
+        assert row == by_seed["5"]
+        curves = read_csv(tmp_path / "replicate" / "curves.csv")
+        assert read_csv(tmp_path / "train" / "curves.csv") == [c for c in curves if c["seed"] == "5"]
+
     def test_artifacts_and_summary_consistency(self, blob_cfg, tmp_path):
         out = tmp_path / "rep"
         assert main(["replicate", "--config", str(blob_cfg), "--out", str(out)]) == 0

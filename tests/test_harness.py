@@ -34,7 +34,6 @@ from telulab.harness import (
     TrainConfig,
     _evaluate,
     check_landscape_args,
-    conc_metric,
     draw_directions,
     empirical_fisher_diag,
     format_cell,
@@ -156,18 +155,18 @@ class TestRunTrial:
 class TestConcMetric:
     def test_final_epoch_value(self):
         result = run_trial(blob_config(epochs=4))
-        assert conc_metric(result) == result.epochs[-1].valid_acc
+        assert result.conc == result.epochs[-1].valid_acc
 
     def test_diverged_uses_last_recorded(self):
         result = run_trial(blob_config(lr=1e10, epochs=5))
         if result.epochs:
-            assert conc_metric(result) == result.epochs[-1].valid_acc
+            assert result.conc == result.epochs[-1].valid_acc
         else:
-            assert conc_metric(result) == 0.0
+            assert result.conc == 0.0
 
     def test_conc_bounded_by_best_valid(self):
         result = run_trial(blob_config(epochs=6))
-        assert conc_metric(result) <= result.best_valid_acc
+        assert result.conc <= result.best_valid_acc
 
 
 class TestReplicate:
@@ -185,7 +184,7 @@ class TestReplicate:
         assert summary.mean_test_acc == pytest.approx(mean, abs=1e-12)
         assert summary.std_test_acc == pytest.approx(std, abs=1e-12)
         assert summary.mean_conc == pytest.approx(
-            sum(conc_metric(t) for t in trials) / 5, abs=1e-12
+            sum(t.conc for t in trials) / 5, abs=1e-12
         )
 
     def test_divergent_trials_enter_statistics(self):

@@ -326,6 +326,17 @@ def _piecewise_telu_d1(x):
     return np.where(mid, th + xm * u * (1.0 - th * th), 1.0)
 
 
+def _two_branch_sigmoid(x):
+    # a frozen copy of the sigmoid that computed each sign's branch on its
+    # own entries: the oracle
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def _unclamped_mish_d2(x):
     # a frozen copy of the f'' formula before its overflow clamp
     w = np.tanh(kernels._softplus(x))
@@ -388,6 +399,16 @@ class TestKernelSweep:
         closed = kernels.derivative(kind, xs)
         err = np.abs(closed - fd) / np.maximum(1.0, np.abs(closed))
         assert err.max() < 1e-6, f"{kind.display_name}: worst {err.max():.2e}"
+
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        edges = np.array([709.0, 745.0, 1e308, np.inf])
+        xs = np.concatenate([self.XS, edges, -edges])
+        np.testing.assert_array_equal(
+            _bits(kernels._sigmoid(xs)), _bits(_two_branch_sigmoid(xs))
+        )
+        for x in xs[-20:]:
+            x = np.array(x)
+            assert _bits(kernels._sigmoid(x)) == _bits(_two_branch_sigmoid(x))
 
     def test_telu_matches_piecewise_formulas_bit_for_bit(self):
         np.testing.assert_array_equal(

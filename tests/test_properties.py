@@ -5,6 +5,8 @@ extended-precision computations (root/argmax located by high-precision
 root finding, expectations by high-precision quadrature).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,12 @@ from telulab.properties import (
     grad_consistency,
     interval_mean,
     lipschitz_estimate,
-    report_to_dict,
     saturation_profile,
     sensitivity_ranking,
     sup_abs_derivative,
     verify_activation,
 )
+from telulab.reporting import write_property_report
 
 # oracle values (40-digit precision, frozen)
 TELU_D1_ROOT = -1.0788600584646240567
@@ -63,9 +65,10 @@ class TestPropertyReport:
         with pytest.raises(ValueError):
             PropertyReport("x", "fails", None, 1.0, 0.0)
 
-    def test_serialization(self):
+    def test_serialization(self, tmp_path):
         r = PropertyReport("x", "holds", (1.0, 2.0), 0.5, 1e-9)
-        d = report_to_dict(r)
+        write_property_report([r], tmp_path / "report.json")
+        (d,) = json.loads((tmp_path / "report.json").read_text())
         assert d["witness"] == [1.0, 2.0]
         assert set(d) == {"claim_id", "verdict", "witness", "measured", "tolerance"}
 
