@@ -8,21 +8,28 @@ its math: ``init(rng)`` draws its parameter arrays, and
 ``forward(x, params, record, grad_x)`` returns its output plus, when
 recording, a backward step that maps the output gradient to the input
 gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
-keeps only what its product needs (conv its input, from which it rebuilds
-the im2col columns, an activation its f' from the fused kernel, max pooling
-its winner masks).  A :class:`Model` keeps all its parameters in one
-float64 vector, ``model.flat``, in checkpoint order; each parameter
-:class:`Tensor` is a view of it, so checkpoints, probes and finite
-differences read and write ``flat`` while the layers see their arrays.
+keeps only what its product needs: conv its input, from which it rebuilds
+the im2col columns; an activation its f' from the fused kernel; max
+pooling each window's winner, one byte per window.  An activation directly
+followed by max pooling records one step for the pair, which keeps f' only
+at the winners, the one position in four that gets a gradient: 9 bytes per
+window instead of 36 (four f' values and four mask bytes).  A
+:class:`Model` keeps all its parameters in one float64 vector,
+``model.flat``, in checkpoint order; each parameter :class:`Tensor` is a
+view of it, so checkpoints, probes and finite differences read and write
+``flat`` while the layers see their arrays.
 
 :func:`forward` runs the per-example prefix of the stack (every layer
 before the first :class:`Dense`: conv, activation, pooling, flatten) on
 chunks of :data:`CHUNK` images, so a chunk's column matrix, activation
-temporaries and pool masks are still in cache when the next layer reads
-them and no layer ever holds a whole batch of them.  The prefix outputs
-are joined, and the dense layers and the loss run on the full batch.  It
-returns the logits array plus, when recording, a :class:`Tape`: the
-recorded steps of every chunk and of the full-batch suffix, with their
+temporaries and pool winners are still in cache when the next layer reads
+them and no layer ever holds a whole batch of them.  Its input is a
+float64 array or a :class:`~telulab.data.Dataset` batch, which builds each
+chunk's float64 features when the chunk runs, so no whole batch of them
+exists either (a stack with no prefix builds the batch once).  The prefix
+outputs are joined, and the dense layers and the loss run on the full
+batch.  It returns the logits array plus, when recording, a :class:`Tape`:
+the recorded steps of every chunk and of the full-batch suffix, with their
 parameter tensors and the output shape.  :func:`backward` passes one
 gradient back through the suffix, splits it into the same chunks and
 passes each back through its prefix steps, dropping each step as it goes,
@@ -33,12 +40,15 @@ that layer computes no input gradient.
 The chunks run on :data:`WORKERS` threads, each taking one contiguous part
 of the chunk list (the calling thread the last), and their results are
 joined in batch order.  No chunk size or worker count moves a bit: every
-prefix layer computes each image on its own (activations and pooling are
-elementwise; conv's im2col, col2im and ``np.matmul`` run one GEMM per
-image), and :func:`backward` adds conv's per-example weight and bias
-gradients into a zero-filled buffer in example order, the sequential sum
-the unchunked conv took.  If several parts fail, the earliest part's error
-is raised, as a sequential loop would.
+prefix layer computes each image on its own (features, activations and
+pooling are elementwise; conv's im2col, col2im and ``np.matmul`` run one
+GEMM per image), and :func:`backward` adds conv's per-example weight and
+bias gradients into a zero-filled buffer in example order, the sequential
+sum the unchunked conv took.  That sum also turns every zero into +0.0, so
+the pooled activation's step, which leaves +0.0 at a losing position where
+the separate steps left ``(+0.0) * f'`` (-0.0 for a negative f'), gives
+the same parameter gradients bit for bit.  If several parts fail, the
+earliest part's error is raised, as a sequential loop would.
 
 ``backward(tape, g, squares=True)`` returns, per parameter, the sum over
 the batch of every example's squared gradient instead of the sum of the
@@ -68,6 +78,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import kernels, reporting
+from .data import Dataset
 from .errors import ConfigError, DataError, DivergenceError, FormatError
 from .kernels import ActivationKind
 from .rng import TAG_INIT, generator
@@ -302,35 +313,47 @@ class Conv2d:
         return y, step
 
 
+def _window_positions(shape: tuple[int, ...], corner: np.ndarray) -> np.ndarray:
+    """Flat index into an (n, c, h, w) array of one corner of each 2x2
+    window, numbered 0-3 in window order (2 * row + column)."""
+    n, c, h, w = shape
+    starts = (np.arange(n * c * (h // 2)) * (2 * w)).reshape(n, c, h // 2, 1) + np.arange(0, w, 2)
+    return starts + np.array([0, 1, w, w + 1]).take(corner)
+
+
 @dataclass(frozen=True)
 class MaxPool2(_Parameterless):
-    def forward(self, x, params, record, grad_x):
+    """2x2 max pooling, stride 2.  Its step keeps each window's winner, the
+    first maximum in window order, as one corner number.  Given ``d``, the
+    f' of the :class:`Activation` whose output ``x`` is, the step stands for
+    that activation's too: it keeps f' at the winners only and returns
+    ``(g + 0.0) * f'`` there, +0.0 everywhere else."""
+
+    def forward(self, x, params, record, grad_x, d=None):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
         # the four corners of every 2x2 window, in window order
         a, b = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
-        c, d = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
-        top, bottom = np.maximum(a, b), np.maximum(c, d)
+        c, e = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+        top, bottom = np.maximum(a, b), np.maximum(c, e)
         y = np.maximum(top, bottom)
         if not (record and grad_x):
             return y, None
         # the first maximum in window order takes the gradient: the top row
         # wins ties with the bottom one, the left column with the right one
         in_top = top >= bottom
-        a_wins, c_wins = a >= b, c >= d
-        wins = np.empty(x.shape, dtype=bool)
-        wins[:, :, 0::2, 0::2] = in_top & a_wins
-        wins[:, :, 0::2, 1::2] = in_top & ~a_wins
-        wins[:, :, 1::2, 0::2] = ~in_top & c_wins
-        wins[:, :, 1::2, 1::2] = ~in_top & ~c_wins
+        right = (in_top & (a < b)) | (~in_top & (c < e))
+        corner = (~in_top).view(np.uint8) * np.uint8(2) + right.view(np.uint8)
+        shape = x.shape
+        fw = None if d is None else d.reshape(-1)[_window_positions(shape, corner)]
 
         def step(g, squares=False):
-            # each window's gradient spread over its 2x2 block and kept at
-            # the winner; adding +0.0 makes every zero +0.0, so a loser holds
-            # +0.0, not the -0.0 of a negative g times False
-            gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
-            gx *= wins
-            gx += 0.0
+            # adding +0.0 makes a -0.0 gradient +0.0, the zero every loser holds
+            gw = g + 0.0
+            if fw is not None:
+                gw *= fw
+            gx = np.zeros(shape)
+            gx.reshape(-1)[_window_positions(shape, corner)] = gw
             return gx, ()
 
         return y, step
@@ -408,10 +431,21 @@ def _run(
     stack: list[tuple[int, LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
 ) -> tuple[np.ndarray, Steps, bool]:
     """Run ``stack`` (index, layer, parameters) on ``x``; return the output,
-    the recorded steps and whether the next layer computes its input gradient."""
+    the recorded steps and whether the next layer computes its input gradient.
+    A recorded :class:`Activation` directly followed by a :class:`MaxPool2`
+    records no step of its own: it hands its f' to the pooling's step."""
     steps: Steps = []
-    for i, layer, params in stack:
-        x, step = layer.forward(x, [t.data for t in params], record, grad_x)
+    d = None  # f' of the Activation just run, for the MaxPool2 after it
+    following = [layer for _, layer, _ in stack[1:]] + [None]
+    for (i, layer, params), after in zip(stack, following):
+        if d is not None:
+            x, step = layer.forward(x, (), record, grad_x, d)
+            d = None
+        elif record and grad_x and isinstance(layer, Activation) and isinstance(after, MaxPool2):
+            x, d = kernels.value_and_derivative(layer.kind, x)
+            step = None
+        else:
+            x, step = layer.forward(x, [t.data for t in params], record, grad_x)
         if step is not None:
             steps.append((step, params))
         grad_x = grad_x or layer.n_params > 0
@@ -433,37 +467,49 @@ def _unwind(
 
 
 def forward(
-    model: Model, batch: np.ndarray, record: bool = False
+    model: Model, batch: Union[np.ndarray, Dataset], record: bool = False
 ) -> tuple[np.ndarray, Optional[Tape]]:
-    """Run the layer stack on ``batch``; return the logits and, when
-    ``record``, the tape.
+    """Run the layer stack on ``batch``, a float64 array or a dataset batch;
+    return the logits and, when ``record``, the tape.
 
     The layers before the first :class:`Dense` run on chunks of
-    :data:`CHUNK` images spread over :data:`WORKERS` threads, the rest on
-    the joined batch.  Shape mismatches raise :class:`ConfigError` before
-    any arithmetic; any non-finite output raises :class:`DivergenceError`
-    naming the layer.
+    :data:`CHUNK` images spread over :data:`WORKERS` threads, each chunk of
+    a dataset batch on features built from its own rows, the rest on the
+    joined batch.  Shape mismatches raise :class:`ConfigError` before any
+    arithmetic; any non-finite input or output raises
+    :class:`DivergenceError` naming the input batch or the layer.
     """
-    x = np.ascontiguousarray(batch, dtype=np.float64)
-    if x.ndim == 0:
-        raise ConfigError("the input needs a batch dimension")
-    _require_finite(x, "input batch")
     stack, p = [], 0
     for i, layer in enumerate(model.layers):
         stack.append((i, layer, tuple(model.params[p : p + layer.n_params])))
         p += layer.n_params
     cut = next((i for i, layer, _ in stack if isinstance(layer, Dense)), len(stack))
+    if cut and isinstance(batch, Dataset):
+        n = len(batch)
+
+        def inputs(rows: slice) -> np.ndarray:
+            x = batch.features(batch.rows[rows])
+            _require_finite(x, "input batch")
+            return x
+
+    else:
+        x = batch.images if isinstance(batch, Dataset) else np.ascontiguousarray(batch, dtype=np.float64)
+        if x.ndim == 0:
+            raise ConfigError("the input needs a batch dimension")
+        _require_finite(x, "input batch")
+        n = len(x)
+        inputs = x.__getitem__
     # an empty prefix (an MLP) is one chunk
-    size = CHUNK if cut else max(len(x), 1)
+    size = CHUNK if cut else max(n, 1)
 
     def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps, bool]]:
         with np.errstate(**_QUIET):
             # nothing reads the input batch's gradient, so layers before the
             # first parameter are not recorded and the first parametric
             # layer skips its gx
-            return [(rows, *_run(stack[:cut], x[rows], record, False)) for rows in part]
+            return [(rows, *_run(stack[:cut], inputs(rows), record, False)) for rows in part]
 
-    ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(len(x), 1), size)])
+    ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
     joined = np.concatenate([y for _, y, _, _ in ran])
     chunks = [(rows, steps) for rows, _, steps, _ in ran if steps]
     grad_x = ran[0][3]  # the same for every chunk

@@ -8,12 +8,14 @@ that sit bit-exact readers and writers for the CIFAR binary formats (one
 :func:`write_cifar`), a deterministic train/validation split, a synthetic
 Gaussian-blob generator for fast tests, and seeded batch iteration.
 CIFAR pixels are kept as the uint8 bytes read from disk, and a split is
-an index array into that one store, not a copy.  Float64 features exist
-one batch at a time: bytes are scaled by 1/255 into [0, 1], then, when
-standardizing, shifted and scaled by the train split's per-channel
-statistics, the same for every split.  Those statistics are exact for
-CIFAR: they come from integer counts of the stored bytes, so they do not
-depend on the order of the rows.  No augmentation is applied.
+an index array into that one store, not a copy; so is each batch that
+:func:`batches` yields.  Float64 features are built from such a view only
+for the rows asked for: the training engine builds them per chunk of a
+batch, :func:`batch_iter` per batch.  Bytes are scaled by 1/255 into
+[0, 1], then, when standardizing, shifted and scaled by the train split's
+per-channel statistics, the same for every split.  Those statistics are
+exact for CIFAR: they come from integer counts of the stored bytes, so
+they do not depend on the order of the rows.  No augmentation is applied.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "split",
     "channel_statistics",
     "synthetic_blobs",
+    "batches",
     "batch_iter",
 ]
 
@@ -111,9 +114,11 @@ class Dataset:
             x /= self.std
         return x
 
-    def take(self, indices: np.ndarray, split_tag: str) -> "Dataset":
-        meta, rows = replace(self.meta, split_tag=split_tag), self.rows[indices]
-        return Dataset(self.store, self.labels[indices], meta, rows, self.mean, self.std)
+    def take(self, indices: np.ndarray, split_tag: Optional[str] = None) -> "Dataset":
+        """The examples at ``indices``, in that order, as a view of the same
+        store; under ``split_tag`` when given, else under this one's."""
+        meta = self.meta if split_tag is None else replace(self.meta, split_tag=split_tag)
+        return Dataset(self.store, self.labels[indices], meta, self.rows[indices], self.mean, self.std)
 
     def standardized(self, mean: np.ndarray, std: np.ndarray) -> "Dataset":
         """The same examples, standardized per batch by (mean, std)."""
@@ -420,19 +425,19 @@ def materialize_datasets(spec: DatasetSpec) -> tuple[Dataset, Dataset, Dataset]:
     return train, valid, test
 
 
-def batch_iter(
+def batches(
     ds: Dataset,
     batch: int,
     shuffle: bool = False,
     seed: int = 0,
     epoch: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (images, labels) batches; the final short batch is included.
+) -> Iterator[Dataset]:
+    """Yield each batch as a :class:`Dataset` view of its rows; the final
+    short batch is included.
 
-    Each batch's float64 images are built from the store on demand, so an
-    epoch never holds more than one batch of them.  With ``shuffle`` the
-    order is a pure function of (seed, epoch), so an epoch's batch stream
-    can be replayed exactly.
+    No features are built here.  With ``shuffle`` the order is a pure
+    function of (seed, epoch), so an epoch's batch stream can be replayed
+    exactly.
     """
     if batch < 1:
         raise ConfigError("batch size must be >= 1")
@@ -440,7 +445,19 @@ def batch_iter(
         order = generator(seed, TAG_BATCH, epoch).permutation(len(ds))
     else:
         order = np.arange(len(ds))
-    rows = ds.rows[order]
     for start in range(0, len(ds), batch):
-        stop = start + batch
-        yield ds.features(rows[start:stop]), ds.labels[order[start:stop]]
+        yield ds.take(order[start : start + batch])
+
+
+def batch_iter(
+    ds: Dataset,
+    batch: int,
+    shuffle: bool = False,
+    seed: int = 0,
+    epoch: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (float64 images, labels) of each of :func:`batches`: the
+    images are built per batch, so an epoch never holds more than one
+    batch of them."""
+    for b in batches(ds, batch, shuffle, seed, epoch):
+        yield b.images, b.labels

@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import autograd
-from . import data as data_mod
 from .autograd import (
     LayerSpec,
     Model,
@@ -41,7 +40,7 @@ from .autograd import (
     softmax_cross_entropy,
     usable_cpus,
 )
-from .data import BlobsSpec, Dataset, DatasetSpec, materialize_datasets
+from .data import BlobsSpec, Dataset, DatasetSpec, batches, materialize_datasets
 from .errors import ConfigError, DivergenceError
 from .kernels import ActivationKind
 from .optim import LrSchedule, OptimizerConfig, OptimizerState, lr_at_epoch, step
@@ -177,11 +176,11 @@ def _evaluate(model: Model, ds: Dataset, batch: int = _EVAL_BATCH) -> tuple[floa
     """(accuracy percent, mean loss) over a dataset, fixed batching."""
     correct = 0
     loss_sum = 0.0
-    for xb, yb in data_mod.batch_iter(ds, batch, shuffle=False):
-        logits, _ = forward(model, xb, record=False)
-        loss, _ = softmax_cross_entropy(logits, yb)
-        loss_sum += loss * len(yb)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+    for b in batches(ds, batch):
+        logits, _ = forward(model, b, record=False)
+        loss, _ = softmax_cross_entropy(logits, b.labels)
+        loss_sum += loss * len(b)
+        correct += int(np.sum(np.argmax(logits, axis=1) == b.labels))
     return 100.0 * correct / len(ds), loss_sum / len(ds)
 
 
@@ -210,11 +209,9 @@ def fit(
     for epoch in range(cfg.epochs):
         lr_now = lr_at_epoch(cfg.schedule, cfg.optimizer.lr, epoch)
         try:
-            for xb, yb in data_mod.batch_iter(
-                train, cfg.batch, shuffle=True, seed=cfg.seed, epoch=epoch
-            ):
-                logits, tape = forward(model, xb, record=True)
-                _, loss_grad = softmax_cross_entropy(logits, yb)
+            for b in batches(train, cfg.batch, shuffle=True, seed=cfg.seed, epoch=epoch):
+                logits, tape = forward(model, b, record=True)
+                _, loss_grad = softmax_cross_entropy(logits, b.labels)
                 grads = backward(tape, loss_grad)
                 step(state, model.params, grads, lr_now)
             epochs.append(Epoch(*_evaluate(model, train), *_evaluate(model, valid)))
@@ -421,8 +418,9 @@ def landscape_slice(
 
     Evaluates loss(theta + alpha * d1 + beta * d2) on a (grid_n x grid_n)
     grid over [-radius, radius]^2.  ``grid_n`` must be odd so the exact,
-    unperturbed model sits at the center cell.  A perturbed evaluation
-    that diverges records ``inf`` for that cell.
+    unperturbed model sits at the center cell: its step is exactly 0, and a
+    zero step adds no term, so not even an infinite direction moves it.  A
+    perturbed evaluation that diverges records ``inf`` for that cell.
     """
     check_landscape_args(grid_n, radius, seed)
     if loss_fn is None:
@@ -434,14 +432,21 @@ def landscape_slice(
 
     d1, d2 = draw_directions(model, seed)
     axis = np.linspace(-radius, radius, grid_n)
+    axis[grid_n // 2] = 0.0  # linspace can leave it about 1e-17 off
     theta = model.flat.copy()
     losses = np.empty((grid_n, grid_n))
     try:
         for i, a in enumerate(axis):
             for j, b in enumerate(axis):
-                # a non-finite point fails the forward's checks: an inf cell
+                # only a nonzero step adds its term, so the center is theta even
+                # where a direction is inf; a non-finite point fails the
+                # forward's checks: an inf cell
+                model.flat[:] = theta
                 with np.errstate(over="ignore", invalid="ignore"):
-                    model.flat[:] = theta + a * d1 + b * d2
+                    if a:
+                        model.flat += a * d1
+                    if b:
+                        model.flat += b * d2
                 try:
                     losses[i, j] = loss_fn(model)
                 except DivergenceError:
@@ -469,12 +474,11 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
         raise ConfigError("n_samples must be in [1, dataset size]")
     accum = np.zeros_like(model.flat)
     views = model.views(accum)
-    first = dataset.take(np.arange(n_samples), dataset.meta.split_tag)
-    for x, y in data_mod.batch_iter(first, _FISHER_BATCH):
-        logits, tape = forward(model, x, record=True)
+    for b in batches(dataset.take(np.arange(n_samples)), _FISHER_BATCH):
+        logits, tape = forward(model, b, record=True)
         # each row's own gradient: d(log p)/d(logits) = -d(CE)/d(logits),
         # and squaring drops the sign
-        _, ce_rows = cross_entropy_rows(logits, y)
+        _, ce_rows = cross_entropy_rows(logits, b.labels)
         squares = backward(tape, ce_rows, squares=True)
         with np.errstate(over="ignore"):  # caught by the finiteness check below
             for view, p in zip(views, model.params):

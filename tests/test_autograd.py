@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import telulab.autograd as autograd
+from telulab import kernels
 from telulab.autograd import (
     Activation,
     Conv2d,
@@ -27,6 +28,7 @@ from telulab.autograd import (
     save_params,
     softmax_cross_entropy,
 )
+from telulab.data import Dataset, DataMeta, channel_statistics
 from telulab.errors import ConfigError, DataError, DivergenceError, FormatError
 from telulab.kernels import ALL_KINDS, GELU, RELU, TELU, elu
 
@@ -600,6 +602,19 @@ class TestChunkedPrefix:
             tracemalloc.stop()
         assert peak < 40_000_000, f"peak {peak} B"
 
+    def test_b128_tape_keeps_f_prime_only_at_pool_winners(self):
+        # act1's full-size f' alone is 14 745 600 B at b128, and the tape
+        # held about 28 MB with it; at the pool winners it is a quarter
+        model = reference_cnn(TELU)
+        x, _ = cifar_batch(128, seed=10)
+        tracemalloc.start()
+        try:
+            _, tape = forward(model, x, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000, f"peak {peak} B"
+
     def test_relu_pool_ties_occur(self):
         # the ReLU case above exercises tied pool windows
         x, _ = cifar_batch(8, seed=101)
@@ -647,6 +662,186 @@ class TestChunkedPrefix:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 16 * 30 * 30 * 8, f"peak {peak} B"
+
+
+def separate_steps(model, x, g, squares):
+    """Each layer's own recorded step on the whole batch, the Activation
+    and the MaxPool2 apart; returns the parameter gradients, conv's
+    per-example ones added in example order from +0.0 as :func:`backward`
+    adds them, and the gradient that reached the first layer's output."""
+    steps, p, grad_x = [], 0, False
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for layer in model.layers:
+            params = tuple(model.params[p : p + layer.n_params])
+            x, step = layer.forward(x, [t.data for t in params], True, grad_x)
+            if step is not None:
+                steps.append((step, params))
+            p += layer.n_params
+            grad_x = grad_x or layer.n_params > 0
+        grads = {}
+        while steps:
+            step, params = steps.pop()
+            reached = g
+            g, param_grads = step(g, squares)
+            for t, pg in zip(params, param_grads):
+                if pg.shape == t.shape:
+                    grads[t] = pg
+                else:
+                    grads[t] = np.zeros(t.shape)
+                    for row in pg:
+                        grads[t] += row
+    return grads, reached
+
+
+def window_ties(h):
+    """How many 2x2 windows of ``h`` hold their maximum more than once."""
+    corners = [h[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    return int(np.count_nonzero(sum((c == top).astype(int) for c in corners) > 1))
+
+
+class TestPooledActivation:
+    """An Activation directly followed by a MaxPool2 records one step that
+    keeps f' at the pool winners only."""
+
+    @pytest.mark.parametrize("squares", [False, True], ids=["sums", "squares"])
+    @pytest.mark.parametrize("kind", [TELU, RELU], ids=lambda k: k.spec_string())
+    def test_parameter_gradients_match_the_separate_steps(self, kind, squares):
+        model = build_model(
+            [Conv2d(3, 6, 3), Activation(kind), MaxPool2(), Flatten(), Dense(6 * 15 * 15, 10)],
+            seed=5,
+        )
+        x, labels = cifar_batch(2 * autograd.CHUNK + 1, seed=40)
+        # flat patches tie every window on them, whatever the kind
+        x[1], x[6, :, :12] = 0.25, -0.5
+        logits, tape = forward(model, x, record=True)
+        # per chunk: conv, the pooled activation and flatten
+        assert [len(steps) for _, steps in tape.chunks] == [3, 3, 3]
+        if squares:
+            g = cross_entropy_rows(logits, labels)[1]
+        else:
+            g = softmax_cross_entropy(logits, labels)[1]
+        got = backward(tape, g, squares=squares)
+        want, reached = separate_steps(model, x, g, squares)
+        for p in model.params:
+            np.testing.assert_array_equal(got[p].view(np.int64), want[p].view(np.int64))
+        # the inputs tie windows and, for TeLU, give negative f': the
+        # separate steps then leave -0.0 at some losing positions
+        z, _ = model.layers[0].forward(x, [t.data for t in model.params[:2]], False, False)
+        assert window_ties(kernels.value(kind, z)) > 100
+        if kind == TELU:
+            assert np.count_nonzero(kernels.derivative(kind, z) < 0.0) > 100
+            assert np.signbit(reached[reached == 0.0]).any()
+
+    def test_step_keeps_f_prime_only_at_the_winners(self):
+        # the windows of the tie test above, whose winners are (0, 0),
+        # (0, 3), (3, 0) and (3, 3); f' is negative in the top half
+        windows = [
+            [[2.0, 2.0], [2.0, 2.0]],
+            [[1.0, 3.0], [3.0, 3.0]],
+            [[1.0, 2.0], [3.0, 3.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+        ]
+        x = np.block([[np.array(windows[0]), np.array(windows[1])],
+                      [np.array(windows[2]), np.array(windows[3])]])
+        d = np.arange(16.0).reshape(4, 4) - 7.5
+        out, step = MaxPool2().forward(x[None, None], [], True, True, d[None, None])
+        np.testing.assert_array_equal(out[0, 0], [[2.0, 3.0], [3.0, 1.0]])
+        gx, param_grads = step(np.array([[[[10.0, -0.0], [30.0, -40.0]]]]))
+        assert param_grads == ()
+        want = np.zeros((4, 4))
+        # -0.0 + 0.0 is +0.0, and +0.0 * -4.5 is -0.0
+        want[0, 0], want[0, 3], want[3, 0], want[3, 3] = -75.0, -0.0, 135.0, -300.0
+        np.testing.assert_array_equal(gx[0, 0].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_each_layer_output_is_still_checked_by_name(self, monkeypatch, record):
+        seen = []
+        check = autograd._require_finite
+
+        def spy(arr, context):
+            seen.append(context)
+            check(arr, context)
+
+        monkeypatch.setattr(autograd, "_require_finite", spy)
+        model = build_model([Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Flatten(), Dense(8, 2)], 0)
+        forward(model, np.ones((1, 1, 6, 6)), record=record)
+        assert seen == [
+            "input batch",
+            "output of layer 0 (Conv2d)",
+            "output of layer 1 (Activation)",
+            "output of layer 2 (MaxPool2)",
+            "output of layer 3 (Flatten)",
+            "output of layer 4 (Dense)",
+        ]
+
+    def test_non_finite_activation_names_the_activation(self, monkeypatch):
+        def overflowing(kind, x):
+            y = np.full_like(x, np.inf)
+            return y, np.ones_like(x)
+
+        monkeypatch.setattr(autograd.kernels, "value_and_derivative", overflowing)
+        model = build_model([Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Flatten(), Dense(8, 2)], 0)
+        with pytest.raises(DivergenceError, match=r"output of layer 1 \(Activation\)$"):
+            forward(model, np.ones((1, 1, 6, 6)), record=True)
+
+    def test_odd_size_after_the_activation_still_rejected(self):
+        model = build_model([Conv2d(1, 1, 2), Activation(TELU), MaxPool2()], seed=0)
+        with pytest.raises(ConfigError, match="maxpool2 expects"):
+            forward(model, np.ones((1, 1, 4, 4)), record=True)
+
+
+def cifar_dataset(n, standardize, seed):
+    """A shuffled batch view of a CIFAR-shaped byte store of ``n + 2``
+    images, standardized by its own channel statistics when asked."""
+    rng = np.random.default_rng(seed)
+    store = rng.integers(0, 256, size=(n + 2, 3, 32, 32), dtype=np.uint8)
+    ds = Dataset(store, rng.integers(0, 10, size=n + 2), DataMeta("cifar10", 10, "train"))
+    if standardize:
+        ds = ds.standardized(*channel_statistics(ds))
+    return ds.take(rng.permutation(n + 2)[:n])
+
+
+class TestDatasetBatch:
+    """``forward`` on a dataset batch builds each chunk's features itself."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
+    def test_matches_forward_on_its_images(self, monkeypatch, standardize, workers):
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        model = reference_cnn(TELU, seed=2)
+        batch = cifar_dataset(2 * autograd.CHUNK + 3, standardize, seed=3)
+        got = train_step(forward, backward, model, batch, batch.labels)
+        want = train_step(forward, backward, model, batch.images, batch.labels)
+        assert_same_step(model, got, want)
+        assert_same_bits(forward(model, batch)[0], want[0])
+
+    def test_features_are_built_per_chunk_or_once_without_a_prefix(self, monkeypatch):
+        calls = []
+        features = Dataset.features
+
+        def counted(ds, rows):
+            calls.append(len(rows))
+            return features(ds, rows)
+
+        monkeypatch.setattr(Dataset, "features", counted)
+        batch = cifar_dataset(2 * autograd.CHUNK + 3, False, seed=4)
+        forward(reference_cnn(TELU), batch)
+        assert sorted(calls) == [3, autograd.CHUNK, autograd.CHUNK]
+        calls.clear()
+        rows = np.random.default_rng(5).normal(size=(2 * autograd.CHUNK + 3, 6))
+        batch = Dataset(rows, np.zeros(len(rows), dtype=int), DataMeta("blobs", 2, "train"))
+        forward(build_model([Dense(6, 4), Activation(TELU), Dense(4, 2)], seed=0), batch, record=True)
+        assert calls == [len(batch)]
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_non_finite_feature_names_the_input_batch(self, record):
+        images = np.zeros((3 * autograd.CHUNK, 3, 8, 8))
+        images[-1, 0, 0, 0] = np.inf
+        batch = Dataset(images, np.zeros(len(images), dtype=int), DataMeta("x", 2, "train"))
+        model = build_model([Conv2d(3, 2, 3), Flatten(), Dense(72, 2)], seed=0)
+        with pytest.raises(DivergenceError, match="non-finite value in input batch$"):
+            forward(model, batch, record=record)
 
 
 def assert_params_view_flat(model):

@@ -432,6 +432,42 @@ class TestExitCodes:
         rows = read_csv(out / "results.csv")
         assert rows[0]["diverged"] == "true"
 
+    def test_dead_pool_worker_exits_three_with_one_line(self, blob_cfg, tmp_path, capsys, monkeypatch):
+        # a worker killed mid-trial breaks the pool: a crash, never a result
+        def die(cfg, splits):
+            os._exit(1)
+
+        monkeypatch.setattr(harness, "fit", die)
+        out = tmp_path / "out"
+        argv = ["replicate", "--config", str(blob_cfg), "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_truncated_archive_exits_two(self, blob_cfg, tmp_path, capsys):
+        archive = tmp_path / "cifar"
+        archive.mkdir()
+        records = np.zeros((4, 3073), dtype=np.uint8).tobytes()
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            (archive / name).write_bytes(records)
+        (archive / "data_batch_3.bin").write_bytes(records[:-1])
+        cfg = json.loads(Path(blob_cfg).read_text())
+        cfg["model"]["layers"] = [{"type": "flatten"}, {"type": "dense", "in": 3072, "out": 10}]
+        cfg["dataset"] = {
+            "name": "cifar10",
+            "path": str(archive),
+            "split": {"train": 16, "valid": 4, "seed": 0},
+        }
+        path = tmp_path / "cifar.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: data_batch_3.bin: length {4 * 3073 - 1} is not a positive multiple of 3073\n"
+        )
+        assert not out.exists()
+
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 

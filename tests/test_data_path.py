@@ -2,7 +2,8 @@
 splits match a frozen copy of the float64 loader bit for bit, standardized
 CIFAR features use the exact per-channel statistics of the train split's
 bytes whatever its row order, a CIFAR trial never holds the archive as
-float64, and standardizing never holds the train split as float64."""
+float64, standardizing never holds the train split as float64, and a
+conv net's evaluation never holds its batch as float64."""
 
 import math
 import tracemalloc
@@ -10,9 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from telulab.autograd import Dense, Flatten, build_model
+from telulab.autograd import Activation, Conv2d, Dense, Flatten, MaxPool2, build_model
 from telulab.data import SplitSpec, batch_iter, channel_statistics, synthetic_blobs
-from telulab.harness import BlobsSpec, DatasetSpec, empirical_fisher_diag, materialize_datasets
+from telulab.harness import (
+    BlobsSpec,
+    DatasetSpec,
+    _evaluate,
+    empirical_fisher_diag,
+    materialize_datasets,
+)
+from telulab.kernels import TELU
 from telulab.rng import TAG_BATCH, TAG_SPLIT, generator
 
 _TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
@@ -148,6 +156,32 @@ def test_standardize_peaks_below_float64_train_split(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < float64_train, f"peak {peak} B >= float64 train split {float64_train} B"
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_cnn_evaluation_peaks_below_float64_batch(tmp_path, standardize):
+    # one batch of 512: each chunk of the conv prefix builds its own features
+    archive = write_archive(tmp_path / "cifar", per_file=103, n_test=10)
+    spec = DatasetSpec(
+        name="cifar10",
+        split=SplitSpec(train=512, valid=3, seed=0),
+        path=str(archive),
+        standardize=standardize,
+    )
+    train, _, _ = materialize_datasets(spec)
+    model = build_model(
+        [Conv2d(3, 16, 3), Activation(TELU), MaxPool2(), Conv2d(16, 32, 4), Activation(TELU),
+         MaxPool2(), Flatten(), Dense(1152, 64), Activation(TELU), Dense(64, 10)],
+        seed=0,
+    )
+    float64_batch = 512 * 3072 * 8
+    tracemalloc.start()
+    try:
+        _evaluate(model, train, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float64_batch, f"peak {peak} B >= float64 batch {float64_batch} B"
 
 
 def _cifar_spec(tmp_path, red=None):

@@ -427,6 +427,23 @@ class TestLandscape:
         assert surface.losses[1, 1] == _evaluate(model, ds)[1]
         assert before.tobytes() == model.flat.tobytes()
 
+    @pytest.mark.parametrize("grid_n, radius", [(3, 0.5), (7, 0.21)])
+    def test_center_is_the_model_even_for_an_infinite_direction(self, grid_n, radius):
+        # a last bias of 1e200 overflows its filter norm, so both directions
+        # hold inf there; linspace(-0.21, 0.21, 7) puts its middle at -2.8e-17
+        model, _ = train_model(blob_config(epochs=1))
+        train, _, _ = materialize_datasets(blob_config().dataset)
+        model.views(model.flat)[-1][0] = 1e200
+        before = model.flat.copy()
+        d1, d2 = draw_directions(model, seed=3)
+        assert not (np.isfinite(d1).all() or np.isfinite(d2).all())
+        surface = landscape_slice(model, train, grid_n, radius, seed=3)
+        c = grid_n // 2
+        assert surface.axis[c] == 0.0
+        assert math.isfinite(surface.losses[c, c])
+        assert surface.losses[c, c] == _evaluate(model, train)[1]
+        assert before.tobytes() == model.flat.tobytes()
+
     def test_cell_bound_admits_the_largest_odd_grid_only(self):
         largest = math.isqrt(MAX_LANDSCAPE_CELLS)
         largest -= 1 - largest % 2
