@@ -484,7 +484,7 @@ def forward(
         stack.append((i, layer, tuple(model.params[p : p + layer.n_params])))
         p += layer.n_params
     cut = next((i for i, layer, _ in stack if isinstance(layer, Dense)), len(stack))
-    if cut and isinstance(batch, Dataset):
+    if isinstance(batch, Dataset):
         n = len(batch)
 
         def inputs(rows: slice) -> np.ndarray:
@@ -493,7 +493,7 @@ def forward(
             return x
 
     else:
-        x = batch.images if isinstance(batch, Dataset) else np.ascontiguousarray(batch, dtype=np.float64)
+        x = np.ascontiguousarray(batch, dtype=np.float64)
         if x.ndim == 0:
             raise ConfigError("the input needs a batch dimension")
         _require_finite(x, "input batch")

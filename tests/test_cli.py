@@ -433,11 +433,15 @@ class TestExitCodes:
         assert rows[0]["diverged"] == "true"
 
     def test_dead_pool_worker_exits_three_with_one_line(self, blob_cfg, tmp_path, capsys, monkeypatch):
-        # a worker killed mid-trial breaks the pool: a crash, never a result
-        def die(cfg, splits):
-            os._exit(1)
+        # a worker killed mid-trial breaks the pool: a crash, never a result.
+        # The pool pickles run_trial by reference for each task; this stand-in
+        # pickles as a call to os._exit, so the worker dies while loading its
+        # task under any start method, not only under fork
+        class ExitOnLoad:
+            def __reduce__(self):
+                return os._exit, (1,)
 
-        monkeypatch.setattr(harness, "fit", die)
+        monkeypatch.setattr(harness, "run_trial", ExitOnLoad())
         out = tmp_path / "out"
         argv = ["replicate", "--config", str(blob_cfg), "--jobs", "2", "--out", str(out)]
         assert main(argv) == 3
