@@ -111,7 +111,7 @@ def cmd_train(args, spec, out: Path) -> tuple[int, dict]:
     status = "diverged" if result.diverged else "ok"
     cfg = result.config
     print(
-        f"{cfg.activation.spec_string()} {cfg.optimizer.kind}: test {result.test_acc:.2f} "
+        f"{cfg.activation_label} {cfg.optimizer.kind}: test {result.test_acc:.2f} "
         f"best-valid {result.best_valid_acc:.2f} ({status})"
     )
     return EXIT_OK, {"wall_time_seconds": {str(cfg.seed): result.wall_time}}
@@ -127,7 +127,10 @@ def cmd_replicate(args, spec, out: Path) -> tuple[int, dict]:
     print(f"{summary.activation} {summary.optimizer}: {summary.cell()}")
     if summary.divergence_count:
         print(f"divergences: {summary.divergence_count}/{summary.n_trials}")
-    return EXIT_OK, {"wall_time_seconds": {str(t.config.seed): t.wall_time for t in trials}}
+    return EXIT_OK, {
+        "wall_time_seconds": {str(t.config.seed): t.wall_time for t in trials},
+        "threads": harness.trial_threads(args.jobs, len(trials)),
+    }
 
 
 def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
@@ -145,7 +148,8 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
     reporting.write_best_config_json(point, out / "best_config.json")
     wall = {"total": time.perf_counter() - t0}
     print("best: " + " ".join(f"{axis}={value:g}" for axis, value in point.items()))
-    return EXIT_OK, {"wall_time_seconds": wall}
+    threads = harness.trial_threads(args.jobs, len(all_trials))
+    return EXIT_OK, {"wall_time_seconds": wall, "threads": threads}
 
 
 def _probe_target(spec, args):
@@ -176,7 +180,7 @@ def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
     if args.save_checkpoint:
         autograd.save_params(model, out / "model")
     center = surface.losses[args.grid_n // 2, args.grid_n // 2]
-    print(f"landscape {args.grid_n}x{args.grid_n}, center loss {center:.6f}")
+    print(f"landscape {args.grid_n}x{args.grid_n}, center loss {center:.6g}")
     probe = {
         "grid_n": args.grid_n,
         "radius": args.radius,

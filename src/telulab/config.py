@@ -7,7 +7,9 @@ for run metadata by the inverse, :func:`_echo`.  A field's name is its key
 without a default is required, and unknown keys are errors, so typos fail
 loudly with their field path.  The root's keys are the fields of
 :class:`~telulab.harness.TrainConfig` but ``layers`` and ``seed``, plus
-``model``, ``seeds`` and ``grid``, the three with code of their own.
+``activation``, ``model``, ``seeds`` and ``grid``, the four with code of
+their own: ``activation`` is the kind of every activation layer that names
+none, so a trial's kinds live only in its layers.
 Overrides use dotted paths (``optimizer.lr=0.05``); values parse as JSON
 literals with a bare-string fallback.
 
@@ -15,7 +17,8 @@ Schema (see README for the full reference):
 
     model.layers[]        dense{in,out} | conv2d{in_ch,out_ch,k} |
                           maxpool2 | flatten | activation[{kind}]
-    activation            "telu" | "relu" | ... | "elu:2.0"
+    activation            "telu" | "relu" | ... | "elu:2.0"  (for activation
+                          layers that name no kind)
     optimizer             kind, lr, weight_decay, momentum, betas, eps, rms_alpha
     schedule              gamma, milestones[]  (the decay of optimizer.lr)
     epochs, batch         positive integers
@@ -47,9 +50,12 @@ __all__ = ["RunSpec", "load_run_spec", "run_spec_to_dict"]
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A parsed config file: the base training run, seeds, optional grid."""
+    """A parsed config file: the base training run, seeds, optional grid.
+    ``activation`` is the top-level kind, already given to the activation
+    layers that name none; it is kept only for the metadata echo."""
 
     train: TrainConfig
+    activation: ActivationKind
     seeds: tuple[int, ...]
     grid: Optional[GridSpec]
 
@@ -94,7 +100,9 @@ def _schema(cls) -> tuple[tuple[str, Optional[str], object, bool], ...]:
 
 
 # the root's keys: TrainConfig's own, and those with code of their own
-_ROOT_KEYS = {key for _, key, _, _ in _schema(TrainConfig) if key} | {"model", "seeds", "grid"}
+_ROOT_KEYS = {key for _, key, _, _ in _schema(TrainConfig) if key} | {
+    "activation", "model", "seeds", "grid"
+}
 
 
 def _check_keys(d: dict, allowed: set[str], path: str) -> None:
@@ -191,8 +199,9 @@ def build_run_spec(raw: dict) -> RunSpec:
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected an object")
     _check_keys(raw, _ROOT_KEYS, "config")
-    # TrainConfig's own keys come first: an activation layer defaults to
-    # the parsed ``activation``
+    # the activation, then TrainConfig's own keys, before the layers: an
+    # activation layer defaults to the parsed ``activation``
+    activation = _parse(ActivationKind, _req(raw, "activation", "config"), "activation")
     root = {
         name: _parse(tp, _req(raw, key, "config"), key)
         for name, key, tp, _ in _schema(TrainConfig)
@@ -206,7 +215,7 @@ def build_run_spec(raw: dict) -> RunSpec:
     if not isinstance(layers_raw, list) or not layers_raw:
         raise ConfigError("model.layers: expected a non-empty list")
     layers = tuple(
-        _parse_layer(entry, f"model.layers[{i}]", root["activation"])
+        _parse_layer(entry, f"model.layers[{i}]", activation)
         for i, entry in enumerate(layers_raw)
     )
     seeds = _parse(tuple[int, ...], raw.get("seeds", [0]), "seeds")
@@ -222,7 +231,7 @@ def build_run_spec(raw: dict) -> RunSpec:
         # an axis the grid leaves out stays at its base value
         point = {axis: (value,) for axis, value in grid_point(train).items()}
         grid = _parse_fields(GridSpec, raw["grid"], "grid", {"base": train, **point})
-    return RunSpec(train=train, seeds=seeds, grid=grid)
+    return RunSpec(train=train, activation=activation, seeds=seeds, grid=grid)
 
 
 def load_run_spec(
@@ -293,7 +302,12 @@ def run_spec_to_dict(spec: RunSpec) -> dict:
     """Fully resolved config (defaults filled in) for run metadata;
     ``build_run_spec`` parses it back to ``spec``."""
     layers = [{"type": _LAYER_TYPES[type(l)], **_echo(l)} for l in spec.train.layers]
-    out = {"model": {"layers": layers}, **_echo(spec.train), "seeds": _echo(spec.seeds)}
+    out = {
+        "model": {"layers": layers},
+        "activation": _echo(spec.activation),
+        **_echo(spec.train),
+        "seeds": _echo(spec.seeds),
+    }
     if spec.grid is not None:
         out["grid"] = _echo(spec.grid)
     return out

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import autograd
 from .autograd import (
+    Activation,
     LayerSpec,
     Model,
     build_model,
@@ -42,7 +43,6 @@ from .autograd import (
 )
 from .data import BlobsSpec, Dataset, DatasetSpec, batches, materialize_datasets
 from .errors import ConfigError, DivergenceError
-from .kernels import ActivationKind
 from .optim import LrSchedule, OptimizerConfig, OptimizerState, lr_at_epoch, step
 from .rng import TAG_DIRECTIONS, check_seed, generator
 
@@ -57,6 +57,7 @@ __all__ = [
     "GridCell",
     "check_model",
     "run_trial",
+    "trial_threads",
     "train_model",
     "fit",
     "replicate",
@@ -80,7 +81,6 @@ class TrainConfig:
     """Everything that determines one training run."""
 
     layers: tuple[LayerSpec, ...]
-    activation: ActivationKind
     optimizer: OptimizerConfig
     schedule: LrSchedule
     epochs: int
@@ -95,6 +95,14 @@ class TrainConfig:
             raise ConfigError("batch must be >= 1")
         if not self.layers:
             raise ConfigError("model needs at least one layer")
+
+    @property
+    def activation_label(self) -> str:
+        """The trial's label in results and summaries: each distinct kind of
+        its activation layers in layer order, ``/``-joined (a spec string
+        may hold ``+``), or ``none`` for a stack without one."""
+        kinds = (l.kind.spec_string() for l in self.layers if isinstance(l, Activation))
+        return "/".join(dict.fromkeys(kinds)) or "none"
 
 
 class Epoch(NamedTuple):
@@ -140,7 +148,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """Per (activation x optimizer) aggregate across seeds."""
+    """Per (activation x optimizer) aggregate across seeds; ``activation``
+    is the trials' :attr:`TrainConfig.activation_label`."""
 
     activation: str
     optimizer: str
@@ -235,15 +244,26 @@ def run_trial(cfg: TrainConfig) -> TrialResult:
     return train_model(cfg)[1]
 
 
+def trial_threads(jobs: int, n_trials: int) -> tuple[int, int]:
+    """(processes, engine threads per process) that ``n_trials`` trials run
+    on at ``jobs``: this process on :data:`autograd.WORKERS` threads when
+    either is 1, else a pool of ``min(jobs, n_trials)`` workers, each on its
+    share of the usable CPUs.  Under fork the pool starts all its workers at
+    the first submit, so more workers than trials would only fork idle
+    processes."""
+    if jobs <= 1 or n_trials <= 1:
+        return 1, autograd.WORKERS
+    workers = min(jobs, n_trials)
+    return workers, max(1, usable_cpus() // workers)
+
+
 def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
-    if jobs <= 1 or len(configs) <= 1:
+    workers, threads = trial_threads(jobs, len(configs))
+    if workers == 1:
         return [run_trial(c) for c in configs]
-    # under fork, the pool starts all its workers at the first submit, so
-    # more workers than trials would only fork idle processes; each worker
-    # runs its chunk threads on its share of the CPUs
-    workers = min(jobs, len(configs))
-    share = (max(1, usable_cpus() // workers),)
-    with concurrent.futures.ProcessPoolExecutor(workers, initializer=set_workers, initargs=share) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+        workers, initializer=set_workers, initargs=(threads,)
+    ) as pool:
         return list(pool.map(run_trial, configs))
 
 
@@ -260,7 +280,7 @@ def _summarize(cfg: TrainConfig, trials: list[TrialResult]) -> TrialSummary:
     """Aggregate one configuration's trials across seeds."""
     accs = np.array([t.test_acc for t in trials])
     return TrialSummary(
-        activation=cfg.activation.spec_string(),
+        activation=cfg.activation_label,
         optimizer=cfg.optimizer.kind,
         mean_test_acc=float(np.mean(accs)),
         std_test_acc=float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,

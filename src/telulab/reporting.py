@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def write_results_csv(trials: Iterable[TrialResult], path) -> None:
     """One row per trial.  Per-trial wall time lives in metadata, not here,
     so identical runs produce byte-identical files."""
     columns = {
-        "activation": lambda t: t.config.activation.spec_string(),
+        "activation": lambda t: t.config.activation_label,
         "optimizer": lambda t: t.config.optimizer.kind,
         "seed": lambda t: t.config.seed,
         **_grid_columns(),
@@ -184,31 +184,39 @@ def write_fisher_csv(values: np.ndarray, path) -> None:
     atomic_write_text(path, "\n".join(["param_index,fisher_diag", *rows, ""]))
 
 
-def _environment() -> dict:
+def _environment(threads: Optional[tuple[int, int]]) -> dict:
     try:  # numpy < 1.26 has no dict mode
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         blas = "unknown"
     usable = len(os.sched_getaffinity(0))
-    # the engine starts with one prefix thread per usable CPU; a command that
-    # loaded it reports the count it runs with
-    engine = sys.modules.get(f"{__package__}.autograd")
-    workers = usable if engine is None else engine.WORKERS
-    return dict(numpy=np.__version__, blas=blas, cpu_count=os.cpu_count(),
-                usable_cpus=usable, engine_workers=workers)
+    if threads is None:
+        # the engine starts with one prefix thread per usable CPU; a command
+        # that loaded it ran on the count it has now
+        engine = sys.modules.get(f"{__package__}.autograd")
+        threads = (1, usable if engine is None else engine.WORKERS)
+    # the variables that set the BLAS library's thread count, as the run saw them
+    blas_vars = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    return dict(numpy=np.__version__, blas=blas, cpu_count=os.cpu_count(), usable_cpus=usable,
+                jobs=threads[0], engine_workers=threads[1],
+                blas_threads={name: os.environ.get(name) for name in blas_vars})
 
 
-def write_metadata(path, command: str, config: dict, **extra) -> None:
+def write_metadata(
+    path, command: str, config: dict, threads: Optional[tuple[int, int]] = None, **extra
+) -> None:
     """Resolved config plus tool version, metric definitions and the
-    environment, written beside every run's outputs."""
+    environment, written beside every run's outputs.  ``threads`` is
+    (processes, engine threads per process) that the run's trials ran on
+    (``harness.trial_threads``); without it, this process ran them."""
     payload = {
         "tool": "telulab",
         "version": __version__,
         "command": command,
         "config": config,
         "definitions": METRIC_DEFINITIONS,
-        "environment": _environment(),
+        "environment": _environment(threads),
     }
     payload.update(extra)
     _write_json(path, payload)

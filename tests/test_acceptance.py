@@ -211,7 +211,6 @@ LR_GRIDS = {
 def smoke_config(kind, opt_kind, lr) -> TrainConfig:
     return TrainConfig(
         layers=(Dense(32, 32), Activation(kind), Dense(32, 10)),
-        activation=kind,
         optimizer=OptimizerConfig(opt_kind, lr=lr, weight_decay=0.0003),
         schedule=LrSchedule(gamma=0.2, milestones=(6, 12, 16)),
         epochs=20,
@@ -291,7 +290,6 @@ def test_c14_landscape_center_and_determinism():
     cfg = smoke_config(TELU, "sgd", 0.1)
     cfg = TrainConfig(
         layers=cfg.layers,
-        activation=cfg.activation,
         optimizer=cfg.optimizer,
         schedule=cfg.schedule,
         epochs=3,

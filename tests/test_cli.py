@@ -706,6 +706,76 @@ class TestReplicateCommand:
         assert meta["config"]["optimizer"]["lr"] == 0.03
 
 
+# one activation layer, naming ReLU under the fixture's TeLU root
+RELU_STACK = (
+    'model.layers=[{"type": "dense", "in": 16, "out": 24}, '
+    '{"type": "activation", "kind": "relu"}, {"type": "dense", "in": 24, "out": 4}]'
+)
+# an unnamed activation layer (TeLU, the root's kind), then a ReLU one
+MIXED_STACK = (
+    'model.layers=[{"type": "dense", "in": 16, "out": 24}, {"type": "activation"}, '
+    '{"type": "dense", "in": 24, "out": 24}, {"type": "activation", "kind": "relu"}, '
+    '{"type": "dense", "in": 24, "out": 4}]'
+)
+NO_ACTIVATION_STACK = 'model.layers=[{"type": "dense", "in": 16, "out": 4}]'
+
+
+class TestActivationLabel:
+    """Results, summaries and stdout name the kinds the layers ran, never
+    the root ``activation`` alone."""
+
+    @staticmethod
+    def run(blob_cfg, out, command, *sets):
+        argv = [command, "--config", str(blob_cfg), "--set", "epochs=1"]
+        argv += [a for s in sets for a in ("--set", s)]
+        return main(argv + ["--out", str(out)])
+
+    def test_named_layer_kind_labels_the_trial(self, blob_cfg, tmp_path, capsys):
+        assert self.run(blob_cfg, tmp_path / "named", "train", RELU_STACK) == 0
+        assert capsys.readouterr().out.startswith("relu sgd: test ")
+        (row,) = read_csv(tmp_path / "named" / "results.csv")
+        assert row["activation"] == "relu"
+        # it trained ReLU: the same bytes as the unnamed layer under a ReLU root
+        assert self.run(blob_cfg, tmp_path / "root", "train", "activation=relu") == 0
+        assert (tmp_path / "named" / "results.csv").read_bytes() == (
+            tmp_path / "root" / "results.csv"
+        ).read_bytes()
+
+    def test_mixed_stack_names_each_kind_in_layer_order(self, blob_cfg, tmp_path, capsys):
+        assert self.run(blob_cfg, tmp_path / "train", "train", MIXED_STACK) == 0
+        assert capsys.readouterr().out.startswith("telu/relu sgd: test ")
+        (row,) = read_csv(tmp_path / "train" / "results.csv")
+        assert row["activation"] == "telu/relu"
+        assert self.run(blob_cfg, tmp_path / "rep", "replicate", MIXED_STACK) == 0
+        assert capsys.readouterr().out.startswith("telu/relu sgd: ")
+        rows = read_csv(tmp_path / "rep" / "results.csv")
+        assert [r["activation"] for r in rows] == ["telu/relu"] * 3
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["activation"] == "telu/relu"
+
+    def test_stack_without_an_activation_layer_is_labelled_none(
+        self, blob_cfg, tmp_path, capsys
+    ):
+        assert self.run(blob_cfg, tmp_path, "train", NO_ACTIVATION_STACK, "activation=gelu") == 0
+        assert capsys.readouterr().out.startswith("none sgd: test ")
+        (row,) = read_csv(tmp_path / "results.csv")
+        assert row["activation"] == "none"
+
+    def test_root_override_retrains_the_unnamed_layers(self, blob_cfg, tmp_path, capsys):
+        assert self.run(blob_cfg, tmp_path / "root", "train", "activation=relu") == 0
+        assert capsys.readouterr().out.startswith("relu sgd: test ")
+        (row,) = read_csv(tmp_path / "root" / "results.csv")
+        assert row["activation"] == "relu"
+        layer = read_metadata(tmp_path / "root")["config"]["model"]["layers"][1]
+        assert layer == {"type": "activation", "kind": "relu"}
+        # the same training as naming ReLU in the layer itself, not TeLU's
+        assert self.run(blob_cfg, tmp_path / "layer", "train", "model.layers.1.kind=relu") == 0
+        assert self.run(blob_cfg, tmp_path / "telu", "train") == 0
+        runs = ("root", "layer", "telu")
+        curves = {run: (tmp_path / run / "curves.csv").read_bytes() for run in runs}
+        assert curves["root"] == curves["layer"] != curves["telu"]
+
+
 class TestGridCommand:
     def test_row_cardinality_and_best(self, blob_cfg, tmp_path):
         out = tmp_path / "grid"
@@ -820,6 +890,18 @@ class TestLandscapeCommand:
             out2 / "landscape.csv"
         ).read_bytes()
 
+    def test_huge_center_loss_prints_in_exponent_form(self, blob_cfg, tmp_path, capsys):
+        # a finite loss near 1e200 printed as a 200-digit fixed-point number
+        model = autograd.build_model(config.load_run_spec(blob_cfg).train.layers, 0)
+        model.params[-1].data[0] = 1e200
+        autograd.save_params(model, tmp_path / "model")
+        argv = ["landscape", "--config", str(blob_cfg), "--grid-n", "3"]
+        argv += ["--checkpoint", str(tmp_path / "model"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        center = float(read_csv(tmp_path / "out" / "landscape.csv")[1]["0.0"])
+        assert 1e199 < center < 1e201
+        assert capsys.readouterr().out == f"landscape 3x3, center loss {center:.6g}\n"
+
 
 class TestFisherCommand:
     def test_artifact_and_nonnegativity(self, blob_cfg, tmp_path):
@@ -928,8 +1010,22 @@ class TestMetadata:
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "usable_cpus": len(os.sched_getaffinity(0)),
+            "jobs": 1,
             "engine_workers": autograd.WORKERS,
+            "blas_threads": {
+                name: os.environ.get(name)
+                for name in ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+            },
         }
+
+    def test_pooled_grid_records_its_processes_and_their_threads(self, blob_cfg, tmp_path):
+        # each of the 2 pool workers ran its trials on its share of the CPUs,
+        # not on the parent's thread count
+        argv = ["grid", "--config", str(blob_cfg), "--jobs", "2", "--set", "seeds=[0]"]
+        assert main(argv + ["--set", "epochs=1", "--out", str(tmp_path)]) == 0
+        env = read_metadata(tmp_path)["environment"]
+        assert env["jobs"] == 2
+        assert env["engine_workers"] == max(1, len(os.sched_getaffinity(0)) // 2)
 
     def test_set_indexes_into_lists(self, blob_cfg, tmp_path):
         sets = ["model.layers.0.out=8", "model.layers.2.in=8", "seeds.0=3"]

@@ -39,7 +39,7 @@ def base_config() -> dict:
 class TestParsing:
     def test_valid_config(self):
         spec = build_run_spec(base_config())
-        assert spec.train.activation.tag == "telu"
+        assert spec.activation.tag == "telu"
         assert spec.train.optimizer.lr == 0.1
         assert lr_at_epoch(spec.train.schedule, spec.train.optimizer.lr, 0) == 0.1
         assert spec.seeds == (0, 1)
@@ -90,10 +90,27 @@ class TestParsing:
         # the axis the grid left out is echoed at its base value
         assert echoed["grid"] == {"lr": [0.1, 0.03], "weight_decay": [0.003], "gamma": [0.2, 0.5]}
 
+    def test_mixed_stack_round_trips_through_dict(self):
+        # the echo names each layer's kind and the root's own, which the
+        # layers no longer hold once parsed
+        raw = base_config()
+        raw["model"]["layers"][2:2] = [
+            {"type": "dense", "in": 8, "out": 8},
+            {"type": "activation", "kind": "relu"},
+        ]
+        raw["activation"] = "elu:1e+06"
+        spec = build_run_spec(raw)
+        # "/" joins the kinds: a spec string may hold "+"
+        assert spec.train.activation_label == "elu:1e+06/relu"
+        echoed = run_spec_to_dict(spec)
+        assert echoed["activation"] == "elu:1e+06"
+        assert build_run_spec(echoed) == spec
+
     def test_every_train_config_field_but_layers_and_seed_is_a_root_key(self):
-        # model.layers and seeds hold the other two; grid is no TrainConfig field
+        # model.layers and seeds hold the other two; activation (the kind of
+        # the layers that name none) and grid are no TrainConfig fields
         names = {f.name for f in dataclasses.fields(TrainConfig)} - {"layers", "seed"}
-        assert config._ROOT_KEYS == names | {"model", "seeds", "grid"}
+        assert config._ROOT_KEYS == names | {"activation", "model", "seeds", "grid"}
 
 
 class TestValidation:
@@ -191,7 +208,7 @@ class TestOverrides:
     def test_override_string_fallback(self, tmp_path):
         path = self.write(tmp_path, base_config())
         spec = load_run_spec(path, ["activation=relu"])
-        assert spec.train.activation.tag == "relu"
+        assert spec.activation.tag == "relu"
 
     def test_override_to_unknown_key_fails_validation(self, tmp_path):
         path = self.write(tmp_path, base_config())

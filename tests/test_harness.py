@@ -67,7 +67,6 @@ def blob_config(
     train_n = int(n * 0.8)
     return TrainConfig(
         layers=(Dense(16, 24), Activation(kind), Dense(24, 4)),
-        activation=kind,
         optimizer=OptimizerConfig(opt, lr=lr, weight_decay=0.0003),
         schedule=LrSchedule(gamma=0.2, milestones=(6, 8)),
         epochs=epochs,
@@ -108,7 +107,6 @@ class TestRunTrial:
         monkeypatch.setattr(harness, "build_model", huge_model)
         cfg = TrainConfig(
             layers=(Dense(2, 2),),
-            activation=TELU,
             optimizer=OptimizerConfig("sgd", lr=0.1),
             schedule=LrSchedule(gamma=1.0),
             epochs=2,
