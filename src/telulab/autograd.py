@@ -203,6 +203,7 @@ class _Parameterless:
     carries the input gradient, so they record only when it is needed."""
 
     n_params: ClassVar[int] = 0
+    shapes: ClassVar[tuple] = ()
 
     def init(self, rng: np.random.Generator) -> list[np.ndarray]:
         return []
@@ -219,9 +220,14 @@ class Dense:
         if min(self.in_dim, self.out_dim) < 1:
             raise ConfigError(f"dense sizes must be >= 1, got in={self.in_dim}, out={self.out_dim}")
 
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """The shapes of its parameters, weight then bias."""
+        return (self.in_dim, self.out_dim), (self.out_dim,)
+
     def init(self, rng: np.random.Generator) -> list[np.ndarray]:
-        w = _kaiming_uniform(rng, (self.in_dim, self.out_dim), self.in_dim)
-        return [w, np.zeros(self.out_dim)]
+        w, b = self.shapes
+        return [_kaiming_uniform(rng, w, self.in_dim), np.zeros(b)]
 
     def forward(self, x, params, record, grad_x):
         w, b = params
@@ -265,10 +271,14 @@ class Conv2d:
                 f"conv2d sizes must be >= 1, got in_ch={self.in_ch}, out_ch={self.out_ch}, k={self.k}"
             )
 
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """The shapes of its parameters, weight then bias."""
+        return (self.out_ch, self.in_ch, self.k, self.k), (self.out_ch,)
+
     def init(self, rng: np.random.Generator) -> list[np.ndarray]:
-        shape = (self.out_ch, self.in_ch, self.k, self.k)
-        w = _kaiming_uniform(rng, shape, self.in_ch * self.k * self.k)
-        return [w, np.zeros(self.out_ch)]
+        w, b = self.shapes
+        return [_kaiming_uniform(rng, w, self.in_ch * self.k * self.k), np.zeros(b)]
 
     def forward(self, x, params, record, grad_x):
         w, b = params
@@ -668,7 +678,7 @@ def load_params(model: Model, stem: Union[str, Path]) -> None:
         manifest = json.loads(stem.with_suffix(".json").read_text())
         shapes = [tuple(s) for s in manifest["shapes"]]
         raw = stem.with_suffix(".bin").read_bytes()
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot read checkpoint {stem}: {exc}") from exc
     if shapes != model.shapes:
         raise FormatError("checkpoint shapes do not match the model")

@@ -4,11 +4,18 @@ Subcommands: verify, kernels, train, replicate, grid, landscape, fisher.
 Each run writes its machine-readable artifacts plus a metadata.json into
 the output directory; stdout carries a short human-readable summary.
 
-:func:`main` runs every command the same way: it loads the run spec when
-the command takes ``--config`` (applying each ``--set``) and checks its
-layers against its dataset (``harness.check_model``), calls the command,
-and writes ``metadata.json`` once from the fields the command returns
-plus, for config commands, the resolved config.  ``--out`` is
+:func:`main` runs every command the same way, from its entry in
+:data:`COMMANDS` (function, help line, flags, each flag one record
+``(name, add_argument options, *bounds)``): it checks each bound, a
+``(test, message)`` pair, in table order, loads the run spec when the
+command takes ``--config`` (applying each ``--set``) and checks its layers
+against its dataset (``harness.check_model``), calls the command, and
+writes ``metadata.json`` once from the fields the command returns plus,
+for config commands, the resolved config.  Only the flag checks that need
+a second flag or the config stay in their command, still before any data:
+``--hi`` > ``--lo`` and the 10^6-row cap (``kernels``), ``--samples``
+within the train split (``fisher``), ``harness.check_landscape_args``
+(``landscape``) and the required ``grid`` section (``grid``).  ``--out`` is
 created when the first artifact is written, so a run that fails before
 writing anything leaves no output directory behind.
 
@@ -67,10 +74,6 @@ def cmd_verify(args, spec, out: Path) -> tuple[int, dict]:
 
 def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
     kinds = [kernels.parse_kind(n) for n in args.activations]
-    if not np.isfinite([args.lo, args.hi, args.step]).all():
-        raise ConfigError("--lo, --hi and --step must be finite")
-    if args.step <= 0:
-        raise ConfigError("--step must be positive")
     if args.hi <= args.lo:
         raise ConfigError("--hi must exceed --lo")
     # the points lo + k*step up to hi; the relative slack keeps hi itself
@@ -193,8 +196,6 @@ def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
 def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
     from . import harness
 
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be >= 0 (0 = full train split), got {args.samples}")
     # split() makes the train split exactly split.train examples
     n_train = spec.train.dataset.split.train
     if args.samples > n_train:
@@ -220,6 +221,42 @@ def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
     return EXIT_OK, {"probe": probe, "trained": result is not None}
 
 
+_FINITE = (math.isfinite, "--lo, --hi and --step must be finite")
+_ACTIVATIONS = ("--activations", {"nargs": "+", "required": True})
+_JOBS = ("--jobs", {"type": int, "default": 1}, (lambda n: n >= 1, "--jobs must be >= 1, got {}"))
+_CHECKPOINT = ("--checkpoint", {"help": "parameter checkpoint stem to load"})
+_CONFIG = (("--config", {"required": True, "help": "run-config JSON file"}),
+           ("--set", {"action": "append", "metavar": "KEY.PATH=VALUE",
+                      "help": "override a config entry (repeatable), e.g. optimizer.lr=0.05"}))
+
+COMMANDS = {
+    "verify": (cmd_verify, "run the numeric property claims", [_ACTIVATIONS]),
+    "kernels": (cmd_kernels, "tabulate f, f', f'' on a grid", [
+        _ACTIVATIONS,
+        ("--lo", {"type": float, "default": -4.0}, _FINITE),
+        ("--hi", {"type": float, "default": 4.0}, _FINITE),
+        ("--step", {"type": float, "default": 0.01},
+         _FINITE, (lambda s: s > 0, "--step must be positive")),
+    ]),
+    "train": (cmd_train, "run a single training trial", [*_CONFIG]),
+    "replicate": (cmd_replicate, "run the config across its seeds", [*_CONFIG, _JOBS]),
+    "grid": (cmd_grid, "hyperparameter grid search", [*_CONFIG, _JOBS]),
+    "landscape": (cmd_landscape, "loss surface around a trained model", [*_CONFIG,
+        ("--grid-n", {"type": int, "default": 41}),
+        ("--radius", {"type": float, "default": 1.0}),
+        ("--direction-seed", {"type": int, "default": 0}),
+        _CHECKPOINT,
+        ("--save-checkpoint", {"action": "store_true",
+                               "help": "also save the probed parameters beside the surface"}),
+    ]),
+    "fisher": (cmd_fisher, "empirical Fisher diagonal probe", [*_CONFIG,
+        ("--samples", {"type": int, "default": 0, "help": "0 = full train split"},
+         (lambda n: n >= 0, "--samples must be >= 0 (0 = full train split), got {}")),
+        _CHECKPOINT,
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telulab",
@@ -228,69 +265,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, about, config: bool) -> argparse.ArgumentParser:
+    for name, (_, about, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=about)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", default=f"out/{name}")
-        if config:
-            p.add_argument("--config", required=True, help="run-config JSON file")
-            p.add_argument(
-                "--set",
-                action="append",
-                metavar="KEY.PATH=VALUE",
-                help="override a config entry (repeatable), e.g. optimizer.lr=0.05",
-            )
-        return p
-
-    p = command("verify", cmd_verify, "run the numeric property claims", config=False)
-    p.add_argument("--activations", nargs="+", required=True)
-
-    p = command("kernels", cmd_kernels, "tabulate f, f', f'' on a grid", config=False)
-    p.add_argument("--activations", nargs="+", required=True)
-    p.add_argument("--lo", type=float, default=-4.0)
-    p.add_argument("--hi", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=0.01)
-
-    command("train", cmd_train, "run a single training trial", config=True)
-
-    p = command("replicate", cmd_replicate, "run the config across its seeds", config=True)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = command("grid", cmd_grid, "hyperparameter grid search", config=True)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = command("landscape", cmd_landscape, "loss surface around a trained model", config=True)
-    p.add_argument("--grid-n", type=int, default=41)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--direction-seed", type=int, default=0)
-    p.add_argument("--checkpoint", help="parameter checkpoint stem to load")
-    p.add_argument(
-        "--save-checkpoint",
-        action="store_true",
-        help="also save the probed parameters beside the surface",
-    )
-
-    p = command("fisher", cmd_fisher, "empirical Fisher diagonal probe", config=True)
-    p.add_argument("--samples", type=int, default=0, help="0 = full train split")
-    p.add_argument("--checkpoint", help="parameter checkpoint stem to load")
+        p.set_defaults(out=f"out/{name}")
+        for flag, options, *_ in [("--out", {}), *flags]:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fn, _, flags = COMMANDS[args.command]
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        for flag, _, *bounds in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            for test, message in bounds:
+                if not test(value):
+                    raise ConfigError(message.format(value))
         spec = None
         if "config" in args:
-            from . import autograd, config, harness
+            from . import config, harness
 
             spec = config.load_run_spec(args.config, args.set)
-            harness.check_model(autograd.build_model(spec.train.layers, 0), spec.train.dataset)
+            harness.check_model(spec.train.layers, spec.train.dataset)
         out = Path(args.out)
-        code, meta = args.fn(args, spec, out)
+        code, meta = fn(args, spec, out)
         if spec is not None:
             meta["config"] = config.run_spec_to_dict(spec)
         reporting.write_metadata(out / "metadata.json", args.command, **meta)

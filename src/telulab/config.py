@@ -238,10 +238,12 @@ def load_run_spec(
     path: Union[str, Path], overrides: Optional[list[str]] = None
 ) -> RunSpec:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a syntax error: a byte that is not UTF-8, nesting past the
+        # recursion limit, an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     # checked before the overrides, which index into the root
     if not isinstance(raw, dict):
@@ -260,7 +262,9 @@ def _apply_override(raw: dict, assignment: str) -> dict:
         raise ConfigError(f"override {assignment!r} has an empty key path")
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
+        # not JSON to this parser (nesting past the recursion limit and an
+        # integer past the digit limit included): a bare string
         value = text
     # an integer key indexes a list; a missing or null object is created
     node = raw

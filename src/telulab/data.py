@@ -383,7 +383,8 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blobs around unit-radius simplex vertices, labels balanced
     to within one sample.  Fully determined by the arguments; a spread that
-    overflows a feature raises :class:`DataError`."""
+    overflows a feature, or sizes past numpy's array limits, raise
+    :class:`DataError`."""
     if classes < 2:
         raise ConfigError("blobs need at least 2 classes")
     if n < classes:
@@ -391,9 +392,12 @@ def synthetic_blobs(
     if spread <= 0:
         raise ConfigError("blobs spread must be positive")
     means = _simplex_means(classes, dim)
+    rng = generator(seed, TAG_BLOBS, 0 if tag == "train" else 1)
+    try:
+        noise = rng.standard_normal((n, dim))
+    except ValueError as exc:  # numpy's: a dimension or an array size past np.intp
+        raise DataError(f"blobs of {n} x {dim} features are too large for an array ({exc})") from exc
     labels = np.arange(n, dtype=np.int64) % classes
-    extra = 0 if tag == "train" else 1
-    noise = generator(seed, TAG_BLOBS, extra).standard_normal((n, dim))
     with np.errstate(over="ignore"):  # caught by the check below
         images = means[labels] + spread * noise
     if not np.isfinite(images).all():

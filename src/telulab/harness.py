@@ -10,7 +10,8 @@ loading live in :mod:`telulab.data`; a trial loads through this module's
 
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs, and :func:`check_model`
-checks its layers against its dataset before any data is read.  A trial's
+checks its layers against its dataset before any data is read or any
+parameter drawn.  A trial's
 record, a :class:`TrialResult`, carries its config and one :class:`Epoch`
 per completed epoch, and the writers read every column from it or from a
 figure it derives.  Divergence (first non-finite value) ends a trial early
@@ -22,6 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -168,16 +170,24 @@ def format_cell(mean: float, std: float) -> str:
     return f"{mean:.2f}±{std:.2f}"
 
 
-def check_model(model: Model, spec: DatasetSpec) -> None:
-    """Raise :class:`ConfigError` unless ``model`` maps an example of
-    ``spec`` to one logit per class: one forward of zero examples runs each
-    layer's own shape check and no arithmetic (through ``autograd``, so it
-    is never taken for a training forward)."""
-    logits, _ = autograd.forward(model, np.zeros((0, *spec.example_shape)))
-    if logits.shape[1:] != (spec.num_classes,):
+def check_model(layers: tuple[LayerSpec, ...], spec: DatasetSpec) -> None:
+    """Raise :class:`ConfigError` unless ``layers`` map an example of
+    ``spec`` to one logit per class: each layer's own forward of zero
+    examples runs its shape check and no arithmetic, on read-only zero-stride
+    parameters of its shapes, so no parameter is drawn.  A size past
+    numpy's array limits is a :class:`ConfigError` too."""
+    try:
+        x = np.zeros((0, *spec.example_shape))
+        for layer in layers:
+            x, _ = layer.forward(x, [np.broadcast_to(0.0, s) for s in layer.shapes], False, False)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # numpy's: a dimension or an array size past np.intp
+        raise ConfigError(f"model: the layer or example sizes are too large for an array ({exc})") from exc
+    if x.shape[1:] != (spec.num_classes,):
         raise ConfigError(
             f"model: the layers give each example an output of shape "
-            f"{logits.shape[1:]}, but the {spec.name} dataset has {spec.num_classes} classes"
+            f"{x.shape[1:]}, but the {spec.name} dataset has {spec.num_classes} classes"
         )
 
 
@@ -208,8 +218,8 @@ def fit(
     and return the trained model and its record."""
     t0 = time.perf_counter()
     train, valid, test = splits
+    check_model(cfg.layers, cfg.dataset)
     model = build_model(cfg.layers, cfg.seed)
-    check_model(model, cfg.dataset)
     state = OptimizerState(cfg.optimizer)
 
     epochs: list[Epoch] = []
@@ -261,8 +271,14 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     workers, threads = trial_threads(jobs, len(configs))
     if workers == 1:
         return [run_trial(c) for c in configs]
+    # fork, named rather than left to the platform's default (forkserver on
+    # Linux from Python 3.14): its workers inherit this process's modules
+    # as they stand, names replaced on them included
     with concurrent.futures.ProcessPoolExecutor(
-        workers, initializer=set_workers, initargs=(threads,)
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=set_workers,
+        initargs=(threads,),
     ) as pool:
         return list(pool.map(run_trial, configs))
 

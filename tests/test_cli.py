@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -215,6 +216,24 @@ class TestExitCodes:
         out = tmp_path / "out"
         argv = ["fisher", "--config", str(blob_cfg), "--samples", samples, "--out", str(out)]
         assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fisher", "--config", "no/such.json", "--samples", "-5"],
+                "--samples must be >= 0 (0 = full train split), got -5",
+            ),
+            (["kernels", "--activations", "nosuch", "--lo", "nan"], "--lo, --hi and --step must be finite"),
+        ],
+        ids=["samples-before-config", "lo-before-activations"],
+    )
+    def test_flag_bounds_checked_first(self, tmp_path, capsys, argv, message):
+        # every flag's own bounds come before the config and the activations
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -471,6 +490,85 @@ class TestExitCodes:
             f"error: data_batch_3.bin: length {4 * 3073 - 1} is not a positive multiple of 3073\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source", ["config-bytes", "config-nesting", "set-nesting", "manifest-nesting", "set-digits"]
+    )
+    def test_json_past_the_parser_exits_two_with_one_line(
+        self, blob_cfg, tmp_path, capsys, no_data, source
+    ):
+        # each ended in a UnicodeDecodeError, RecursionError or ValueError
+        # (Python's integer digit limit) and exit 3
+        deep = "[" * 100_000
+        argv = ["train", "--config", str(blob_cfg)]
+        if source == "config-bytes":
+            blob_cfg.write_bytes(b'{"dataset": {"name": "donn\xe9es"}}')
+        elif source == "config-nesting":
+            blob_cfg.write_text(deep)
+        elif source == "set-nesting":
+            argv += ["--set", "seeds=" + deep]
+        elif source == "set-digits":
+            argv += ["--set", "optimizer.lr=1" + "0" * 5000]
+        else:
+            (tmp_path / "model.json").write_text(deep)
+            (tmp_path / "model.bin").write_bytes(b"")
+            argv = ["fisher", "--config", str(blob_cfg), "--checkpoint", str(tmp_path / "model")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("model.layers.0.out=9223372036854775808", "model: the layer or example sizes"),
+            ("model.layers.2.in=" + "1" + "0" * 30, "model: the layer or example sizes"),
+            ("dataset.blobs.dim=9223372036854775808", "model: the layer or example sizes"),
+            ("dataset.split.test=" + "1" + "0" * 30, "blobs of 1" + "0" * 30 + " x 16 features"),
+        ],
+        ids=["layer-out", "layer-in", "blobs-dim", "split-test"],
+    )
+    def test_size_past_numpys_array_limit_exits_two(self, blob_cfg, tmp_path, capsys, override, named):
+        # numpy's "Maximum allowed dimension exceeded" ValueError exited 3
+        assert run_with_layers(blob_cfg, tmp_path, ["train"], [override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_misfit_width_rejected_without_drawing_parameters(self, tmp_path, capsys, no_data):
+        # dense(4, 2000000) before a dense(8, 2): the check drew the 16 MB
+        # of weights (and their uniform draw) before its zero-row forward
+        cfg = {
+            "model": {
+                "layers": [
+                    {"type": "dense", "in": 4, "out": 8},
+                    {"type": "activation"},
+                    {"type": "dense", "in": 8, "out": 2},
+                ]
+            },
+            "activation": "telu",
+            "optimizer": {"kind": "sgd", "lr": 0.1},
+            "schedule": {"gamma": 1.0, "milestones": []},
+            "epochs": 1,
+            "batch": 8,
+            "dataset": {
+                "name": "blobs",
+                "blobs": {"n": 30, "classes": 2, "dim": 4, "spread": 0.1, "seed": 0},
+                "split": {"train": 20, "valid": 10, "test": 10, "seed": 0},
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["train", "--config", str(path), "--set", "model.layers.0.out=2000000"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: dense layer expects (batch, 8), got (0, 2000000)\n"
+        assert peak < 8 * 2**20
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")

@@ -4,6 +4,7 @@ grid selection, landscape geometry, Fisher probe."""
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -138,6 +139,8 @@ class TestRunTrial:
         def no_training(*args, **kwargs):
             pytest.fail("trained before the config error")
 
+        # nor are the parameters drawn
+        monkeypatch.setattr(harness, "build_model", no_training)
         monkeypatch.setattr(harness, "step", no_training)
         cfg = replace(blob_config(n=100), layers=(Flatten(), Activation(TELU)))
         with pytest.raises(ConfigError, match=r"shape \(16,\), but the blobs dataset has 4 classes"):
@@ -199,13 +202,13 @@ class TestReplicate:
         "seeds,jobs,workers", [([0, 1], 8, 2), ([0, 1, 2, 3], 2, 2)]
     )
     def test_pool_no_wider_than_the_trials(self, monkeypatch, seeds, jobs, workers):
-        # a pool that maps in-process and records its width and worker set-up:
-        # no process starts
+        # a pool that maps in-process and records its width, start method and
+        # worker set-up: no process starts
         widths = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                widths.append((max_workers, initializer, initargs))
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+                widths.append((max_workers, mp_context, initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -221,7 +224,10 @@ class TestReplicate:
         summary, trials = replicate(blob_config(epochs=1), seeds, jobs=jobs)
         # each worker runs its chunk threads on its share of the CPUs
         threads = max(1, len(os.sched_getaffinity(0)) // workers)
-        assert widths == [(workers, autograd.set_workers, (threads,))]
+        # fork on every Python, so the workers inherit the names replaced on
+        # harness, not a fresh import of it
+        fork = multiprocessing.get_context("fork")
+        assert widths == [(workers, fork, autograd.set_workers, (threads,))]
         assert [t.config.seed for t in trials] == seeds
 
     def test_deterministic_across_calls(self):
