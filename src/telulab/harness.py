@@ -11,10 +11,9 @@ loading live in :mod:`telulab.data`; a trial loads through this module's
 Runs are deterministic end to end: a :class:`TrainConfig` (seed included)
 fully determines every number in the outputs, and :func:`check_model`
 checks its layers against its dataset before any data is read or any
-parameter drawn.  A trial's
-record, a :class:`TrialResult`, carries its config and one :class:`Epoch`
-per completed epoch, and the writers read every column from it or from a
-figure it derives.  Divergence (first non-finite value) ends a trial early
+parameter drawn.  A trial's record, a :class:`TrialResult`, carries its
+config and one :class:`Epoch` per completed epoch, and the writers read
+every column from it or from a figure it derives.  Divergence (first non-finite value) ends a trial early
 and is recorded as data, never raised to the caller.
 """
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -271,6 +269,9 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     workers, threads = trial_threads(jobs, len(configs))
     if workers == 1:
         return [run_trial(c) for c in configs]
+    # imported here, as concurrent.futures imports it: only a pool needs it
+    import multiprocessing
+
     # fork, named rather than left to the platform's default (forkserver on
     # Linux from Python 3.14): its workers inherit this process's modules
     # as they stand, names replaced on them included
