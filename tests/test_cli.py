@@ -536,7 +536,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_misfit_width_rejected_without_drawing_parameters(self, tmp_path, capsys, no_data):
-        # dense(4, 2000000) before a dense(8, 2): the check drew the 16 MB
+        # dense(4, 2000000) before a dense(8, 2): the check drew the 64 MB
         # of weights (and their uniform draw) before its zero-row forward
         cfg = {
             "model": {
