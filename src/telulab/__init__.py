@@ -28,11 +28,9 @@ from .kernels import (
     SMISH,
     TELU,
     ActivationKind,
-    ScalarEval,
     derivative,
     elu,
     parse_kind,
-    scalar_eval,
     second_derivative,
     value,
 )
@@ -40,7 +38,6 @@ from .kernels import (
 __all__ = [
     "__version__",
     "ActivationKind",
-    "ScalarEval",
     "ALL_KINDS",
     "TELU",
     "RELU",
@@ -54,5 +51,4 @@ __all__ = [
     "value",
     "derivative",
     "second_derivative",
-    "scalar_eval",
 ]

@@ -4,7 +4,7 @@ Supports exactly what the desk-scale experiments need: dense layers,
 valid-padding stride-1 conv2d, 2x2 max pooling, flatten, and pointwise
 activations from :mod:`telulab.kernels`, trained with softmax
 cross-entropy.  A model is a strict stack, so each layer descriptor owns
-its math: ``init(rng)`` draws its parameter arrays, and
+its math: ``shapes`` states its parameters' shapes, and
 ``forward(x, params, record, grad_x)`` returns its output plus, when
 recording, a backward step that maps the output gradient to the input
 gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
@@ -190,11 +190,6 @@ class Tape:
     consumed: bool = False
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 # --- layers ---------------------------------------------------------------------
 
 
@@ -202,19 +197,13 @@ class _Parameterless:
     """Base of the layers without parameters: their backward step only
     carries the input gradient, so they record only when it is needed."""
 
-    n_params: ClassVar[int] = 0
     shapes: ClassVar[tuple] = ()
-
-    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return []
 
 
 @dataclass(frozen=True)
 class Dense:
     in_dim: int
     out_dim: int
-
-    n_params: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if min(self.in_dim, self.out_dim) < 1:
@@ -224,10 +213,6 @@ class Dense:
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         """The shapes of its parameters, weight then bias."""
         return (self.in_dim, self.out_dim), (self.out_dim,)
-
-    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
-        w, b = self.shapes
-        return [_kaiming_uniform(rng, w, self.in_dim), np.zeros(b)]
 
     def forward(self, x, params, record, grad_x):
         w, b = params
@@ -263,8 +248,6 @@ class Conv2d:
     out_ch: int
     k: int
 
-    n_params: ClassVar[int] = 2
-
     def __post_init__(self) -> None:
         if min(self.in_ch, self.out_ch, self.k) < 1:
             raise ConfigError(
@@ -275,10 +258,6 @@ class Conv2d:
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         """The shapes of its parameters, weight then bias."""
         return (self.out_ch, self.in_ch, self.k, self.k), (self.out_ch,)
-
-    def init(self, rng: np.random.Generator) -> list[np.ndarray]:
-        w, b = self.shapes
-        return [_kaiming_uniform(rng, w, self.in_ch * self.k * self.k), np.zeros(b)]
 
     def forward(self, x, params, record, grad_x):
         w, b = params
@@ -399,19 +378,29 @@ LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
 class Model:
     """An ordered stack of layers plus one parameter vector.
 
-    ``flat`` is every parameter in layer order, ``layer.n_params`` per layer
+    ``flat`` is every parameter in layer order, each layer's ``shapes``
     ((weight, bias) for the parametric layers, none for the others), each
     C-ordered: the checkpoint layout, with ``shapes`` its manifest.
     ``params`` holds one :class:`Tensor` per parameter whose data is a
     reshaped view of ``flat``, so a write to either is a write to both.
-    The model is built from the initial parameter arrays, which it copies.
+    The model is built from the initial parameter arrays, which it copies
+    and which must have the layers' shapes.  ``plan`` holds (index, layer,
+    parameters) per layer, and ``cut`` is the first :class:`Dense`'s index.
     """
 
     def __init__(self, layers: tuple[LayerSpec, ...], values: list[np.ndarray]):
         self.layers = layers
-        self.shapes = [np.shape(v) for v in values]
+        self.shapes = [s for layer in layers for s in layer.shapes]
+        got = [np.shape(v) for v in values]
+        if got != self.shapes:
+            raise ConfigError(f"the layers take parameters of shapes {self.shapes}, got {got}")
         self.flat = np.concatenate([np.empty(0), *(np.ravel(v) for v in values)])
         self.params = [Tensor(v) for v in self.views(self.flat)]
+        tensors = iter(self.params)
+        self.plan = [
+            (i, layer, tuple(next(tensors) for _ in layer.shapes)) for i, layer in enumerate(layers)
+        ]
+        self.cut = next((i for i, layer, _ in self.plan if isinstance(layer, Dense)), len(layers))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """``vec``, a vector of ``flat``'s layout, as one view per parameter."""
@@ -422,10 +411,16 @@ class Model:
 def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Model:
     """Instantiate parameters for the layer stack.
 
-    Weights are Kaiming-uniform with fan-in scaling, biases zero, drawn
+    Weights are Kaiming-uniform with fan-in the weight's size over the
+    bias's (``in`` for dense, ``in_ch*k*k`` for conv), biases zero, drawn
     from the Philox stream keyed by (seed, init-tag, layer index).
     """
-    values = [a for i, layer in enumerate(layers) for a in layer.init(generator(seed, TAG_INIT, i))]
+    values = []
+    for i, layer in enumerate(layers):
+        if layer.shapes:
+            w, b = layer.shapes
+            bound = np.sqrt(6.0 / (math.prod(w) // b[0]))
+            values += [generator(seed, TAG_INIT, i).uniform(-bound, bound, size=w), np.zeros(b)]
     return Model(tuple(layers), values)
 
 
@@ -438,16 +433,16 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
 
 
 def _run(
-    stack: list[tuple[int, LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
+    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
 ) -> tuple[np.ndarray, Steps, bool]:
-    """Run ``stack`` (index, layer, parameters) on ``x``; return the output,
+    """Run ``plan`` (index, layer, parameters) on ``x``; return the output,
     the recorded steps and whether the next layer computes its input gradient.
     A recorded :class:`Activation` directly followed by a :class:`MaxPool2`
     records no step of its own: it hands its f' to the pooling's step."""
     steps: Steps = []
     d = None  # f' of the Activation just run, for the MaxPool2 after it
-    following = [layer for _, layer, _ in stack[1:]] + [None]
-    for (i, layer, params), after in zip(stack, following):
+    following = [layer for _, layer, _ in plan[1:]] + [None]
+    for (i, layer, params), after in zip(plan, following):
         if d is not None:
             x, step = layer.forward(x, (), record, grad_x, d)
             d = None
@@ -458,7 +453,7 @@ def _run(
             x, step = layer.forward(x, [t.data for t in params], record, grad_x)
         if step is not None:
             steps.append((step, params))
-        grad_x = grad_x or layer.n_params > 0
+        grad_x = grad_x or bool(params)
         _require_finite(x, f"output of layer {i} ({type(layer).__name__})")
     return x, steps, grad_x
 
@@ -489,11 +484,6 @@ def forward(
     arithmetic; any non-finite input or output raises
     :class:`DivergenceError` naming the input batch or the layer.
     """
-    stack, p = [], 0
-    for i, layer in enumerate(model.layers):
-        stack.append((i, layer, tuple(model.params[p : p + layer.n_params])))
-        p += layer.n_params
-    cut = next((i for i, layer, _ in stack if isinstance(layer, Dense)), len(stack))
     if isinstance(batch, Dataset):
         n = len(batch)
 
@@ -510,21 +500,21 @@ def forward(
         n = len(x)
         inputs = x.__getitem__
     # an empty prefix (an MLP) is one chunk
-    size = CHUNK if cut else max(n, 1)
+    size = CHUNK if model.cut else max(n, 1)
 
     def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps, bool]]:
         with np.errstate(**_QUIET):
             # nothing reads the input batch's gradient, so layers before the
             # first parameter are not recorded and the first parametric
             # layer skips its gx
-            return [(rows, *_run(stack[:cut], inputs(rows), record, False)) for rows in part]
+            return [(rows, *_run(model.plan[: model.cut], inputs(rows), record, False)) for rows in part]
 
     ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
     joined = np.concatenate([y for _, y, _, _ in ran])
     chunks = [(rows, steps) for rows, _, steps, _ in ran if steps]
     grad_x = ran[0][3]  # the same for every chunk
     with np.errstate(**_QUIET):
-        y, steps, _ = _run(stack[cut:], joined, record, grad_x)
+        y, steps, _ = _run(model.plan[model.cut :], joined, record, grad_x)
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 

@@ -201,11 +201,17 @@ class DatasetSpec:
                 raise ConfigError("blobs need split.test > 0 (test set is drawn fresh)")
             if self.split.train + self.split.valid != self.blobs.n:
                 raise ConfigError("split.train + split.valid must equal blobs.n")
+            if self.path is not None:
+                raise ConfigError("blobs take no dataset.path (they are generated)")
         elif self.name not in _CIFAR_FORMATS:
             names = "|".join([*_CIFAR_FORMATS, "blobs"])
             raise ConfigError(f"dataset.name must be {names}, got {self.name!r}")
         elif self.path is None:
             raise ConfigError(f"dataset.path required for {self.name}")
+        elif self.blobs is not None:
+            raise ConfigError(f"{self.name} takes no dataset.blobs settings")
+        elif self.split.test:
+            raise ConfigError(f"{self.name} takes no split.test (its test set is the archive's)")
 
     @property
     def example_shape(self) -> tuple[int, ...]:

@@ -29,7 +29,6 @@ from .errors import DomainError, UnsupportedOperationError
 
 __all__ = [
     "ActivationKind",
-    "ScalarEval",
     "TELU",
     "RELU",
     "GELU",
@@ -44,7 +43,6 @@ __all__ = [
     "derivative",
     "value_and_derivative",
     "second_derivative",
-    "scalar_eval",
     "derivative_kinks",
     "second_derivative_kinks",
     "has_second_derivative",
@@ -98,22 +96,6 @@ class ActivationKind:
             arg = short if float(short) == self.alpha else repr(self.alpha)
             return f"{self.tag}:{arg}"
         return self.tag
-
-
-@dataclass(frozen=True)
-class ScalarEval:
-    """One activation evaluated at one point: value plus both derivatives.
-
-    ``nonsmooth`` is set when x sits on a kink of f' (ReLU at 0, ELU at 0
-    for alpha != 1); the ``first`` field then carries the subgradient
-    convention value rather than a true derivative.
-    """
-
-    x: float
-    value: float
-    first: float
-    second: float
-    nonsmooth: bool = False
 
 
 # --- stable scalar building blocks (array-native) --------------------------
@@ -388,7 +370,7 @@ def derivative(kind: ActivationKind, x):
     """Closed-form f'(x).
 
     ReLU at exactly 0 returns the subgradient convention value 0.0; use
-    :func:`scalar_eval` or :func:`derivative_kinks` to detect that case.
+    :func:`derivative_kinks` to detect that case.
     """
     rec, args, scalar = _prepare(kind, x)
     return _finish(rec.d1(*args), scalar)
@@ -413,18 +395,6 @@ def second_derivative(kind: ActivationKind, x):
             f"second derivative of {rec.display} is not provided (distributional at 0)"
         )
     return _finish(rec.d2(*args), scalar)
-
-
-def scalar_eval(kind: ActivationKind, x: float) -> ScalarEval:
-    """Evaluate f, f' and f'' at one point, flagging nonsmooth locations."""
-    v = value(kind, float(x))
-    d1 = derivative(kind, float(x))
-    if has_second_derivative(kind):
-        d2 = second_derivative(kind, float(x))
-    else:
-        d2 = float("nan") if float(x) == 0.0 else 0.0
-    kinked = float(x) in derivative_kinks(kind)
-    return ScalarEval(x=float(x), value=v, first=d1, second=d2, nonsmooth=kinked)
 
 
 def has_second_derivative(kind: ActivationKind) -> bool:

@@ -2,8 +2,10 @@
 shape validation, determinism, divergence detection, and the chunked
 per-example prefix against a frozen copy of the unchunked engine."""
 
+import hashlib
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -306,6 +308,29 @@ class TestDeterminismAndInit:
         model = build_model([Dense(4, 8)], seed=0)
         np.testing.assert_array_equal(model.params[1].data, 0.0)
 
+    @pytest.mark.parametrize(
+        "layers, seed, want",
+        [
+            ("cnn", 0, "027c3a4bf5d5f5e4f9fdf72d1d97cd60b4e66dee09746f2e2334f91d82b10a05"),
+            ("cnn", 2026, "15dca08320391a7650edc2be4f6d5ac0e337801ad1a902d3ea285d114d350c66"),
+            ("mlp", 0, "c2ad6ae0bf74efc1774e1552ed6fbd6ab69b829a082ee2c2d1df584738c6aeba"),
+            ("mlp", 2026, "3a50cf523ca80344cf699d3151ea762d425477c4199f25864b74d36a08f0d5e4"),
+        ],
+    )
+    def test_initial_parameters_keep_their_bits(self, layers, seed, want):
+        # the reference CNN and the golden blobs MLP; a change to the draws
+        # (their order, stream, fan-in or bound) moves these hashes
+        stacks = {
+            "cnn": [
+                Conv2d(3, 16, 3), Activation(TELU), MaxPool2(),
+                Conv2d(16, 32, 4), Activation(TELU), MaxPool2(),
+                Flatten(), Dense(1152, 64), Activation(TELU), Dense(64, 10),
+            ],
+            "mlp": [Dense(16, 24), Activation(TELU), Dense(24, 4)],
+        }  # fmt: skip
+        flat = build_model(stacks[layers], seed).flat
+        assert hashlib.sha256(flat.tobytes()).hexdigest() == want
+
 
 class TestConvAgainstDirectSum:
     def test_forward_matches_naive_loops(self):
@@ -450,10 +475,9 @@ def _frozen_conv(layer, x, w, b, record, grad_x):
 
 def frozen_forward(model, batch, record=False):
     x = np.ascontiguousarray(batch, dtype=np.float64)
-    steps, p, grad_x = [], 0, False
+    steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for layer in model.layers:
-            params = tuple(model.params[p : p + layer.n_params])
+        for _, layer, params in model.plan:
             data = [t.data for t in params]
             if isinstance(layer, Conv2d):
                 x, step = _frozen_conv(layer, x, *data, record, grad_x)
@@ -461,8 +485,7 @@ def frozen_forward(model, batch, record=False):
                 x, step = layer.forward(x, data, record, grad_x)
             if step is not None:
                 steps.append((step, params))
-            p += layer.n_params
-            grad_x = grad_x or layer.n_params > 0
+            grad_x = grad_x or bool(params)
     return x, steps
 
 
@@ -669,15 +692,13 @@ def separate_steps(model, x, g, squares):
     and the MaxPool2 apart; returns the parameter gradients, conv's
     per-example ones added in example order from +0.0 as :func:`backward`
     adds them, and the gradient that reached the first layer's output."""
-    steps, p, grad_x = [], 0, False
+    steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for layer in model.layers:
-            params = tuple(model.params[p : p + layer.n_params])
+        for _, layer, params in model.plan:
             x, step = layer.forward(x, [t.data for t in params], True, grad_x)
             if step is not None:
                 steps.append((step, params))
-            p += layer.n_params
-            grad_x = grad_x or layer.n_params > 0
+            grad_x = grad_x or bool(params)
         grads = {}
         while steps:
             step, params = steps.pop()
@@ -875,6 +896,19 @@ class TestFlatParameters:
         with pytest.raises(AttributeError):
             model.params[0].data = np.zeros((2, 2))
         assert_params_view_flat(model)
+
+    @pytest.mark.parametrize(
+        "values, got",
+        [
+            ([], "got []"),
+            ([np.zeros((2, 3))], "got [(2, 3)]"),
+            ([np.zeros((5, 5)), np.zeros(3)], "got [(5, 5), (3,)]"),
+            ([np.zeros((2, 3)), np.zeros(3), np.zeros(1)], "got [(2, 3), (3,), (1,)]"),
+        ],
+    )
+    def test_model_rejects_values_not_of_the_layers_shapes(self, values, got):
+        with pytest.raises(ConfigError, match=re.escape(f"shapes [(2, 3), (3,)], {got}")):
+            Model((Dense(2, 3),), values)
 
     def test_model_copies_its_initial_values(self):
         w = np.ones((2, 3))

@@ -58,6 +58,9 @@ def no_data(monkeypatch):
         monkeypatch.setattr(module, "materialize_datasets", no_loading)
 
 
+# blob_cfg's dataset made a CIFAR-10 one
+AS_CIFAR = ["dataset.name=cifar10", "dataset.path=cifar", "dataset.blobs=null"]
+
 # every config command that builds the model, with both checkpoint probes
 MODEL_COMMANDS = [
     ["train"],
@@ -344,6 +347,25 @@ class TestExitCodes:
         argv = ["train", "--config", str(blob_cfg), "--set", assignment, "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "assignments, problem",
+        [
+            (["dataset.path=/nonexistent/dir"], "blobs take no dataset.path (they are generated)"),
+            (AS_CIFAR + ["dataset.split.test=5"], "cifar10 takes no split.test (its test set is the archive's)"),
+            (AS_CIFAR[:2] + ["dataset.split.test=0"], "cifar10 takes no dataset.blobs settings"),
+        ],
+        ids=["blobs-path", "cifar-split-test", "cifar-blobs"],
+    )
+    def test_dataset_setting_not_read_usage_error(
+        self, blob_cfg, tmp_path, capsys, no_data, assignments, problem
+    ):
+        # each once ran to exit 0 with the setting ignored
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(blob_cfg), "--out", str(out)]
+        assert main(argv + [a for s in assignments for a in ("--set", s)]) == 2
+        assert capsys.readouterr().err == f"error: dataset: {problem}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fisher", "landscape"])

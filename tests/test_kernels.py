@@ -107,9 +107,8 @@ class TestComparisonKernels:
         assert kernels.derivative(RELU, -3.0) == 0.0
 
     def test_relu_subgradient_at_zero_is_flagged(self):
-        ev = kernels.scalar_eval(RELU, 0.0)
-        assert ev.first == 0.0
-        assert ev.nonsmooth
+        assert kernels.derivative(RELU, 0.0) == 0.0
+        assert kernels.derivative_kinks(RELU) == (0.0,)
 
     def test_relu_second_derivative_unsupported(self):
         with pytest.raises(UnsupportedOperationError):
