@@ -327,7 +327,7 @@ class TestDeterminismAndInit:
                 Flatten(), Dense(1152, 64), Activation(TELU), Dense(64, 10),
             ],
             "mlp": [Dense(16, 24), Activation(TELU), Dense(24, 4)],
-        }  # fmt: skip
+        }
         flat = build_model(stacks[layers], seed).flat
         assert hashlib.sha256(flat.tobytes()).hexdigest() == want
 
