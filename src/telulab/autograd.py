@@ -413,15 +413,19 @@ def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> M
 
     Weights are Kaiming-uniform with fan-in the weight's size over the
     bias's (``in`` for dense, ``in_ch*k*k`` for conv), biases zero, drawn
-    from the Philox stream keyed by (seed, init-tag, layer index).
+    from the Philox stream keyed by (seed, init-tag, layer index).  Layer
+    sizes past memory raise :class:`ConfigError`.
     """
     values = []
-    for i, layer in enumerate(layers):
-        if layer.shapes:
-            w, b = layer.shapes
-            bound = np.sqrt(6.0 / (math.prod(w) // b[0]))
-            values += [generator(seed, TAG_INIT, i).uniform(-bound, bound, size=w), np.zeros(b)]
-    return Model(tuple(layers), values)
+    try:
+        for i, layer in enumerate(layers):
+            if layer.shapes:
+                w, b = layer.shapes
+                bound = np.sqrt(6.0 / (math.prod(w) // b[0]))
+                values += [generator(seed, TAG_INIT, i).uniform(-bound, bound, size=w), np.zeros(b)]
+        return Model(tuple(layers), values)
+    except MemoryError as exc:
+        raise ConfigError(f"model: the layer sizes are too large to hold in memory ({exc})") from exc
 
 
 # --- model-level operations -----------------------------------------------------

@@ -39,10 +39,8 @@ __all__ = [
     "materialize_datasets",
     "load_cifar",
     "load_cifar10",
-    "load_cifar100",
     "write_cifar",
     "write_cifar10",
-    "write_cifar100",
     "split",
     "channel_statistics",
     "synthetic_blobs",
@@ -264,10 +262,6 @@ def load_cifar10(path: Union[str, Path], split_tag: str = "train") -> Dataset:
     return load_cifar("cifar10", path, split_tag)
 
 
-def load_cifar100(path: Union[str, Path], split_tag: str = "train") -> Dataset:
-    return load_cifar("cifar100", path, split_tag)
-
-
 def _pixels_to_bytes(images: np.ndarray) -> np.ndarray:
     """Pixels in [0, 1] as bytes, scaled and rounded in place in
     ``images``; anything else (a standardized split, say) would wrap
@@ -318,10 +312,6 @@ def write_cifar(name: str, ds: Dataset, path: Union[str, Path], coarse=None) -> 
 
 def write_cifar10(ds: Dataset, path: Union[str, Path]) -> None:
     write_cifar("cifar10", ds, path)
-
-
-def write_cifar100(ds: Dataset, path: Union[str, Path], coarse=None) -> None:
-    write_cifar("cifar100", ds, path, coarse)
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -375,8 +365,6 @@ def channel_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def _simplex_means(classes: int, dim: int) -> np.ndarray:
     # vertices of a regular simplex, embedded in the first `classes`
     # coordinates and scaled to unit radius
-    if dim < classes:
-        raise ConfigError(f"blobs need dim >= classes, got dim={dim} < {classes}")
     verts = np.eye(classes) - 1.0 / classes
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     means = np.zeros((classes, dim))
@@ -389,23 +377,26 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blobs around unit-radius simplex vertices, labels balanced
     to within one sample.  Fully determined by the arguments; a spread that
-    overflows a feature, or sizes past numpy's array limits, raise
-    :class:`DataError`."""
+    overflows a feature, or sizes past numpy's array limits or past memory,
+    raise :class:`DataError`."""
     if classes < 2:
         raise ConfigError("blobs need at least 2 classes")
     if n < classes:
         raise ConfigError("blobs need at least one sample per class")
     if spread <= 0:
         raise ConfigError("blobs spread must be positive")
-    means = _simplex_means(classes, dim)
+    if dim < classes:
+        raise ConfigError(f"blobs need dim >= classes, got dim={dim} < {classes}")
     rng = generator(seed, TAG_BLOBS, 0 if tag == "train" else 1)
     try:
+        means = _simplex_means(classes, dim)
         noise = rng.standard_normal((n, dim))
-    except ValueError as exc:  # numpy's: a dimension or an array size past np.intp
-        raise DataError(f"blobs of {n} x {dim} features are too large for an array ({exc})") from exc
-    labels = np.arange(n, dtype=np.int64) % classes
-    with np.errstate(over="ignore"):  # caught by the check below
-        images = means[labels] + spread * noise
+        labels = np.arange(n, dtype=np.int64) % classes
+        with np.errstate(over="ignore"):  # caught by the check below
+            images = means[labels] + spread * noise
+    # numpy's: a dimension or an array size past np.intp, or past memory
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"blobs of {n} x {dim} features are too large to hold ({exc})") from exc
     if not np.isfinite(images).all():
         raise DataError(f"blobs spread {spread!r} overflows the features")
     return Dataset(images, labels, DataMeta("blobs", classes, tag))

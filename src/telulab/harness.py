@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -189,11 +189,11 @@ def check_model(layers: tuple[LayerSpec, ...], spec: DatasetSpec) -> None:
         )
 
 
-def _evaluate(model: Model, ds: Dataset, batch: int = _EVAL_BATCH) -> tuple[float, float]:
+def _evaluate(model: Model, ds: Dataset) -> tuple[float, float]:
     """(accuracy percent, mean loss) over a dataset, fixed batching."""
     correct = 0
     loss_sum = 0.0
-    for b in batches(ds, batch):
+    for b in batches(ds, _EVAL_BATCH):
         logits, _ = forward(model, b, record=False)
         loss, _ = softmax_cross_entropy(logits, b.labels)
         loss_sum += loss * len(b)
@@ -445,11 +445,10 @@ def check_landscape_args(grid_n: int, radius: float, seed: int) -> None:
 
 def landscape_slice(
     model: Model,
-    dataset: Optional[Dataset],
+    dataset: Dataset,
     grid_n: int,
     radius: float,
     seed: int,
-    loss_fn: Optional[Callable[[Model], float]] = None,
 ) -> LandscapeSurface:
     """Loss surface on the plane spanned by two seeded random directions.
 
@@ -460,13 +459,6 @@ def landscape_slice(
     perturbed evaluation that diverges records ``inf`` for that cell.
     """
     check_landscape_args(grid_n, radius, seed)
-    if loss_fn is None:
-        if dataset is None:
-            raise ConfigError("landscape needs a dataset or an explicit loss_fn")
-
-        def loss_fn(m: Model) -> float:
-            return _evaluate(m, dataset)[1]
-
     d1, d2 = draw_directions(model, seed)
     axis = np.linspace(-radius, radius, grid_n)
     axis[grid_n // 2] = 0.0  # linspace can leave it about 1e-17 off
@@ -485,7 +477,7 @@ def landscape_slice(
                     if b:
                         model.flat += b * d2
                 try:
-                    losses[i, j] = loss_fn(model)
+                    losses[i, j] = _evaluate(model, dataset)[1]
                 except DivergenceError:
                     losses[i, j] = math.inf
     finally:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -240,13 +239,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-9
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
+    while b - a > 1e-9:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -301,9 +300,8 @@ def bounded_output_scan(kind: ActivationKind, iv: Interval) -> PropertyReport:
 # --- quadrature ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+# the 24-point Gauss-Legendre rule on [-1, 1] that every panel uses
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _composite_gl(
@@ -311,14 +309,11 @@ def _composite_gl(
     lo: float,
     hi: float,
     breakpoints: tuple[float, ...] = (),
-    order: int = 24,
-    rtol: float = QUAD_RTOL,
 ) -> float:
     """Composite Gauss-Legendre with panel doubling until the estimate is
-    stable to ``rtol`` relative.  ``breakpoints`` become permanent panel
+    stable to :data:`QUAD_RTOL` relative.  ``breakpoints`` become permanent panel
     edges so piecewise-smooth integrands converge at the smooth rate."""
     edges = np.array(sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)}))
-    nodes0, weights0 = _leggauss(order)
 
     def estimate(panels_per_piece: int) -> float:
         # one kernel call for the nodes of every panel; each panel's sum is
@@ -326,10 +321,10 @@ def _composite_gl(
         cuts = np.linspace(edges[:-1], edges[1:], panels_per_piece + 1, axis=1)
         half = 0.5 * (cuts[:, 1:] - cuts[:, :-1]).ravel()
         mid = 0.5 * (cuts[:, 1:] + cuts[:, :-1]).ravel()
-        values = f(half[:, None] * nodes0 + mid[:, None])
+        values = f(half[:, None] * _GL_NODES + mid[:, None])
         total = 0.0
         for h, row in zip(half, values):
-            total += h * float(np.dot(weights0, row))
+            total += h * float(np.dot(_GL_WEIGHTS, row))
         return total
 
     panels = 4
@@ -337,7 +332,7 @@ def _composite_gl(
     for _ in range(14):
         panels *= 2
         cur = estimate(panels)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= QUAD_RTOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise ArithmeticError("quadrature failed to stabilize")

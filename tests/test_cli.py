@@ -48,6 +48,33 @@ def blob_cfg(tmp_path):
 
 
 @pytest.fixture
+def small_blob_cfg(tmp_path):
+    """Dense 4 -> 8 -> 2 on 2-class blobs of dimension 4, one epoch."""
+    cfg = {
+        "model": {
+            "layers": [
+                {"type": "dense", "in": 4, "out": 8},
+                {"type": "activation"},
+                {"type": "dense", "in": 8, "out": 2},
+            ]
+        },
+        "activation": "telu",
+        "optimizer": {"kind": "sgd", "lr": 0.1},
+        "schedule": {"gamma": 1.0, "milestones": []},
+        "epochs": 1,
+        "batch": 8,
+        "dataset": {
+            "name": "blobs",
+            "blobs": {"n": 30, "classes": 2, "dim": 4, "spread": 0.1, "seed": 0},
+            "split": {"train": 20, "valid": 10, "test": 10, "seed": 0},
+        },
+    }
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture
 def no_data(monkeypatch):
     """Fail any load of a dataset: the test's error must come first."""
 
@@ -557,31 +584,44 @@ class TestExitCodes:
         assert err.startswith(f"error: {named}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_misfit_width_rejected_without_drawing_parameters(self, tmp_path, capsys, no_data):
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["dataset.split.test=68719476736"], "blobs of 68719476736 x 4 features"),
+            (
+                ["dataset.blobs.dim=68719476736", "model.layers.0.in=68719476736"],
+                "blobs of 30 x 68719476736 features",
+            ),
+            (
+                ["model.layers.0.out=68719476736", "model.layers.2.in=68719476736"],
+                "model: the layer sizes are too large to hold in memory",
+            ),
+        ],
+        ids=["split-test", "blobs-dim", "layer-width"],
+    )
+    def test_size_past_memory_exits_two(self, small_blob_cfg, tmp_path, capped_cli, overrides, named):
+        # each asks for 1-2 TiB; the MemoryError exited 3
+        out = tmp_path / "out"
+        sets = [a for o in overrides for a in ("--set", o)]
+        code, err = capped_cli(["train", "--config", small_blob_cfg, *sets, "--out", out])
+        assert code == 2, err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_unmodified_small_config_runs_under_the_memory_cap(
+        self, small_blob_cfg, tmp_path, capped_cli
+    ):
+        out = tmp_path / "out"
+        code, err = capped_cli(["train", "--config", small_blob_cfg, "--out", out])
+        assert (code, err) == (0, "")
+        assert (out / "results.csv").is_file()
+
+    def test_misfit_width_rejected_without_drawing_parameters(
+        self, small_blob_cfg, tmp_path, capsys, no_data
+    ):
         # dense(4, 2000000) before a dense(8, 2): the check drew the 64 MB
         # of weights (and their uniform draw) before its zero-row forward
-        cfg = {
-            "model": {
-                "layers": [
-                    {"type": "dense", "in": 4, "out": 8},
-                    {"type": "activation"},
-                    {"type": "dense", "in": 8, "out": 2},
-                ]
-            },
-            "activation": "telu",
-            "optimizer": {"kind": "sgd", "lr": 0.1},
-            "schedule": {"gamma": 1.0, "milestones": []},
-            "epochs": 1,
-            "batch": 8,
-            "dataset": {
-                "name": "blobs",
-                "blobs": {"n": 30, "classes": 2, "dim": 4, "spread": 0.1, "seed": 0},
-                "split": {"train": 20, "valid": 10, "test": 10, "seed": 0},
-            },
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        argv = ["train", "--config", str(path), "--set", "model.layers.0.out=2000000"]
+        argv = ["train", "--config", str(small_blob_cfg), "--set", "model.layers.0.out=2000000"]
         tracemalloc.start()
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
@@ -768,6 +808,12 @@ class TestReplicateCommand:
         assert row == by_seed["5"]
         curves = read_csv(tmp_path / "replicate" / "curves.csv")
         assert read_csv(tmp_path / "train" / "curves.csv") == [c for c in curves if c["seed"] == "5"]
+
+    def test_diverged_trials_are_counted_on_stdout(self, blob_cfg, tmp_path, capsys):
+        sets = ["--set", "optimizer.lr=1e10", "--set", "seeds=[0, 1]"]
+        argv = ["replicate", "--config", str(blob_cfg), *sets, "--out", str(tmp_path / "div")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "divergences: 2/2"
 
     def test_artifacts_and_summary_consistency(self, blob_cfg, tmp_path):
         out = tmp_path / "rep"

@@ -180,6 +180,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="optimizer.lr"):
             build_run_spec(raw)
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["model"], [], "model: expected an object"),
+            (["model", "layers", 0], {"in": 4}, "model.layers[0]: expected an object with a 'type' key"),
+            (["model", "layers"], [], "model.layers: expected a non-empty list"),
+            (["seeds"], [], "seeds: expected a non-empty list"),
+            (["optimizer", "betas"], [0.9], "optimizer.betas: expected a 2-element list"),
+            (["dataset", "split", "test"], -1, "dataset.split: split.test must be non-negative"),
+            (["optimizer", "eps"], 0.0, "optimizer.eps must be > 0"),
+            (["optimizer", "betas"], [0.9, 1.0], "optimizer.betas must be in [0, 1)"),
+        ],
+    )
+    def test_message_names_the_field(self, path, value, message):
+        raw = base_config()
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            build_run_spec(raw)
+        assert str(err.value) == message
+
     def test_split_counts_must_match_blobs(self):
         raw = base_config()
         raw["dataset"]["split"]["train"] = 100
@@ -219,6 +242,9 @@ class TestOverrides:
         path = self.write(tmp_path, base_config())
         with pytest.raises(ConfigError):
             load_run_spec(path, ["optimizer.lr"])
+        with pytest.raises(ConfigError) as err:
+            load_run_spec(path, [".=1"])
+        assert str(err.value) == "override '.=1' has an empty key path"
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

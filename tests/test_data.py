@@ -13,12 +13,10 @@ from telulab.data import (
     batch_iter,
     load_cifar,
     load_cifar10,
-    load_cifar100,
     split,
     synthetic_blobs,
     write_cifar,
     write_cifar10,
-    write_cifar100,
 )
 from telulab.errors import ConfigError, DataError, FormatError
 
@@ -100,10 +98,10 @@ class TestCifarWriters:
         ds = load_cifar10(path)
         mean = np.full((1, 3, 1, 1), 0.5)
         std = np.full((1, 3, 1, 1), 0.25)
-        for write in (write_cifar10, write_cifar100):
-            dst = tmp_path / f"{write.__name__}.bin"
+        for name in ("cifar10", "cifar100"):
+            dst = tmp_path / f"write_{name}.bin"
             with pytest.raises(DataError):
-                write(ds.standardized(mean, std), dst)
+                write_cifar(name, ds.standardized(mean, std), dst)
             assert not dst.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12, 1.0 + 1e-12])
@@ -129,7 +127,7 @@ class TestCifarWriters:
         ds = Dataset(np.full((2, 3, 32, 32), 0.5), np.array([3, 99]), DataMeta("cifar100", 100, "train"))
         dst = tmp_path / "out.bin"
         with pytest.raises(DataError, match=r"coarse labels must be in \[0, 256\)"):
-            write_cifar100(ds, dst, coarse=[1, 256])
+            write_cifar("cifar100", ds, dst, coarse=[1, 256])
         assert not dst.exists()
 
     @pytest.mark.parametrize("coarse", [[7], [1, 2, 3]])
@@ -139,7 +137,7 @@ class TestCifarWriters:
         dst = tmp_path / "out.bin"
         shape = rf"\({len(coarse)},\)"
         with pytest.raises(DataError, match=rf"one per record, got shape {shape} for 2 records"):
-            write_cifar100(ds, dst, coarse=coarse)
+            write_cifar("cifar100", ds, dst, coarse=coarse)
         assert not dst.exists()
 
     def test_blocks_of_rows_write_the_bytes_of_one_block(self, tmp_path, monkeypatch):
@@ -182,13 +180,13 @@ class TestCifar100:
         return path
 
     def test_fine_label_boundary(self, tmp_path):
-        ds = load_cifar100(self.make_fixture(tmp_path, [99, 0]))
+        ds = load_cifar("cifar100", self.make_fixture(tmp_path, [99, 0]))
         np.testing.assert_array_equal(ds.labels, [99, 0])
         assert ds.meta.num_classes == 100
 
     def test_fine_label_overflow_rejected(self, tmp_path):
         with pytest.raises(FormatError):
-            load_cifar100(self.make_fixture(tmp_path, [100]))
+            load_cifar("cifar100", self.make_fixture(tmp_path, [100]))
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -198,9 +196,9 @@ class TestCifar100:
         records[:, 2:] = rng.integers(0, 256, size=(4, 3072))
         src = tmp_path / "src.bin"
         src.write_bytes(records.tobytes())
-        ds = load_cifar100(src)
+        ds = load_cifar("cifar100", src)
         dst = tmp_path / "dst.bin"
-        write_cifar100(ds, dst)
+        write_cifar("cifar100", ds, dst)
         assert src.read_bytes() == dst.read_bytes()
 
 

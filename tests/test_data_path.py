@@ -177,7 +177,7 @@ def test_cnn_evaluation_peaks_below_float64_batch(tmp_path, standardize):
     float64_batch = 512 * 3072 * 8
     tracemalloc.start()
     try:
-        _evaluate(model, train, 512)
+        _evaluate(model, train)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

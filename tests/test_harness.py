@@ -122,6 +122,17 @@ class TestRunTrial:
         assert result.diverged and result.divergence_epoch == 0
         assert result.epochs == ()
 
+    def test_test_split_overflow_diverges_in_the_last_epoch(self):
+        # training and validation stay finite, but the hand-built test
+        # split's features overflow the first layer's outputs
+        cfg = blob_config(epochs=2, n=100)
+        train, valid, _ = materialize_datasets(cfg.dataset)
+        test = Dataset(np.full((4, 16), 1e308), np.zeros(4, dtype=int), DataMeta("blobs", 4, "test"))
+        _, result = harness.fit(cfg, (train, valid, test))
+        assert len(result.epochs) == cfg.epochs
+        assert result.test_acc == 0.0
+        assert result.divergence_epoch == cfg.epochs - 1
+
     def test_bitwise_determinism(self):
         a = run_trial(blob_config(opt="momentum"))
         b = run_trial(blob_config(opt="momentum"))
@@ -355,6 +366,11 @@ def toy_quadratic_model() -> Model:
     return model
 
 
+def tiny_blobs() -> Dataset:
+    """A dataset for landscape calls whose loss never reads it."""
+    return synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
+
+
 class TestLandscape:
     def test_center_cell_equals_model_loss_exactly(self):
         model, _ = train_model(blob_config(epochs=2))
@@ -385,16 +401,17 @@ class TestLandscape:
         b = landscape_slice(model, train, 5, 0.5, seed=4)
         assert not np.array_equal(a.losses, b.losses)
 
-    def test_quadratic_toy_matches_closed_form(self):
+    def test_quadratic_toy_matches_closed_form(self, monkeypatch):
         # loss = p^2 / 2 around p = 0; the zero-norm fallback keeps the raw
         # directions, so the expected surface follows them exactly
         model = toy_quadratic_model()
         d1, d2 = draw_directions(model, seed=11)
 
-        def loss_fn(m: Model) -> float:
-            return 0.5 * float(m.params[0].data[0, 0]) ** 2
+        def quadratic(m: Model, ds: Dataset) -> tuple[float, float]:
+            return 0.0, 0.5 * float(m.params[0].data[0, 0]) ** 2
 
-        surface = landscape_slice(model, None, 3, 1.0, seed=11, loss_fn=loss_fn)
+        monkeypatch.setattr(harness, "_evaluate", quadratic)
+        surface = landscape_slice(model, tiny_blobs(), 3, 1.0, seed=11)
         u = d1[0] + 0.0  # weight component of direction 1
         v = d2[0]
         for i, a in enumerate((-1.0, 0.0, 1.0)):
@@ -458,14 +475,14 @@ class TestLandscape:
     def test_even_grid_rejected(self):
         model = toy_quadratic_model()
         with pytest.raises(ConfigError):
-            landscape_slice(model, None, 4, 1.0, 0, loss_fn=lambda m: 0.0)
+            landscape_slice(model, tiny_blobs(), 4, 1.0, 0)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e308])
     def test_radius_positive_with_finite_span(self, radius):
         # 1e308 is finite, but the grid's span 2e308 is not
         model = toy_quadratic_model()
         with pytest.raises(ConfigError, match="radius"):
-            landscape_slice(model, None, 3, radius, 0, loss_fn=lambda m: 0.0)
+            landscape_slice(model, tiny_blobs(), 3, radius, 0)
 
     def test_filter_norm_matches_model_filters(self):
         model, _ = train_model(blob_config(epochs=1))

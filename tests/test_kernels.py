@@ -228,6 +228,11 @@ class TestParsing:
         with pytest.raises(DomainError):
             parse_kind("telu:2.0")
 
+    def test_unparsable_elu_alpha_rejected(self):
+        with pytest.raises(DomainError) as err:
+            parse_kind("elu:abc")
+        assert str(err.value) == "bad elu alpha 'abc'"
+
     def test_round_trip(self):
         for k in [*ALL_KINDS, elu(2.0)]:
             assert parse_kind(k.spec_string()) == k

@@ -132,6 +132,10 @@ class TestSharedBehavior:
             OptimizerConfig("sgd", lr=0.1, weight_decay=-1.0)
         with pytest.raises(ConfigError):
             OptimizerConfig("momentum", lr=0.1, momentum=1.0)
+        with pytest.raises(ConfigError, match=r"^optimizer\.eps must be > 0$"):
+            OptimizerConfig("adamw", lr=0.1, eps=0.0)
+        with pytest.raises(ConfigError, match=r"^optimizer\.betas must be in \[0, 1\)$"):
+            OptimizerConfig("adamw", lr=0.1, betas=(0.9, 1.0))
 
 
 class TestSchedule:
