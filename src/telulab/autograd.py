@@ -380,27 +380,32 @@ class Model:
 
     ``flat`` is every parameter in layer order, each layer's ``shapes``
     ((weight, bias) for the parametric layers, none for the others), each
-    C-ordered: the checkpoint layout, with ``shapes`` its manifest.
+    C-ordered: the checkpoint layout, with ``shapes`` its manifest.  It
+    starts zeroed; layer sizes past memory raise :class:`ConfigError`.
     ``params`` holds one :class:`Tensor` per parameter whose data is a
     reshaped view of ``flat``, so a write to either is a write to both.
-    The model is built from the initial parameter arrays, which it copies
-    and which must have the layers' shapes.  ``plan`` holds (index, layer,
-    parameters) per layer, and ``cut`` is the first :class:`Dense`'s index.
+    ``plan`` holds (index, layer, parameters, grad_x, pools) per layer (see
+    :func:`_run`), and ``cut`` is the first :class:`Dense`'s index.
     """
 
-    def __init__(self, layers: tuple[LayerSpec, ...], values: list[np.ndarray]):
+    def __init__(self, layers: tuple[LayerSpec, ...]):
         self.layers = layers
         self.shapes = [s for layer in layers for s in layer.shapes]
-        got = [np.shape(v) for v in values]
-        if got != self.shapes:
-            raise ConfigError(f"the layers take parameters of shapes {self.shapes}, got {got}")
-        self.flat = np.concatenate([np.empty(0), *(np.ravel(v) for v in values)])
+        try:
+            self.flat = np.zeros(sum(math.prod(s) for s in self.shapes))
+        except MemoryError as exc:
+            raise ConfigError(f"model: the layer sizes are too large to hold in memory ({exc})") from exc
         self.params = [Tensor(v) for v in self.views(self.flat)]
         tensors = iter(self.params)
-        self.plan = [
-            (i, layer, tuple(next(tensors) for _ in layer.shapes)) for i, layer in enumerate(layers)
-        ]
-        self.cut = next((i for i, layer, _ in self.plan if isinstance(layer, Dense)), len(layers))
+        self.plan = []
+        for i, (layer, after) in enumerate(zip(layers, [*layers[1:], None])):
+            # nothing reads the input batch's gradient, so layers before the
+            # first parameter are not recorded and the first parametric
+            # layer skips its gx
+            grad_x = any(params for _, _, params, _, _ in self.plan)
+            pools = isinstance(layer, Activation) and isinstance(after, MaxPool2)
+            self.plan.append((i, layer, tuple(next(tensors) for _ in layer.shapes), grad_x, pools))
+        self.cut = next((i for i, layer, *_ in self.plan if isinstance(layer, Dense)), len(layers))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """``vec``, a vector of ``flat``'s layout, as one view per parameter."""
@@ -409,23 +414,23 @@ class Model:
 
 
 def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> Model:
-    """Instantiate parameters for the layer stack.
+    """A :class:`Model` of the layer stack with its weights drawn.
 
     Weights are Kaiming-uniform with fan-in the weight's size over the
-    bias's (``in`` for dense, ``in_ch*k*k`` for conv), biases zero, drawn
-    from the Philox stream keyed by (seed, init-tag, layer index).  Layer
-    sizes past memory raise :class:`ConfigError`.
+    bias's (``in`` for dense, ``in_ch*k*k`` for conv), drawn into their
+    views of the zeroed ``flat`` from the Philox stream keyed by (seed,
+    init-tag, layer index), with ``uniform``'s two roundings; biases stay
+    zero.  Layer sizes past memory raise :class:`ConfigError`.
     """
-    values = []
-    try:
-        for i, layer in enumerate(layers):
-            if layer.shapes:
-                w, b = layer.shapes
-                bound = np.sqrt(6.0 / (math.prod(w) // b[0]))
-                values += [generator(seed, TAG_INIT, i).uniform(-bound, bound, size=w), np.zeros(b)]
-        return Model(tuple(layers), values)
-    except MemoryError as exc:
-        raise ConfigError(f"model: the layer sizes are too large to hold in memory ({exc})") from exc
+    model = Model(tuple(layers))
+    for i, _, params, _, _ in model.plan:
+        if params:
+            w, b = (t.data for t in params)
+            bound = np.sqrt(6.0 / (w.size // b.size))
+            generator(seed, TAG_INIT, i).random(out=w)
+            w *= 2 * bound
+            w -= bound
+    return model
 
 
 # --- model-level operations -----------------------------------------------------
@@ -437,29 +442,27 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
 
 
 def _run(
-    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...]]], x: np.ndarray, record: bool, grad_x: bool
-) -> tuple[np.ndarray, Steps, bool]:
-    """Run ``plan`` (index, layer, parameters) on ``x``; return the output,
-    the recorded steps and whether the next layer computes its input gradient.
-    A recorded :class:`Activation` directly followed by a :class:`MaxPool2`
-    records no step of its own: it hands its f' to the pooling's step."""
+    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...], bool, bool]], x: np.ndarray, record: bool
+) -> tuple[np.ndarray, Steps]:
+    """Run ``plan``, a slice of :attr:`Model.plan`, on ``x``; return the
+    output and the recorded steps.  A layer computes its input gradient
+    only if ``grad_x``; a recorded :class:`Activation` that ``pools`` records
+    no step of its own but hands its f' to the :class:`MaxPool2` after it."""
     steps: Steps = []
     d = None  # f' of the Activation just run, for the MaxPool2 after it
-    following = [layer for _, layer, _ in plan[1:]] + [None]
-    for (i, layer, params), after in zip(plan, following):
+    for i, layer, params, grad_x, pools in plan:
         if d is not None:
             x, step = layer.forward(x, (), record, grad_x, d)
             d = None
-        elif record and grad_x and isinstance(layer, Activation) and isinstance(after, MaxPool2):
+        elif record and grad_x and pools:
             x, d = kernels.value_and_derivative(layer.kind, x)
             step = None
         else:
             x, step = layer.forward(x, [t.data for t in params], record, grad_x)
         if step is not None:
             steps.append((step, params))
-        grad_x = grad_x or bool(params)
         _require_finite(x, f"output of layer {i} ({type(layer).__name__})")
-    return x, steps, grad_x
+    return x, steps
 
 
 def _unwind(
@@ -506,19 +509,15 @@ def forward(
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if model.cut else max(n, 1)
 
-    def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps, bool]]:
+    def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps]]:
         with np.errstate(**_QUIET):
-            # nothing reads the input batch's gradient, so layers before the
-            # first parameter are not recorded and the first parametric
-            # layer skips its gx
-            return [(rows, *_run(model.plan[: model.cut], inputs(rows), record, False)) for rows in part]
+            return [(rows, *_run(model.plan[: model.cut], inputs(rows), record)) for rows in part]
 
     ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
-    joined = np.concatenate([y for _, y, _, _ in ran])
-    chunks = [(rows, steps) for rows, _, steps, _ in ran if steps]
-    grad_x = ran[0][3]  # the same for every chunk
+    joined = np.concatenate([y for _, y, _ in ran])
+    chunks = [(rows, steps) for rows, _, steps in ran if steps]
     with np.errstate(**_QUIET):
-        y, steps, _ = _run(model.plan[model.cut :], joined, record, grad_x)
+        y, steps = _run(model.plan[model.cut :], joined, record)
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 

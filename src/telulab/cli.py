@@ -13,11 +13,12 @@ against its dataset (``harness.check_model``), calls the command, and
 writes ``metadata.json`` once from the fields the command returns plus,
 for config commands, the resolved config.  Only the flag checks that need
 a second flag or the config stay in their command, still before any data:
-``--hi`` > ``--lo`` and the 10^6-row cap (``kernels``), ``--samples``
-within the train split (``fisher``), ``harness.check_landscape_args``
-(``landscape``) and the required ``grid`` section (``grid``).  ``--out`` is
-created when the first artifact is written, so a run that fails before
-writing anything leaves no output directory behind.
+``--hi`` > ``--lo`` and the 10^6-row cap (``kernels``), a model with
+parameters and ``--samples`` within the train split (``fisher``),
+``harness.check_landscape_args`` (``landscape``) and the required ``grid``
+section (``grid``).  ``--out`` is created when the first artifact is
+written, so a run that fails before writing anything leaves no output
+directory behind.
 
 Each command imports the modules it runs when it starts: ``verify`` adds
 only ``properties``, ``kernels`` nothing, and the config commands load
@@ -156,14 +157,14 @@ def cmd_grid(args, spec, out: Path) -> tuple[int, dict]:
 
 
 def _probe_target(spec, args):
-    """The model to probe (trained per config, or loaded from a checkpoint
-    with no training record) and the train split; data is loaded once, and
-    only after a checkpoint has loaded."""
+    """The model to probe (trained per config, or a checkpoint loaded into
+    an undrawn model, with no training record) and the train split; data
+    is loaded once, and only after a checkpoint has loaded."""
     from . import autograd, harness
 
     model = result = None
     if args.checkpoint:
-        model = autograd.build_model(spec.train.layers, spec.train.seed)
+        model = autograd.Model(spec.train.layers)
         autograd.load_params(model, args.checkpoint)
     splits = harness.materialize_datasets(spec.train.dataset)
     if model is None:
@@ -196,6 +197,8 @@ def cmd_landscape(args, spec, out: Path) -> tuple[int, dict]:
 def cmd_fisher(args, spec, out: Path) -> tuple[int, dict]:
     from . import harness
 
+    if not any(layer.shapes for layer in spec.train.layers):
+        raise ConfigError("fisher: the model has no parameters to probe")
     # split() makes the train split exactly split.train examples
     n_train = spec.train.dataset.split.train
     if args.samples > n_train:

@@ -195,8 +195,12 @@ class DatasetSpec:
         if self.name == "blobs":
             if self.blobs is None:
                 raise ConfigError("dataset.blobs settings required for blobs")
-            if self.split.test <= 0:
-                raise ConfigError("blobs need split.test > 0 (test set is drawn fresh)")
+            b = self.blobs
+            if min(b.dim, b.n, self.split.test) < b.classes:
+                raise ConfigError(
+                    "blobs need blobs.dim, blobs.n and split.test each >= blobs.classes, got "
+                    f"dim={b.dim}, n={b.n}, test={self.split.test}, classes={b.classes}"
+                )
             if self.split.train + self.split.valid != self.blobs.n:
                 raise ConfigError("split.train + split.valid must equal blobs.n")
             if self.path is not None:

@@ -5,7 +5,6 @@ per-example prefix against a frozen copy of the unchunked engine."""
 import hashlib
 import json
 import math
-import re
 import sys
 import tracemalloc
 
@@ -279,7 +278,7 @@ class TestFiniteDifferenceOracle:
             assert finite_difference_check(model, batch, labels, h=1e-6) < 1e-4
 
     def test_zero_parameter_model(self):
-        model = Model((Flatten(),), [])
+        model = Model((Flatten(),))
         batch = np.zeros((2, 3))
         labels = np.array([0, 1])
         assert finite_difference_check(model, batch, labels) == 0.0
@@ -351,7 +350,7 @@ class TestConvAgainstDirectSum:
 
     def test_maxpool_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        model = Model((MaxPool2(),), [])
+        model = Model((MaxPool2(),))
         out, _ = forward(model, x)
         np.testing.assert_array_equal(out, [[[[5.0, 7.0], [13.0, 15.0]]]])
 
@@ -433,7 +432,7 @@ class TestConvAgainstDirectSum:
         assert not np.signbit(gx[gx == 0.0]).any()
 
     def test_maxpool_odd_size_rejected(self):
-        model = Model((MaxPool2(),), [])
+        model = Model((MaxPool2(),))
         with pytest.raises(ConfigError):
             forward(model, np.zeros((1, 1, 3, 4)))
 
@@ -477,7 +476,7 @@ def frozen_forward(model, batch, record=False):
     x = np.ascontiguousarray(batch, dtype=np.float64)
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params in model.plan:
+        for _, layer, params, _, _ in model.plan:
             data = [t.data for t in params]
             if isinstance(layer, Conv2d):
                 x, step = _frozen_conv(layer, x, *data, record, grad_x)
@@ -694,7 +693,7 @@ def separate_steps(model, x, g, squares):
     adds them, and the gradient that reached the first layer's output."""
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params in model.plan:
+        for _, layer, params, _, _ in model.plan:
             x, step = layer.forward(x, [t.data for t in params], True, grad_x)
             if step is not None:
                 steps.append((step, params))
@@ -897,25 +896,35 @@ class TestFlatParameters:
             model.params[0].data = np.zeros((2, 2))
         assert_params_view_flat(model)
 
-    @pytest.mark.parametrize(
-        "values, got",
-        [
-            ([], "got []"),
-            ([np.zeros((2, 3))], "got [(2, 3)]"),
-            ([np.zeros((5, 5)), np.zeros(3)], "got [(5, 5), (3,)]"),
-            ([np.zeros((2, 3)), np.zeros(3), np.zeros(1)], "got [(2, 3), (3,), (1,)]"),
-        ],
-    )
-    def test_model_rejects_values_not_of_the_layers_shapes(self, values, got):
-        with pytest.raises(ConfigError, match=re.escape(f"shapes [(2, 3), (3,)], {got}")):
-            Model((Dense(2, 3),), values)
-
-    def test_model_copies_its_initial_values(self):
-        w = np.ones((2, 3))
-        model = Model((Dense(2, 3),), [w, np.zeros(3)])
-        w[0, 0] = 5.0
-        assert model.flat[0] == 1.0
+    def test_model_starts_zeroed(self):
+        model = Model((Conv2d(2, 3, 2), Activation(TELU), Flatten(), Dense(12, 4)))
+        assert model.flat.shape == (24 + 3 + 48 + 4,)
+        np.testing.assert_array_equal(model.flat, 0.0)
         assert_params_view_flat(model)
+
+    def test_building_holds_its_parameters_once(self):
+        # drawing each weight into its own array and concatenating them
+        # into flat peaked at 2.0x flat's bytes
+        tracemalloc.start()
+        try:
+            model = build_model([Dense(4, 10**6), Activation(TELU), Dense(10**6, 2)], seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * model.flat.nbytes, f"peak {peak} B for {model.flat.nbytes} B"
+
+    def test_plan_fixes_each_layers_recording(self):
+        model = Model((
+            Activation(TELU), MaxPool2(), Conv2d(1, 2, 3), Activation(TELU), MaxPool2(),
+            Flatten(), Dense(2, 2), Activation(TELU),
+        ))
+        assert [i for i, *_ in model.plan] == list(range(8))
+        # (grad_x, pools): nothing before the first parameter computes its
+        # input gradient, and each Activation before a MaxPool2 pools
+        assert [entry[3:] for entry in model.plan] == [
+            (False, True), (False, False), (False, False), (True, True),
+            (True, False), (True, False), (True, False), (True, False),
+        ]
 
     def test_views_of_another_vector(self):
         model = build_model([Dense(2, 3), Dense(3, 2)], seed=0)
@@ -928,7 +937,7 @@ class TestFlatParameters:
             model.views(vec[1:])
 
     def test_parameterless_model(self):
-        model = Model((Flatten(),), [])
+        model = Model((Flatten(),))
         assert model.flat.shape == (0,) and model.params == []
         assert model.views(np.empty(0)) == []
 
@@ -963,10 +972,10 @@ class TestCheckpoints:
         assert manifest == {"shapes": [[2, 1, 2, 2], [2], [2, 3], [3]]}
 
     def test_parameterless_round_trip(self, tmp_path):
-        model = Model((Flatten(),), [])
+        model = Model((Flatten(),))
         save_params(model, tmp_path / "ckpt")
         assert (tmp_path / "ckpt.bin").read_bytes() == b""
-        clone = Model((Flatten(),), [])
+        clone = Model((Flatten(),))
         load_params(clone, tmp_path / "ckpt")
         assert clone.flat.shape == (0,)
 

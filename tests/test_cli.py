@@ -347,7 +347,11 @@ class TestExitCodes:
             (["model.layers.2.in=0"], "model.layers[2]: dense sizes must be >= 1, got in=0, out=4"),
             (["dataset.split.train=0"], "dataset.split: split.train and split.valid must be positive"),
             (["dataset.blobs.spread=-1"], "dataset.blobs: blobs spread must be positive"),
-            (["dataset.split.test=0"], "dataset: blobs need split.test > 0 (test set is drawn fresh)"),
+            (
+                ["dataset.split.test=0"],
+                "dataset: blobs need blobs.dim, blobs.n and split.test each >= blobs.classes, "
+                "got dim=16, n=600, test=0, classes=4",
+            ),
             (["grid.gamma=[]"], "grid.gamma must be non-empty"),
             (["dataset.blobs.spread=1e308"], "blobs spread 1e+308 overflows the features"),
         ],
@@ -483,6 +487,56 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [(["fisher"], "fisher.csv"), (["landscape", "--grid-n", "3"], "landscape.csv")],
+        ids=["fisher", "landscape"],
+    )
+    def test_checkpoint_probe_draws_no_parameters(
+        self, blob_cfg, tmp_path, monkeypatch, argv, artifact
+    ):
+        # the probe drew a whole initialization only to overwrite it
+        model = autograd.build_model(config.load_run_spec(blob_cfg).train.layers, 5)
+        autograd.save_params(model, tmp_path / "model")
+        command, *flags = argv
+        probe = [command, "--config", str(blob_cfg), *flags, "--checkpoint", str(tmp_path / "model")]
+        assert main(probe + ["--out", str(tmp_path / "drawn")]) == 0
+
+        def no_draw(*args):
+            raise AssertionError("drew parameters")
+
+        monkeypatch.setattr(autograd, "generator", no_draw)
+        assert main(probe + ["--out", str(tmp_path / "undrawn")]) == 0
+        want = (tmp_path / "drawn" / artifact).read_bytes()
+        assert (tmp_path / "undrawn" / artifact).read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "overrides, got",
+        [
+            (["dataset.split.test=1"], "dim=16, n=600, test=1, classes=4"),
+            (["dataset.blobs.dim=3", "model.layers.0.in=3"], "dim=3, n=600, test=120, classes=4"),
+            (
+                ["dataset.blobs.n=3", "dataset.split.train=2", "dataset.split.valid=1"],
+                "dim=16, n=3, test=120, classes=4",
+            ),
+        ],
+        ids=["test-split", "dim", "n"],
+    )
+    def test_blobs_without_an_example_per_class_rejected_at_load(
+        self, blob_cfg, tmp_path, capsys, no_data, overrides, got
+    ):
+        # grid --jobs 2 printed its plan and forked its pool first, then
+        # failed naming no field
+        sets = [a for o in overrides for a in ("--set", o)]
+        argv = ["grid", "--config", str(blob_cfg), "--jobs", "2", *sets]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: dataset: blobs need blobs.dim, blobs.n and split.test each >= blobs.classes, "
+            f"got {got}\n",
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_divergence_still_exits_zero(self, blob_cfg, tmp_path):
         out = tmp_path / "div"
         code = main(
@@ -607,6 +661,16 @@ class TestExitCodes:
         assert code == 2, err
         assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_checkpoint_model_past_memory_exits_two(self, small_blob_cfg, tmp_path, capped_cli):
+        # the zeroed model a checkpoint loads into is refused as the drawn one is
+        out = tmp_path / "out"
+        sets = ["--set", "model.layers.0.out=68719476736", "--set", "model.layers.2.in=68719476736"]
+        argv = ["fisher", "--config", small_blob_cfg, *sets, "--checkpoint", tmp_path / "model"]
+        code, err = capped_cli([*argv, "--out", out])
+        assert code == 2, err
+        assert err.startswith("error: model: the layer sizes are too large to hold in memory"), err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_unmodified_small_config_runs_under_the_memory_cap(
         self, small_blob_cfg, tmp_path, capped_cli

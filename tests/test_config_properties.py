@@ -74,8 +74,10 @@ def dataset(draw) -> dict:
     split.update(draw(optional_fields({"test": st.just(0)})))
     d = {"name": draw(st.sampled_from(["blobs", "cifar10", "cifar100"])), "split": split}
     if d["name"] == "blobs":
-        split["test"] = draw(size)
-        blobs = {"n": train + valid, "classes": draw(st.integers(2, 10)), "dim": draw(size)}
+        # dim, n and the test split each give every class an example
+        classes = draw(st.integers(2, min(10, train + valid)))
+        split["test"] = draw(st.integers(classes, 64))
+        blobs = {"n": train + valid, "classes": classes, "dim": draw(st.integers(classes, 64))}
         blobs.update(draw(optional_fields({"spread": positive, "seed": seed})))
         d["blobs"] = blobs
     else:

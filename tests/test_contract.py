@@ -1,9 +1,11 @@
 """Contract fuzzing of the command line: exit 3 is always a bug.
 
-Each example changes one config field or one flag of the golden blobs setup
-(``test_golden.BLOBS`` for one epoch, plus a one-cell grid so that ``grid``
-runs) to a boundary, out-of-range, wrong-typed or non-finite value and runs
-``cli.main`` in-process.  The contract:
+Each example changes one config field or one flag of a base setup to a
+boundary, out-of-range, wrong-typed or non-finite value and runs
+``cli.main`` in-process.  The base is drawn per example: the golden blobs
+setup (``test_golden.BLOBS`` for one epoch, plus a one-cell grid so that
+``grid`` runs), or the same on blobs with ``dim == classes`` through a
+lone activation, a stack without parameters.  The contract:
 
 - the exit code is 0, 1 or 2, never 3;
 - exit 2 leaves no ``--out``;
@@ -28,6 +30,7 @@ from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from telulab import cli, config, kernels
@@ -37,6 +40,12 @@ from telulab.kernels import ActivationKind
 from test_golden import BLOBS
 
 SETUP = {**BLOBS, "epochs": 1, "grid": {"lr": [0.1]}}
+# no parameters: 4-dimensional blobs of 4 classes are their own logits
+BARE = {
+    **SETUP,
+    "model": {"layers": [{"type": "activation"}]},
+    "dataset": {**BLOBS["dataset"], "blobs": {**BLOBS["dataset"]["blobs"], "dim": 4}},
+}
 # the flags each command runs with unchanged; landscape's default 41x41
 # grid is a long run
 BASE_FLAGS = {"verify": ["--activations", "telu"], "kernels": ["--activations", "telu"],
@@ -112,8 +121,10 @@ def flag_values(options: dict) -> list:
 
 
 @st.composite
-def change(draw) -> tuple[str, list[str]]:
-    """A command and its argv with one field or one flag changed."""
+def change(draw) -> tuple[dict, str, list[str]]:
+    """A base setup, a command and its argv with one field or one flag
+    changed."""
+    setup = draw(st.sampled_from([SETUP, BARE]))
     command = draw(st.sampled_from(sorted(cli.COMMANDS)))
     _, _, flags = cli.COMMANDS[command]
     argv = list(BASE_FLAGS.get(command, []))
@@ -133,14 +144,14 @@ def change(draw) -> tuple[str, list[str]]:
         path, tp = draw(st.sampled_from(FIELDS))
         value = draw(st.sampled_from([v for v in values(tp) + WRONG if not long_run(path, v)]))
         argv += ["--set", f"{path}={json.dumps(value)}"]
-    return command, argv
+    return setup, command, argv
 
 
-def run(command: str, argv: list[str], work: Path) -> int:
-    """``cli.main``'s exit code (argparse's too) for ``command`` on the setup."""
+def run(setup: dict, command: str, argv: list[str], work: Path) -> int:
+    """``cli.main``'s exit code (argparse's too) for ``command`` on ``setup``."""
     if command not in ("verify", "kernels"):
         cfg = work / "cfg.json"
-        cfg.write_text(json.dumps(SETUP))
+        cfg.write_text(json.dumps(setup))
         argv = ["--config", str(cfg), *argv]
     try:
         return cli.main([command, *argv, "--out", str(work / "out")])
@@ -151,11 +162,11 @@ def run(command: str, argv: list[str], work: Path) -> int:
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(change())
 def test_one_change_exits_zero_one_or_two(case):
-    command, argv = case
+    setup, command, argv = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         work = Path(tmp)
-        code = run(command, argv, work)
+        code = run(setup, command, argv, work)
         assert code in (0, 1, 2), err.getvalue()
         if code == 2:
             assert not (work / "out").exists()
@@ -163,6 +174,31 @@ def test_one_change_exits_zero_one_or_two(case):
             assert command == "verify"
             report = json.loads((work / "out" / "property_report.json").read_text())
             assert "fails" in [claim["verdict"] for claim in report]
+
+
+@pytest.mark.parametrize(
+    "argv", [["train"], ["replicate"], ["grid"], ["landscape", "--grid-n", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_stack_without_parameters_runs(tmp_path, argv):
+    command, *flags = argv
+    assert run(BARE, command, flags, tmp_path) == 0
+    assert (tmp_path / "out" / "metadata.json").is_file()
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["trained", "checkpoint"])
+def test_fisher_of_a_stack_without_parameters_exits_two(tmp_path, capsys, checkpoint):
+    # fisher exited 3 on numpy's zero-size max, leaving fisher.csv behind
+    flags = []
+    if checkpoint:
+        (tmp_path / "saved").mkdir()
+        save = ["--grid-n", "3", "--save-checkpoint"]
+        assert run(BARE, "landscape", save, tmp_path / "saved") == 0
+        flags = ["--checkpoint", str(tmp_path / "saved" / "out" / "model")]
+    capsys.readouterr()
+    assert run(BARE, "fisher", flags, tmp_path) == 2
+    assert capsys.readouterr().err == "error: fisher: the model has no parameters to probe\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_that_cannot_be_created_exits_three_with_one_line(tmp_path, capsys):

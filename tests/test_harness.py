@@ -687,7 +687,7 @@ class TestFlatParametersSurviveProbes:
         assert np.count_nonzero(model.views(d1)[1]) == model.params[1].data.size
 
     def test_parameterless_model_has_an_empty_fisher_vector(self):
-        model = Model((Flatten(),), [])
+        model = Model((Flatten(),))
         ds = Dataset(np.eye(3), np.array([0, 1, 2]), DataMeta("blobs", 3, "train"))
         diag = empirical_fisher_diag(model, ds, 3)
         assert diag.shape == (0,)
