@@ -8,12 +8,20 @@ its math: ``shapes`` states its parameters' shapes, and
 ``forward(x, params, record, grad_x)`` returns its output plus, when
 recording, a backward step that maps the output gradient to the input
 gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
-keeps only what its product needs: conv its input, from which it rebuilds
-the im2col columns; an activation its f' from the fused kernel; max
-pooling each window's winner, one byte per window.  An activation directly
-followed by max pooling records one step for the pair, which keeps f' only
-at the winners, the one position in four that gets a gradient: 9 bytes per
-window instead of 36 (four f' values and four mask bytes).  A
+keeps only what its product needs and cannot rebuild: conv its input, from
+which it rebuilds the im2col columns; an activation its f' from the fused
+kernel; max pooling each window's winner, one byte per window.  An
+activation directly followed by max pooling computes f alone and records
+one step for the pair, which keeps the activation's input only at the
+winners, the one position in four that gets a gradient: 9 bytes per window
+instead of 36 (four f' values and four mask bytes).  From those inputs
+backward computes f', and f, the pool output, for a conv right after the
+pool, which keeps no input; nor does the first conv on a dataset batch,
+which rebuilds its features from the batch rows.  Each rebuilt value comes
+from the same elementwise code on the same floats as in the forward, so no
+bit moves: the one difference, the sign of a pool output's zero where a
+-0.0 ties a +0.0 (the first winner against ``np.maximum``), reaches only
+conv's zero weight-gradient sums, which :func:`backward` adds from +0.0.  A
 :class:`Model` keeps all its parameters in one float64 vector,
 ``model.flat``, in checkpoint order; each parameter :class:`Tensor` is a
 view of it, so checkpoints, probes and finite differences read and write
@@ -26,10 +34,11 @@ temporaries and pool winners are still in cache when the next layer reads
 them and no layer ever holds a whole batch of them.  Its input is a
 float64 array or a :class:`~telulab.data.Dataset` batch, which builds each
 chunk's float64 features when the chunk runs, so no whole batch of them
-exists either (a stack with no prefix builds the batch once).  The prefix
-outputs are joined, and the dense layers and the loss run on the full
-batch.  It returns the logits array plus, when recording, a :class:`Tape`:
-the recorded steps of every chunk and of the full-batch suffix, with their
+exists either (a stack with no prefix builds the batch once).  Each chunk
+writes its prefix output into one batch array, shaped by the prefix
+layers' zero-row forward, and the dense layers and the loss run on it.
+It returns the logits array plus, when recording, a :class:`Tape`: the
+recorded steps of every chunk and of the full-batch suffix, with their
 parameter tensors and the output shape.  :func:`backward` passes one
 gradient back through the suffix, splits it into the same chunks and
 passes each back through its prefix steps, dropping each step as it goes,
@@ -67,6 +76,7 @@ a fixed summation order.  The first non-finite value anywhere raises
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -133,8 +143,11 @@ class Tensor:
 Step = Callable[..., tuple[Optional[np.ndarray], tuple[np.ndarray, ...]]]
 Steps = list[tuple[Step, tuple[Tensor, ...]]]
 
-# Images per chunk of the per-example prefix (see the module docstring); on
-# the reference CNN, 2, 4 and 8 measured within noise of each other.
+# Images per chunk of the per-example prefix (see the module docstring).  On
+# a warm reference-CNN fit of cnn_train's archive (1 BLAS thread, 2 workers,
+# a 2-vCPU host), 2 took 0.96-1.00 s against 0.69-0.75 s for 4; 8 and 16
+# matched 4's time within noise but raised cnn_train's peak RSS from 61.4 MB
+# to 67.2 and 72.7 MB.
 CHUNK = 4
 
 
@@ -238,10 +251,10 @@ class Conv2d:
 
     ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
     ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
-    Its backward step keeps ``x``, not the 9-16x larger ``cols``, which it
-    rebuilds; it returns the weight and bias gradients per example (leading
-    batch axis), squared with ``squares``, which :func:`backward` sums over
-    the batch.
+    Its backward step keeps ``x``, or calls ``rebuild`` for it when given,
+    never the 9-16x larger ``cols``, which it rebuilds; it returns the
+    weight and bias gradients per example (leading batch axis), squared
+    with ``squares``, which :func:`backward` sums over the batch.
     """
 
     in_ch: int
@@ -259,7 +272,7 @@ class Conv2d:
         """The shapes of its parameters, weight then bias."""
         return (self.out_ch, self.in_ch, self.k, self.k), (self.out_ch,)
 
-    def forward(self, x, params, record, grad_x):
+    def forward(self, x, params, record, grad_x, rebuild=None):
         w, b = params
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ConfigError(f"conv2d expects (batch, {self.in_ch}, H, W), got {x.shape}")
@@ -268,23 +281,16 @@ class Conv2d:
         if h < k or wd < k:
             raise ConfigError(f"conv2d kernel {k} larger than input {x.shape}")
         ho, wo = h - k + 1, wd - k + 1
-
-        def im2col():
-            # x's (n, c, k, k, ho, wo) windows as a read-only view, which the
-            # reshape copies (unless k == 1)
-            sn, sc, sh, sw = x.strides
-            windows = as_strided(x, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh, sw), writeable=False)
-            return windows.reshape(n, c * k * k, ho * wo)
-
         w2 = w.reshape(self.out_ch, c * k * k)
-        y = np.matmul(w2, im2col()).reshape(n, self.out_ch, ho, wo)
+        y = np.matmul(w2, _im2col(x, k)).reshape(n, self.out_ch, ho, wo)
         y += b[None, :, None, None]
         if not record:
             return y, None
+        source = rebuild or (lambda: x)
 
         def step(g, squares=False):
             g3 = g.reshape(n, self.out_ch, ho * wo)
-            gw = np.matmul(g3, im2col().transpose(0, 2, 1))
+            gw = np.matmul(g3, _im2col(source(), k).transpose(0, 2, 1))
             gx = None
             if grad_x:
                 # col2im: scatter-add each kernel offset's slab back onto x
@@ -302,23 +308,71 @@ class Conv2d:
         return y, step
 
 
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (n, c*k*k, ho*wo) column matrix of ``x``'s k x k windows: a
+    read-only strided view of them, which the reshape copies (unless k == 1)."""
+    n, c, h, w = x.shape
+    ho, wo = h - k + 1, w - k + 1
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(x, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh, sw), writeable=False)
+    return windows.reshape(n, c * k * k, ho * wo)
+
+
+@functools.lru_cache(maxsize=16)
+def _window_starts(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index into an (n, c, h, w) array of each 2x2 window's top-left
+    corner; read-only, as it is shared by every step of that shape."""
+    n, c, h, w = shape
+    starts = (np.arange(n * c * (h // 2)) * (2 * w)).reshape(n, c, h // 2, 1) + np.arange(0, w, 2)
+    starts.flags.writeable = False
+    return starts
+
+
 def _window_positions(shape: tuple[int, ...], corner: np.ndarray) -> np.ndarray:
     """Flat index into an (n, c, h, w) array of one corner of each 2x2
     window, numbered 0-3 in window order (2 * row + column)."""
-    n, c, h, w = shape
-    starts = (np.arange(n * c * (h // 2)) * (2 * w)).reshape(n, c, h // 2, 1) + np.arange(0, w, 2)
-    return starts + np.array([0, 1, w, w + 1]).take(corner)
+    w = shape[3]
+    return _window_starts(shape) + np.array([0, 1, w, w + 1]).take(corner)
+
+
+class _PoolStep:
+    """The backward step of a :class:`MaxPool2`: it keeps each window's
+    winner as one corner number and returns the gradient there, +0.0
+    everywhere else.  Given the kind and input ``z`` of the
+    :class:`Activation` whose output the pool's input is, it stands for that
+    activation's step too: it keeps ``z`` at the winners only, from which
+    :meth:`output` rebuilds the pool output f(z) for the :class:`Conv2d`
+    after the pool, and it returns ``(g + 0.0) * f'(z)`` at the winners."""
+
+    def __init__(self, shape, corner, kind=None, z=None):
+        self.shape, self.corner, self.kind = shape, corner, kind
+        self.z = None if z is None else z.reshape(-1)[_window_positions(shape, corner)]
+        self.d = None  # f'(z), when output() computed it
+
+    def output(self) -> np.ndarray:
+        """The pool output, f at the winning inputs, rebuilt; the same fused
+        pass keeps their f' for the step."""
+        f, self.d = kernels.value_and_derivative(self.kind, self.z)
+        return f
+
+    def __call__(self, g, squares=False):
+        # adding +0.0 makes a -0.0 gradient +0.0, the zero every loser holds
+        gw = g + 0.0
+        if self.kind is not None:
+            gw *= kernels.derivative(self.kind, self.z) if self.d is None else self.d
+        gx = np.zeros(self.shape)
+        gx.reshape(-1)[_window_positions(self.shape, self.corner)] = gw
+        return gx, ()
 
 
 @dataclass(frozen=True)
 class MaxPool2(_Parameterless):
-    """2x2 max pooling, stride 2.  Its step keeps each window's winner, the
-    first maximum in window order, as one corner number.  Given ``d``, the
-    f' of the :class:`Activation` whose output ``x`` is, the step stands for
-    that activation's too: it keeps f' at the winners only and returns
-    ``(g + 0.0) * f'`` there, +0.0 everywhere else."""
+    """2x2 max pooling, stride 2.  Its step (see :class:`_PoolStep`) keeps
+    each window's winner, the first maximum in window order; given the
+    ``kind`` and input ``z`` of the :class:`Activation` whose output ``x``
+    is, it stands for that activation's step too."""
 
-    def forward(self, x, params, record, grad_x, d=None):
+    def forward(self, x, params, record, grad_x, kind=None, z=None):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
         # the four corners of every 2x2 window, in window order
@@ -333,19 +387,7 @@ class MaxPool2(_Parameterless):
         in_top = top >= bottom
         right = (in_top & (a < b)) | (~in_top & (c < e))
         corner = (~in_top).view(np.uint8) * np.uint8(2) + right.view(np.uint8)
-        shape = x.shape
-        fw = None if d is None else d.reshape(-1)[_window_positions(shape, corner)]
-
-        def step(g, squares=False):
-            # adding +0.0 makes a -0.0 gradient +0.0, the zero every loser holds
-            gw = g + 0.0
-            if fw is not None:
-                gw *= fw
-            gx = np.zeros(shape)
-            gx.reshape(-1)[_window_positions(shape, corner)] = gw
-            return gx, ()
-
-        return y, step
+        return y, _PoolStep(x.shape, corner, kind, z)
 
 
 @dataclass(frozen=True)
@@ -384,8 +426,9 @@ class Model:
     starts zeroed; layer sizes past memory raise :class:`ConfigError`.
     ``params`` holds one :class:`Tensor` per parameter whose data is a
     reshaped view of ``flat``, so a write to either is a write to both.
-    ``plan`` holds (index, layer, parameters, grad_x, pools) per layer (see
-    :func:`_run`), and ``cut`` is the first :class:`Dense`'s index.
+    ``plan`` holds (index, layer, parameters, grad_x, pools, rebuilds) per
+    layer (see :func:`_run`), and ``cut`` is the first :class:`Dense`'s
+    index.
     """
 
     def __init__(self, layers: tuple[LayerSpec, ...]):
@@ -402,9 +445,15 @@ class Model:
             # nothing reads the input batch's gradient, so layers before the
             # first parameter are not recorded and the first parametric
             # layer skips its gx
-            grad_x = any(params for _, _, params, _, _ in self.plan)
+            grad_x = any(params for _, _, params, *_ in self.plan)
             pools = isinstance(layer, Activation) and isinstance(after, MaxPool2)
-            self.plan.append((i, layer, tuple(next(tensors) for _ in layer.shapes), grad_x, pools))
+            # a conv rebuilds its input when that is the batch, or the pool
+            # output of a recorded activation that pools
+            after_pooled = i >= 2 and self.plan[i - 2][3:5] == (True, True)
+            rebuilds = isinstance(layer, Conv2d) and (i == 0 or after_pooled)
+            self.plan.append(
+                (i, layer, tuple(next(tensors) for _ in layer.shapes), grad_x, pools, rebuilds)
+            )
         self.cut = next((i for i, layer, *_ in self.plan if isinstance(layer, Dense)), len(layers))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -423,7 +472,7 @@ def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> M
     zero.  Layer sizes past memory raise :class:`ConfigError`.
     """
     model = Model(tuple(layers))
-    for i, _, params, _, _ in model.plan:
+    for i, _, params, *_ in model.plan:
         if params:
             w, b = (t.data for t in params)
             bound = np.sqrt(6.0 / (w.size // b.size))
@@ -442,23 +491,33 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
 
 
 def _run(
-    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...], bool, bool]], x: np.ndarray, record: bool
+    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...], bool, bool, bool]],
+    x: np.ndarray,
+    record: bool,
+    rebuild: Optional[Callable[[], np.ndarray]] = None,
 ) -> tuple[np.ndarray, Steps]:
     """Run ``plan``, a slice of :attr:`Model.plan`, on ``x``; return the
     output and the recorded steps.  A layer computes its input gradient
-    only if ``grad_x``; a recorded :class:`Activation` that ``pools`` records
-    no step of its own but hands its f' to the :class:`MaxPool2` after it."""
+    only if ``grad_x``.  A recorded :class:`Activation` that ``pools``
+    records no step of its own: it computes f alone and hands its kind and
+    input to the :class:`MaxPool2` after it.  A :class:`Conv2d` that
+    ``rebuilds`` keeps no input: after such a pool it rebuilds it with the
+    pool step's ``output``, else with ``rebuild``, which rebuilds ``x`` bit
+    for bit (``None`` keeps ``x``)."""
     steps: Steps = []
-    d = None  # f' of the Activation just run, for the MaxPool2 after it
-    for i, layer, params, grad_x, pools in plan:
-        if d is not None:
-            x, step = layer.forward(x, (), record, grad_x, d)
-            d = None
+    pre = None  # (kind, input) of the Activation just run, for the MaxPool2 after it
+    for i, layer, params, grad_x, pools, rebuilds in plan:
+        data = [t.data for t in params]
+        if pre is not None:
+            x, step = layer.forward(x, data, record, grad_x, *pre)
+            pre, rebuild = None, step.output
         elif record and grad_x and pools:
-            x, d = kernels.value_and_derivative(layer.kind, x)
-            step = None
+            pre, step = (layer.kind, x), None
+            x = kernels.value(layer.kind, x)
+        elif record and rebuilds:
+            x, step = layer.forward(x, data, record, grad_x, rebuild)
         else:
-            x, step = layer.forward(x, [t.data for t in params], record, grad_x)
+            x, step = layer.forward(x, data, record, grad_x)
         if step is not None:
             steps.append((step, params))
         _require_finite(x, f"output of layer {i} ({type(layer).__name__})")
@@ -487,15 +546,19 @@ def forward(
     The layers before the first :class:`Dense` run on chunks of
     :data:`CHUNK` images spread over :data:`WORKERS` threads, each chunk of
     a dataset batch on features built from its own rows, the rest on the
-    joined batch.  Shape mismatches raise :class:`ConfigError` before any
-    arithmetic; any non-finite input or output raises
-    :class:`DivergenceError` naming the input batch or the layer.
+    batch array the chunks write their outputs into.  Shape mismatches
+    raise :class:`ConfigError` before any arithmetic; any non-finite input
+    or output raises :class:`DivergenceError` naming the input batch or the
+    layer.
     """
     if isinstance(batch, Dataset):
-        n = len(batch)
+        n, example = len(batch), batch.store.shape[1:]
+
+        def rebuild(rows: slice) -> np.ndarray:
+            return batch.features(batch.rows[rows])
 
         def inputs(rows: slice) -> np.ndarray:
-            x = batch.features(batch.rows[rows])
+            x = rebuild(rows)
             _require_finite(x, "input batch")
             return x
 
@@ -504,18 +567,31 @@ def forward(
         if x.ndim == 0:
             raise ConfigError("the input needs a batch dimension")
         _require_finite(x, "input batch")
-        n = len(x)
+        n, example = len(x), x.shape[1:]
         inputs = x.__getitem__
+        rebuild = None  # a chunk, x[rows], is a view of the batch
+
+    prefix = model.plan[: model.cut]
+    # the prefix layers' zero-row forward checks every shape and sizes
+    # the array that each chunk writes its output into
+    out = np.zeros((0, *example))
+    for _, layer, params, *_ in prefix:
+        out, _ = layer.forward(out, [t.data for t in params], False, False)
+    joined = np.empty((n, *out.shape[1:]))
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if model.cut else max(n, 1)
 
-    def run_part(part: list[slice]) -> list[tuple[slice, np.ndarray, Steps]]:
+    def run_part(part: list[slice]) -> list[tuple[slice, Steps]]:
+        ran = []
         with np.errstate(**_QUIET):
-            return [(rows, *_run(model.plan[: model.cut], inputs(rows), record)) for rows in part]
+            for rows in part:
+                chunk_rebuild = None if rebuild is None else functools.partial(rebuild, rows)
+                joined[rows], steps = _run(prefix, inputs(rows), record, chunk_rebuild)
+                ran.append((rows, steps))
+        return ran
 
     ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
-    joined = np.concatenate([y for _, y, _ in ran])
-    chunks = [(rows, steps) for rows, _, steps in ran if steps]
+    chunks = [(rows, steps) for rows, steps in ran if steps]
     with np.errstate(**_QUIET):
         y, steps = _run(model.plan[model.cut :], joined, record)
     return y, (Tape(chunks, steps, y.shape) if record else None)

@@ -476,7 +476,7 @@ def frozen_forward(model, batch, record=False):
     x = np.ascontiguousarray(batch, dtype=np.float64)
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params, _, _ in model.plan:
+        for _, layer, params, *_ in model.plan:
             data = [t.data for t in params]
             if isinstance(layer, Conv2d):
                 x, step = _frozen_conv(layer, x, *data, record, grad_x)
@@ -637,6 +637,33 @@ class TestChunkedPrefix:
             tracemalloc.stop()
         assert peak < 16_000_000, f"peak {peak} B"
 
+    def test_b128_dataset_tape_keeps_no_rebuildable_input(self):
+        # conv1 rebuilds its features from the batch rows and conv2 its
+        # input from the pool1 winners, so neither keeps a float64 copy:
+        # the tape held 13.75 MB with them
+        model = reference_cnn(TELU)
+        batch = cifar_dataset(128, False, seed=10)
+        tracemalloc.start()
+        try:
+            _, tape = forward(model, batch, record=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 8_000_000, f"held {held} B"
+
+    def test_b512_forward_writes_its_chunks_into_one_array(self):
+        # holding every chunk's output and then joining them peaked at
+        # 10.1 MB
+        model = reference_cnn(TELU)
+        x, _ = cifar_batch(512, seed=9)
+        tracemalloc.start()
+        try:
+            forward(model, x, record=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9_000_000, f"peak {peak} B"
+
     def test_relu_pool_ties_occur(self):
         # the ReLU case above exercises tied pool windows
         x, _ = cifar_batch(8, seed=101)
@@ -693,7 +720,7 @@ def separate_steps(model, x, g, squares):
     adds them, and the gradient that reached the first layer's output."""
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params, _, _ in model.plan:
+        for _, layer, params, *_ in model.plan:
             x, step = layer.forward(x, [t.data for t in params], True, grad_x)
             if step is not None:
                 steps.append((step, params))
@@ -755,7 +782,8 @@ class TestPooledActivation:
 
     def test_step_keeps_f_prime_only_at_the_winners(self):
         # the windows of the tie test above, whose winners are (0, 0),
-        # (0, 3), (3, 0) and (3, 3); f' is negative in the top half
+        # (0, 3), (3, 0) and (3, 3); the pre-activations z give TeLU a
+        # negative f' in the top half
         windows = [
             [[2.0, 2.0], [2.0, 2.0]],
             [[1.0, 3.0], [3.0, 3.0]],
@@ -764,15 +792,49 @@ class TestPooledActivation:
         ]
         x = np.block([[np.array(windows[0]), np.array(windows[1])],
                       [np.array(windows[2]), np.array(windows[3])]])
-        d = np.arange(16.0).reshape(4, 4) - 7.5
-        out, step = MaxPool2().forward(x[None, None], [], True, True, d[None, None])
-        np.testing.assert_array_equal(out[0, 0], [[2.0, 3.0], [3.0, 1.0]])
-        gx, param_grads = step(np.array([[[[10.0, -0.0], [30.0, -40.0]]]]))
-        assert param_grads == ()
+        z = np.arange(16.0).reshape(4, 4) - 7.5
+        g = np.array([[[[10.0, -0.0], [30.0, -40.0]]]])
+        winners = (np.array([0, 0, 3, 3]), np.array([0, 3, 0, 3]))
+        d = kernels.derivative(TELU, z[winners])
+        assert (d[:2] < 0.0).all() and (d[2:] > 0.0).all()
         want = np.zeros((4, 4))
-        # -0.0 + 0.0 is +0.0, and +0.0 * -4.5 is -0.0
-        want[0, 0], want[0, 3], want[3, 0], want[3, 3] = -75.0, -0.0, 135.0, -300.0
-        np.testing.assert_array_equal(gx[0, 0].view(np.int64), want.view(np.int64))
+        # -0.0 + 0.0 is +0.0, and +0.0 times a negative f' is -0.0
+        want[winners] = (g.ravel() + 0.0) * d
+        assert np.signbit(want[0, 3])
+        # f' from its own pass, and from the pass that rebuilt the output
+        for rebuilt in (False, True):
+            out, step = MaxPool2().forward(x[None, None], [], True, True, TELU, z[None, None])
+            np.testing.assert_array_equal(out[0, 0], [[2.0, 3.0], [3.0, 1.0]])
+            if rebuilt:
+                f = step.output()
+                assert_same_bits(f, kernels.value(TELU, z[winners]).reshape(1, 1, 2, 2))
+            gx, param_grads = step(g)
+            assert param_grads == ()
+            np.testing.assert_array_equal(gx[0, 0].view(np.int64), want.view(np.int64))
+
+    def test_signed_zero_winners_give_the_same_gradients(self):
+        # TeLU gives -0.0 where exp underflows and +0.0 at +0.0: in windows
+        # where the two tie, the first wins, so the rebuilt pool output is
+        # -0.0 where np.maximum gave +0.0; that zero's sign only reaches
+        # conv2's zero weight-gradient sums, which add from +0.0
+        model = build_model(
+            [Conv2d(1, 1, 1), Activation(TELU), MaxPool2(), Conv2d(1, 2, 1), Flatten(), Dense(8, 2)],
+            seed=3,
+        )
+        model.flat[:2] = 1.0, 0.0
+        x = np.zeros((2, 1, 4, 4))
+        x[:, :, 0::2] = -1000.0
+        x[1, 0, 2:] = -1.0
+        logits, tape = forward(model, x, record=True)
+        g = softmax_cross_entropy(logits, np.array([0, 1]))[1]
+        got = backward(tape, g)
+        want, _ = separate_steps(model, x, g, False)
+        for p in model.params:
+            np.testing.assert_array_equal(got[p].view(np.int64), want[p].view(np.int64))
+        z, _ = model.layers[0].forward(x, [t.data for t in model.params[:2]], False, False)
+        pooled, step = MaxPool2().forward(kernels.value(TELU, z), [], True, True, TELU, z)
+        zeros = pooled == 0.0
+        assert not np.signbit(pooled[zeros]).any() and np.signbit(step.output()[zeros]).any()
 
     @pytest.mark.parametrize("record", [False, True])
     def test_each_layer_output_is_still_checked_by_name(self, monkeypatch, record):
@@ -796,11 +858,8 @@ class TestPooledActivation:
         ]
 
     def test_non_finite_activation_names_the_activation(self, monkeypatch):
-        def overflowing(kind, x):
-            y = np.full_like(x, np.inf)
-            return y, np.ones_like(x)
-
-        monkeypatch.setattr(autograd.kernels, "value_and_derivative", overflowing)
+        # a recorded activation that pools computes f alone
+        monkeypatch.setattr(autograd.kernels, "value", lambda kind, x: np.full_like(x, np.inf))
         model = build_model([Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Flatten(), Dense(8, 2)], 0)
         with pytest.raises(DivergenceError, match=r"output of layer 1 \(Activation\)$"):
             forward(model, np.ones((1, 1, 6, 6)), record=True)
@@ -827,13 +886,25 @@ class TestDatasetBatch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
-    def test_matches_forward_on_its_images(self, monkeypatch, standardize, workers):
+    @pytest.mark.parametrize("squares", [False, True], ids=["sums", "squares"])
+    # GELU has no fused f-and-f' pass
+    @pytest.mark.parametrize("kind", [TELU, GELU], ids=lambda k: k.spec_string())
+    def test_matches_forward_on_its_images(self, monkeypatch, kind, squares, standardize, workers):
+        # a recorded dataset batch rebuilds conv1's features from its rows
         monkeypatch.setattr(autograd, "WORKERS", workers)
-        model = reference_cnn(TELU, seed=2)
+        model = reference_cnn(kind, seed=2)
         batch = cifar_dataset(2 * autograd.CHUNK + 3, standardize, seed=3)
-        got = train_step(forward, backward, model, batch, batch.labels)
-        want = train_step(forward, backward, model, batch.images, batch.labels)
-        assert_same_step(model, got, want)
+
+        def step(x):
+            logits, tape = forward(model, x, record=True)
+            if squares:  # the Fisher probe's backward
+                g = cross_entropy_rows(logits, batch.labels)[1]
+            else:
+                g = softmax_cross_entropy(logits, batch.labels)[1]
+            return logits, backward(tape, g, squares=squares)
+
+        want = step(batch.images)
+        assert_same_step(model, step(batch), want)
         assert_same_bits(forward(model, batch)[0], want[0])
 
     def test_features_are_built_per_chunk_or_once_without_a_prefix(self, monkeypatch):
@@ -919,11 +990,20 @@ class TestFlatParameters:
             Flatten(), Dense(2, 2), Activation(TELU),
         ))
         assert [i for i, *_ in model.plan] == list(range(8))
-        # (grad_x, pools): nothing before the first parameter computes its
-        # input gradient, and each Activation before a MaxPool2 pools
+        # (grad_x, pools, rebuilds): nothing before the first parameter
+        # computes its input gradient, each Activation before a MaxPool2
+        # pools, and a Conv2d rebuilds only the batch or a recorded pooled
+        # activation's pool output
         assert [entry[3:] for entry in model.plan] == [
-            (False, True), (False, False), (False, False), (True, True),
-            (True, False), (True, False), (True, False), (True, False),
+            (False, True, False), (False, False, False), (False, False, False), (True, True, False),
+            (True, False, False), (True, False, False), (True, False, False), (True, False, False),
+        ]
+        model = Model((
+            Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Conv2d(2, 2, 1), MaxPool2(),
+            Conv2d(2, 2, 1), Activation(TELU), MaxPool2(), Conv2d(2, 2, 1),
+        ))
+        assert [entry[5] for entry in model.plan] == [
+            True, False, False, True, False, False, False, False, True,
         ]
 
     def test_views_of_another_vector(self):
