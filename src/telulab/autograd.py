@@ -7,44 +7,42 @@ cross-entropy.  A model is a strict stack, so each layer descriptor owns
 its math: ``shapes`` states its parameters' shapes, and
 ``forward(x, params, record, grad_x)`` returns its output plus, when
 recording, a backward step that maps the output gradient to the input
-gradient (``None`` unless ``grad_x``) and the parameter gradients.  A step
-keeps only what its product needs and cannot rebuild: conv its input, from
-which it rebuilds the im2col columns; an activation its f' from the fused
-kernel; max pooling each window's winner, one byte per window.  An
-activation directly followed by max pooling computes f alone and records
-one step for the pair, which keeps the activation's input only at the
-winners, the one position in four that gets a gradient: 9 bytes per window
-instead of 36 (four f' values and four mask bytes).  From those inputs
-backward computes f', and f, the pool output, for a conv right after the
-pool, which keeps no input; nor does the first conv on a dataset batch,
-which rebuilds its features from the batch rows.  Each rebuilt value comes
-from the same elementwise code on the same floats as in the forward, so no
-bit moves: the one difference, the sign of a pool output's zero where a
--0.0 ties a +0.0 (the first winner against ``np.maximum``), reaches only
-conv's zero weight-gradient sums, which :func:`backward` adds from +0.0.  A
-:class:`Model` keeps all its parameters in one float64 vector,
+gradient (``None`` unless ``grad_x``) and the parameter gradients.  To
+record, ``record`` is the source of ``x``: a callable that returns ``x``
+bit for bit.  A step keeps only what its product needs and cannot rebuild:
+conv nothing, as it rebuilds ``x`` from its source and the im2col columns
+from ``x``; an activation its f' from the fused kernel; max pooling each
+window's winner, one byte per window.  A :class:`Model` compiles its
+layers once into a plan of entries, where an activation directly followed
+by max pooling is one entry.  It computes f alone and records one step,
+which keeps the activation's input only at the winners, the one position
+in four that gets a gradient: 9 bytes per window instead of 36 (four f'
+values and four mask bytes).  From those inputs backward computes f', and
+the pool output f as the source of the next entry's input.  Each rebuilt
+value comes from the same elementwise code on the same floats as in the
+forward, so no bit moves: the one difference, the sign of a pool output's
+zero where a -0.0 ties a +0.0 (the first winner against ``np.maximum``),
+reaches only conv's zero weight-gradient sums, which :func:`backward` adds
+from +0.0.  The model keeps all its parameters in one float64 vector,
 ``model.flat``, in checkpoint order; each parameter :class:`Tensor` is a
 view of it, so checkpoints, probes and finite differences read and write
 ``flat`` while the layers see their arrays.
 
-:func:`forward` runs the per-example prefix of the stack (every layer
-before the first :class:`Dense`: conv, activation, pooling, flatten) on
-chunks of :data:`CHUNK` images, so a chunk's column matrix, activation
-temporaries and pool winners are still in cache when the next layer reads
-them and no layer ever holds a whole batch of them.  Its input is a
-float64 array or a :class:`~telulab.data.Dataset` batch, which builds each
-chunk's float64 features when the chunk runs, so no whole batch of them
-exists either (a stack with no prefix builds the batch once).  Each chunk
-writes its prefix output into one batch array, shaped by the prefix
-layers' zero-row forward, and the dense layers and the loss run on it.
-It returns the logits array plus, when recording, a :class:`Tape`: the
-recorded steps of every chunk and of the full-batch suffix, with their
-parameter tensors and the output shape.  :func:`backward` passes one
-gradient back through the suffix, splits it into the same chunks and
-passes each back through its prefix steps, dropping each step as it goes,
-so no cache outlives its backward.  Nothing reads the input batch's
-gradient, so layers before the first parametric one are not recorded and
-that layer computes no input gradient.
+:func:`forward` runs the plan's per-example prefix (every entry before the
+first :class:`Dense`: conv, activation, pooling, flatten) on chunks of
+:data:`CHUNK` images, so a chunk's column matrix, activation temporaries
+and pool winners are still in cache when the next layer reads them and no
+layer ever holds a whole batch of them.  Each chunk's first source reads
+and checks its rows of the input, a float64 array or a
+:class:`~telulab.data.Dataset` batch whose features are built then, so no
+whole batch of them exists either.  The chunks write their outputs into
+one batch array, shaped by :func:`output_shape`, on which the dense layers
+and the loss run.  :func:`backward` passes one gradient back through the
+suffix's steps, splits it into the same chunks and passes each back
+through its prefix steps, dropping each step as it goes, so no cache
+outlives its backward.  Nothing reads the input batch's gradient, so
+entries before the first parametric one are not recorded and that one
+computes no input gradient.
 
 The chunks run on :data:`WORKERS` threads, each taking one contiguous part
 of the chunk list (the calling thread the last), and their results are
@@ -104,6 +102,7 @@ __all__ = [
     "LayerSpec",
     "Model",
     "build_model",
+    "output_shape",
     "forward",
     "backward",
     "softmax_cross_entropy",
@@ -251,10 +250,10 @@ class Conv2d:
 
     ``cols[n, (c, i, j), (p, q)] = x[n, c, p + i, q + j]``, so the output is
     ``W2 @ cols`` with ``W2`` the weight flattened to (out_ch, in_ch*k*k).
-    Its backward step keeps ``x``, or calls ``rebuild`` for it when given,
-    never the 9-16x larger ``cols``, which it rebuilds; it returns the
-    weight and bias gradients per example (leading batch axis), squared
-    with ``squares``, which :func:`backward` sums over the batch.
+    Its backward step keeps neither ``x``, which it rebuilds with its
+    source ``record``, nor the 9-16x larger ``cols``; it returns the weight
+    and bias gradients per example (leading batch axis), squared with
+    ``squares``, which :func:`backward` sums over the batch.
     """
 
     in_ch: int
@@ -272,7 +271,7 @@ class Conv2d:
         """The shapes of its parameters, weight then bias."""
         return (self.out_ch, self.in_ch, self.k, self.k), (self.out_ch,)
 
-    def forward(self, x, params, record, grad_x, rebuild=None):
+    def forward(self, x, params, record, grad_x):
         w, b = params
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ConfigError(f"conv2d expects (batch, {self.in_ch}, H, W), got {x.shape}")
@@ -286,11 +285,10 @@ class Conv2d:
         y += b[None, :, None, None]
         if not record:
             return y, None
-        source = rebuild or (lambda: x)
 
         def step(g, squares=False):
             g3 = g.reshape(n, self.out_ch, ho * wo)
-            gw = np.matmul(g3, _im2col(source(), k).transpose(0, 2, 1))
+            gw = np.matmul(g3, _im2col(record(), k).transpose(0, 2, 1))
             gx = None
             if grad_x:
                 # col2im: scatter-add each kernel offset's slab back onto x
@@ -338,41 +336,47 @@ def _window_positions(shape: tuple[int, ...], corner: np.ndarray) -> np.ndarray:
 class _PoolStep:
     """The backward step of a :class:`MaxPool2`: it keeps each window's
     winner as one corner number and returns the gradient there, +0.0
-    everywhere else.  Given the kind and input ``z`` of the
-    :class:`Activation` whose output the pool's input is, it stands for that
-    activation's step too: it keeps ``z`` at the winners only, from which
-    :meth:`output` rebuilds the pool output f(z) for the :class:`Conv2d`
-    after the pool, and it returns ``(g + 0.0) * f'(z)`` at the winners."""
+    everywhere else."""
 
-    def __init__(self, shape, corner, kind=None, z=None):
-        self.shape, self.corner, self.kind = shape, corner, kind
-        self.z = None if z is None else z.reshape(-1)[_window_positions(shape, corner)]
+    def __init__(self, shape, corner):
+        self.shape, self.corner = shape, corner
+
+    def __call__(self, g, squares=False):
+        gx = np.zeros(self.shape)
+        # adding +0.0 makes a -0.0 gradient +0.0, the zero every loser holds
+        gx.reshape(-1)[_window_positions(self.shape, self.corner)] = self.at_winners(g + 0.0)
+        return gx, ()
+
+    def at_winners(self, g):
+        return g
+
+
+class _PooledStep(_PoolStep):
+    """A pool step that stands for the step of the activation before the
+    pool too: it keeps the activation's input ``z`` at the winners only,
+    and returns ``(g + 0.0) * f'(z)`` there."""
+
+    def __init__(self, shape, corner, kind, z):
+        super().__init__(shape, corner)
+        self.kind, self.z = kind, z.reshape(-1)[_window_positions(shape, corner)]
         self.d = None  # f'(z), when output() computed it
 
     def output(self) -> np.ndarray:
-        """The pool output, f at the winning inputs, rebuilt; the same fused
-        pass keeps their f' for the step."""
+        """The pool output f(z), rebuilt; the same fused pass keeps f'(z)."""
         f, self.d = kernels.value_and_derivative(self.kind, self.z)
         return f
 
-    def __call__(self, g, squares=False):
-        # adding +0.0 makes a -0.0 gradient +0.0, the zero every loser holds
-        gw = g + 0.0
-        if self.kind is not None:
-            gw *= kernels.derivative(self.kind, self.z) if self.d is None else self.d
-        gx = np.zeros(self.shape)
-        gx.reshape(-1)[_window_positions(self.shape, self.corner)] = gw
-        return gx, ()
+    def at_winners(self, g):
+        g *= kernels.derivative(self.kind, self.z) if self.d is None else self.d
+        return g
 
 
 @dataclass(frozen=True)
 class MaxPool2(_Parameterless):
     """2x2 max pooling, stride 2.  Its step (see :class:`_PoolStep`) keeps
-    each window's winner, the first maximum in window order; given the
-    ``kind`` and input ``z`` of the :class:`Activation` whose output ``x``
-    is, it stands for that activation's step too."""
+    each window's winner, the first maximum in window order."""
 
-    def forward(self, x, params, record, grad_x, kind=None, z=None):
+    def forward(self, x, params, record, grad_x):
         if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
             raise ConfigError(f"maxpool2 expects (N, C, even, even), got {x.shape}")
         # the four corners of every 2x2 window, in window order
@@ -387,7 +391,7 @@ class MaxPool2(_Parameterless):
         in_top = top >= bottom
         right = (in_top & (a < b)) | (~in_top & (c < e))
         corner = (~in_top).view(np.uint8) * np.uint8(2) + right.view(np.uint8)
-        return y, _PoolStep(x.shape, corner, kind, z)
+        return y, _PoolStep(x.shape, corner)
 
 
 @dataclass(frozen=True)
@@ -414,7 +418,24 @@ class Activation(_Parameterless):
         return y, lambda g, squares=False: (np.multiply(g, d, out=d), ())
 
 
+@dataclass(frozen=True)
+class _PooledActivation(_Parameterless):
+    """An :class:`Activation` directly followed by a :class:`MaxPool2`, one
+    plan entry: f alone, checked under the activation's entry ``name``."""
+
+    kind: ActivationKind
+    name: str
+
+    def forward(self, x, params, record, grad_x):
+        f = kernels.value(self.kind, x)
+        _require_finite(f, f"output of {self.name}")
+        y, step = MaxPool2().forward(f, params, record, grad_x)
+        return y, step and _PooledStep(step.shape, step.corner, self.kind, x)
+
+
 LayerSpec = Union[Dense, Conv2d, MaxPool2, Flatten, Activation]
+# (name, layer, parameters, whether the entry computes its input gradient)
+Plan = list[tuple[str, LayerSpec, tuple[Tensor, ...], bool]]
 
 
 class Model:
@@ -426,9 +447,10 @@ class Model:
     starts zeroed; layer sizes past memory raise :class:`ConfigError`.
     ``params`` holds one :class:`Tensor` per parameter whose data is a
     reshaped view of ``flat``, so a write to either is a write to both.
-    ``plan`` holds (index, layer, parameters, grad_x, pools, rebuilds) per
-    layer (see :func:`_run`), and ``cut`` is the first :class:`Dense`'s
-    index.
+    ``plan`` holds (name, layer, parameters, grad_x) per layer, but one
+    :class:`_PooledActivation`, named after the pool, per :class:`Activation`
+    directly followed by a :class:`MaxPool2` (see :func:`_run`).  ``cut`` is
+    the first :class:`Dense`'s index in ``layers``, ``split`` in ``plan``.
     """
 
     def __init__(self, layers: tuple[LayerSpec, ...]):
@@ -440,21 +462,19 @@ class Model:
             raise ConfigError(f"model: the layer sizes are too large to hold in memory ({exc})") from exc
         self.params = [Tensor(v) for v in self.views(self.flat)]
         tensors = iter(self.params)
-        self.plan = []
-        for i, (layer, after) in enumerate(zip(layers, [*layers[1:], None])):
-            # nothing reads the input batch's gradient, so layers before the
-            # first parameter are not recorded and the first parametric
-            # layer skips its gx
-            grad_x = any(params for _, _, params, *_ in self.plan)
-            pools = isinstance(layer, Activation) and isinstance(after, MaxPool2)
-            # a conv rebuilds its input when that is the batch, or the pool
-            # output of a recorded activation that pools
-            after_pooled = i >= 2 and self.plan[i - 2][3:5] == (True, True)
-            rebuilds = isinstance(layer, Conv2d) and (i == 0 or after_pooled)
-            self.plan.append(
-                (i, layer, tuple(next(tensors) for _ in layer.shapes), grad_x, pools, rebuilds)
-            )
-        self.cut = next((i for i, layer, *_ in self.plan if isinstance(layer, Dense)), len(layers))
+        # nothing reads the input batch's gradient, so entries before the
+        # first parameter are not recorded and the first with one skips its gx
+        self.plan, grad_x = [], False
+        for i, layer in enumerate(layers):
+            name = f"layer {i} ({type(layer).__name__})"
+            if isinstance(layer, MaxPool2) and self.plan and isinstance(self.plan[-1][1], Activation):
+                act_name, act, *_ = self.plan.pop()
+                layer = _PooledActivation(act.kind, act_name)
+            params = tuple(next(tensors) for _ in layer.shapes)
+            self.plan.append((name, layer, params, grad_x))
+            grad_x = grad_x or bool(params)
+        self.cut = next((i for i, layer in enumerate(layers) if isinstance(layer, Dense)), len(layers))
+        self.split = next((j for j, e in enumerate(self.plan) if isinstance(e[1], Dense)), len(self.plan))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """``vec``, a vector of ``flat``'s layout, as one view per parameter."""
@@ -472,9 +492,10 @@ def build_model(layers: list[LayerSpec] | tuple[LayerSpec, ...], seed: int) -> M
     zero.  Layer sizes past memory raise :class:`ConfigError`.
     """
     model = Model(tuple(layers))
-    for i, _, params, *_ in model.plan:
-        if params:
-            w, b = (t.data for t in params)
+    tensors = iter(model.params)
+    for i, layer in enumerate(model.layers):
+        if layer.shapes:
+            w, b = (next(tensors).data for _ in layer.shapes)
             bound = np.sqrt(6.0 / (w.size // b.size))
             generator(seed, TAG_INIT, i).random(out=w)
             w *= 2 * bound
@@ -490,37 +511,28 @@ def _require_finite(arr: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite value in {context}")
 
 
-def _run(
-    plan: list[tuple[int, LayerSpec, tuple[Tensor, ...], bool, bool, bool]],
-    x: np.ndarray,
-    record: bool,
-    rebuild: Optional[Callable[[], np.ndarray]] = None,
-) -> tuple[np.ndarray, Steps]:
-    """Run ``plan``, a slice of :attr:`Model.plan`, on ``x``; return the
-    output and the recorded steps.  A layer computes its input gradient
-    only if ``grad_x``.  A recorded :class:`Activation` that ``pools``
-    records no step of its own: it computes f alone and hands its kind and
-    input to the :class:`MaxPool2` after it.  A :class:`Conv2d` that
-    ``rebuilds`` keeps no input: after such a pool it rebuilds it with the
-    pool step's ``output``, else with ``rebuild``, which rebuilds ``x`` bit
-    for bit (``None`` keeps ``x``)."""
-    steps: Steps = []
-    pre = None  # (kind, input) of the Activation just run, for the MaxPool2 after it
-    for i, layer, params, grad_x, pools, rebuilds in plan:
-        data = [t.data for t in params]
-        if pre is not None:
-            x, step = layer.forward(x, data, record, grad_x, *pre)
-            pre, rebuild = None, step.output
-        elif record and grad_x and pools:
-            pre, step = (layer.kind, x), None
-            x = kernels.value(layer.kind, x)
-        elif record and rebuilds:
-            x, step = layer.forward(x, data, record, grad_x, rebuild)
-        else:
-            x, step = layer.forward(x, data, record, grad_x)
+def output_shape(layers, example: tuple[int, ...]) -> tuple[int, ...]:
+    """The output shape per example of ``layers`` on ``example``-shaped
+    inputs: each layer's forward of zero examples on zero-stride parameters
+    runs its shape check, raising :class:`ConfigError`, and no arithmetic."""
+    x = np.zeros((0, *example))
+    for layer in layers:
+        x, _ = layer.forward(x, [np.broadcast_to(0.0, s) for s in layer.shapes], False, False)
+    return x.shape[1:]
+
+
+def _run(plan: Plan, source: Callable[[], np.ndarray], record: bool) -> tuple[np.ndarray, Steps]:
+    """Run ``plan``, a slice of :attr:`Model.plan`, on ``source()``; return
+    the output and the recorded steps.  When recording, each entry gets as
+    ``record`` the source of its input: ``source`` for the first, the
+    step's ``output`` after a :class:`_PooledActivation`, else the array."""
+    x, steps = source(), []
+    for name, layer, params, grad_x in plan:
+        x, step = layer.forward(x, [t.data for t in params], record and source, grad_x)
+        source = getattr(step, "output", None) or (lambda y=x: y)
         if step is not None:
             steps.append((step, params))
-        _require_finite(x, f"output of layer {i} ({type(layer).__name__})")
+        _require_finite(x, f"output of {name}")
     return x, steps
 
 
@@ -544,40 +556,31 @@ def forward(
     return the logits and, when ``record``, the tape.
 
     The layers before the first :class:`Dense` run on chunks of
-    :data:`CHUNK` images spread over :data:`WORKERS` threads, each chunk of
-    a dataset batch on features built from its own rows, the rest on the
-    batch array the chunks write their outputs into.  Shape mismatches
+    :data:`CHUNK` images spread over :data:`WORKERS` threads, each chunk on
+    its own rows of ``batch``, read when it runs, the rest on the batch
+    array the chunks write their outputs into.  Shape mismatches
     raise :class:`ConfigError` before any arithmetic; any non-finite input
     or output raises :class:`DivergenceError` naming the input batch or the
     layer.
     """
     if isinstance(batch, Dataset):
         n, example = len(batch), batch.store.shape[1:]
-
-        def rebuild(rows: slice) -> np.ndarray:
-            return batch.features(batch.rows[rows])
-
-        def inputs(rows: slice) -> np.ndarray:
-            x = rebuild(rows)
-            _require_finite(x, "input batch")
-            return x
-
+        read = lambda rows: batch.features(batch.rows[rows])  # noqa: E731
     else:
         x = np.ascontiguousarray(batch, dtype=np.float64)
         if x.ndim == 0:
             raise ConfigError("the input needs a batch dimension")
-        _require_finite(x, "input batch")
-        n, example = len(x), x.shape[1:]
-        inputs = x.__getitem__
-        rebuild = None  # a chunk, x[rows], is a view of the batch
+        n, example, read = len(x), x.shape[1:], x.__getitem__
 
-    prefix = model.plan[: model.cut]
-    # the prefix layers' zero-row forward checks every shape and sizes
-    # the array that each chunk writes its output into
-    out = np.zeros((0, *example))
-    for _, layer, params, *_ in prefix:
-        out, _ = layer.forward(out, [t.data for t in params], False, False)
-    joined = np.empty((n, *out.shape[1:]))
+    def source(rows: slice) -> np.ndarray:
+        chunk = read(rows)
+        _require_finite(chunk, "input batch")
+        return chunk
+
+    # the prefix's shapes, checked before any arithmetic, size the array
+    # that each chunk writes its output into
+    joined = np.empty((n, *output_shape(model.layers[: model.cut], example)))
+    prefix = model.plan[: model.split]
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if model.cut else max(n, 1)
 
@@ -585,15 +588,14 @@ def forward(
         ran = []
         with np.errstate(**_QUIET):
             for rows in part:
-                chunk_rebuild = None if rebuild is None else functools.partial(rebuild, rows)
-                joined[rows], steps = _run(prefix, inputs(rows), record, chunk_rebuild)
+                joined[rows], steps = _run(prefix, functools.partial(source, rows), record)
                 ran.append((rows, steps))
         return ran
 
     ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
     chunks = [(rows, steps) for rows, steps in ran if steps]
     with np.errstate(**_QUIET):
-        y, steps = _run(model.plan[model.cut :], joined, record)
+        y, steps = _run(model.plan[model.split :], lambda: joined, record)
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 

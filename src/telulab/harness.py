@@ -37,6 +37,7 @@ from .autograd import (
     backward,
     cross_entropy_rows,
     forward,
+    output_shape,
     set_workers,
     softmax_cross_entropy,
     usable_cpus,
@@ -170,22 +171,18 @@ def format_cell(mean: float, std: float) -> str:
 
 def check_model(layers: tuple[LayerSpec, ...], spec: DatasetSpec) -> None:
     """Raise :class:`ConfigError` unless ``layers`` map an example of
-    ``spec`` to one logit per class: each layer's own forward of zero
-    examples runs its shape check and no arithmetic, on read-only zero-stride
-    parameters of its shapes, so no parameter is drawn.  A size past
-    numpy's array limits is a :class:`ConfigError` too."""
+    ``spec`` to one logit per class (:func:`autograd.output_shape`, which
+    draws no parameter), or a size is past numpy's array limits."""
     try:
-        x = np.zeros((0, *spec.example_shape))
-        for layer in layers:
-            x, _ = layer.forward(x, [np.broadcast_to(0.0, s) for s in layer.shapes], False, False)
+        shape = output_shape(layers, spec.example_shape)
     except ConfigError:
         raise
     except ValueError as exc:  # numpy's: a dimension or an array size past np.intp
         raise ConfigError(f"model: the layer or example sizes are too large for an array ({exc})") from exc
-    if x.shape[1:] != (spec.num_classes,):
+    if shape != (spec.num_classes,):
         raise ConfigError(
             f"model: the layers give each example an output of shape "
-            f"{x.shape[1:]}, but the {spec.name} dataset has {spec.num_classes} classes"
+            f"{shape}, but the {spec.name} dataset has {spec.num_classes} classes"
         )
 
 

@@ -2,6 +2,7 @@
 shape validation, determinism, divergence detection, and the chunked
 per-example prefix against a frozen copy of the unchunked engine."""
 
+import gc
 import hashlib
 import json
 import math
@@ -209,8 +210,9 @@ class TestSquaredBackward:
         rng = np.random.default_rng(11)
         x, w = rng.normal(size=(3, 2, 5, 5)), rng.normal(size=(4, 2, 3, 3))
         g = rng.normal(size=(3, 4, 3, 3))
-        _, plain = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], True, False)
-        _, squared = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], True, False)
+        # a recording conv is given its input's source, not a flag
+        _, plain = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], lambda: x, False)
+        _, squared = Conv2d(2, 4, 3).forward(x, [w, np.zeros(4)], lambda: x, False)
         _, (gw, gb) = plain(g)
         _, (gw2, gb2) = squared(g, squares=True)
         np.testing.assert_array_equal(gw2, gw * gw)
@@ -360,7 +362,7 @@ class TestConvAgainstDirectSum:
         x = rng.normal(size=(n, c, hw, hw))
         w = rng.normal(size=(o, c, k, k))
         g = rng.normal(size=(n, o, hw - k + 1, hw - k + 1))
-        _, step = Conv2d(c, o, k).forward(x, [w, np.zeros(o)], True, True)
+        _, step = Conv2d(c, o, k).forward(x, [w, np.zeros(o)], lambda: x, True)
         # the step returns per-example parameter gradients
         gx, (gw, gb) = step(g)
         want_gx, want_gw = np.zeros_like(x), np.zeros((n,) + w.shape)
@@ -472,11 +474,17 @@ def _frozen_conv(layer, x, w, b, record, grad_x):
     return y, step
 
 
+def layer_params(model):
+    """Each of ``model``'s layers with its parameter tensors."""
+    tensors = iter(model.params)
+    return [(layer, tuple(next(tensors) for _ in layer.shapes)) for layer in model.layers]
+
+
 def frozen_forward(model, batch, record=False):
     x = np.ascontiguousarray(batch, dtype=np.float64)
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params, *_ in model.plan:
+        for layer, params in layer_params(model):
             data = [t.data for t in params]
             if isinstance(layer, Conv2d):
                 x, step = _frozen_conv(layer, x, *data, record, grad_x)
@@ -720,8 +728,8 @@ def separate_steps(model, x, g, squares):
     adds them, and the gradient that reached the first layer's output."""
     steps, grad_x = [], False
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _, layer, params, *_ in model.plan:
-            x, step = layer.forward(x, [t.data for t in params], True, grad_x)
+        for layer, params in layer_params(model):
+            x, step = layer.forward(x, [t.data for t in params], lambda x=x: x, grad_x)
             if step is not None:
                 steps.append((step, params))
             grad_x = grad_x or bool(params)
@@ -803,7 +811,8 @@ class TestPooledActivation:
         assert np.signbit(want[0, 3])
         # f' from its own pass, and from the pass that rebuilt the output
         for rebuilt in (False, True):
-            out, step = MaxPool2().forward(x[None, None], [], True, True, TELU, z[None, None])
+            out, plain = MaxPool2().forward(x[None, None], [], True, True)
+            step = autograd._PooledStep(plain.shape, plain.corner, TELU, z[None, None])
             np.testing.assert_array_equal(out[0, 0], [[2.0, 3.0], [3.0, 1.0]])
             if rebuilt:
                 f = step.output()
@@ -832,7 +841,8 @@ class TestPooledActivation:
         for p in model.params:
             np.testing.assert_array_equal(got[p].view(np.int64), want[p].view(np.int64))
         z, _ = model.layers[0].forward(x, [t.data for t in model.params[:2]], False, False)
-        pooled, step = MaxPool2().forward(kernels.value(TELU, z), [], True, True, TELU, z)
+        pooled, plain = MaxPool2().forward(kernels.value(TELU, z), [], True, True)
+        step = autograd._PooledStep(plain.shape, plain.corner, TELU, z)
         zeros = pooled == 0.0
         assert not np.signbit(pooled[zeros]).any() and np.signbit(step.output()[zeros]).any()
 
@@ -925,14 +935,54 @@ class TestDatasetBatch:
         forward(build_model([Dense(6, 4), Activation(TELU), Dense(4, 2)], seed=0), batch, record=True)
         assert calls == [len(batch)]
 
+    def test_recorded_steps_leave_no_reference_cycles(self):
+        # a step that reaches itself is freed only by the cyclic collector:
+        # a conv step that read its input through an attribute of its own
+        # function left it 655 objects here
+        model = reference_cnn(TELU)
+        batch = cifar_dataset(2 * autograd.CHUNK + 1, False, seed=11)
+        forward(model, batch)  # the worker pool starts outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            for x in (batch, batch.images):
+                for _ in range(3):
+                    logits, tape = forward(model, x, record=True)
+                    backward(tape, softmax_cross_entropy(logits, batch.labels)[1])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["dataset", "array"])
     @pytest.mark.parametrize("record", [False, True])
-    def test_non_finite_feature_names_the_input_batch(self, record):
+    def test_non_finite_feature_names_the_input_batch(self, monkeypatch, record, as_array):
+        seen = []
+        check = autograd._require_finite
+
+        def spy(arr, context):
+            seen.append(context)
+            check(arr, context)
+
+        monkeypatch.setattr(autograd, "_require_finite", spy)
         images = np.zeros((3 * autograd.CHUNK, 3, 8, 8))
         images[-1, 0, 0, 0] = np.inf
         batch = Dataset(images, np.zeros(len(images), dtype=int), DataMeta("x", 2, "train"))
         model = build_model([Conv2d(3, 2, 3), Flatten(), Dense(72, 2)], seed=0)
         with pytest.raises(DivergenceError, match="non-finite value in input batch$"):
-            forward(model, batch, record=record)
+            forward(model, images if as_array else batch, record=record)
+        # either batch is checked per chunk, as each chunk reads its rows
+        assert seen.count("input batch") == 3
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["dataset", "array"])
+    def test_misfit_shape_is_raised_before_a_non_finite_input(self, as_array):
+        # the shape pass runs before any chunk reads its rows, so a batch
+        # both misfit and non-finite raises ConfigError, an array too
+        images = np.full((2, 3, 8, 8), np.inf)
+        batch = Dataset(images, np.zeros(2, dtype=int), DataMeta("x", 2, "train"))
+        model = build_model([Conv2d(2, 2, 3), Flatten(), Dense(72, 2)], seed=0)
+        with pytest.raises(ConfigError, match="conv2d expects"):
+            forward(model, images if as_array else batch, record=True)
 
 
 def assert_params_view_flat(model):
@@ -989,22 +1039,35 @@ class TestFlatParameters:
             Activation(TELU), MaxPool2(), Conv2d(1, 2, 3), Activation(TELU), MaxPool2(),
             Flatten(), Dense(2, 2), Activation(TELU),
         ))
-        assert [i for i, *_ in model.plan] == list(range(8))
-        # (grad_x, pools, rebuilds): nothing before the first parameter
-        # computes its input gradient, each Activation before a MaxPool2
-        # pools, and a Conv2d rebuilds only the batch or a recorded pooled
-        # activation's pool output
-        assert [entry[3:] for entry in model.plan] == [
-            (False, True, False), (False, False, False), (False, False, False), (True, True, False),
-            (True, False, False), (True, False, False), (True, False, False), (True, False, False),
+        # each Activation directly before a MaxPool2 is one entry with it,
+        # named after the pool; every other entry is its own layer
+        assert [(name, type(layer).__name__) for name, layer, *_ in model.plan] == [
+            ("layer 1 (MaxPool2)", "_PooledActivation"), ("layer 2 (Conv2d)", "Conv2d"),
+            ("layer 4 (MaxPool2)", "_PooledActivation"), ("layer 5 (Flatten)", "Flatten"),
+            ("layer 6 (Dense)", "Dense"), ("layer 7 (Activation)", "Activation"),
         ]
+        # the pair checks f under the Activation's name
+        assert [layer.name for _, layer, *_ in model.plan if hasattr(layer, "name")] == [
+            "layer 0 (Activation)", "layer 3 (Activation)",
+        ]
+        # nothing before the first parameter computes its input gradient
+        assert [grad_x for *_, grad_x in model.plan] == [False, False, True, True, True, True]
+        assert (model.cut, model.split) == (6, 4)
         model = Model((
             Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Conv2d(2, 2, 1), MaxPool2(),
-            Conv2d(2, 2, 1), Activation(TELU), MaxPool2(), Conv2d(2, 2, 1),
+            Conv2d(2, 2, 1), Activation(TELU), Activation(TELU), MaxPool2(), MaxPool2(),
         ))
-        assert [entry[5] for entry in model.plan] == [
-            True, False, False, True, False, False, False, False, True,
+        # no other pair is fused: a MaxPool2 after a conv, a second
+        # Activation before the pair, a second MaxPool2 after it
+        assert [name for name, *_ in model.plan] == [
+            "layer 0 (Conv2d)", "layer 2 (MaxPool2)", "layer 3 (Conv2d)", "layer 4 (MaxPool2)",
+            "layer 5 (Conv2d)", "layer 6 (Activation)", "layer 8 (MaxPool2)", "layer 9 (MaxPool2)",
         ]
+        assert [type(layer).__name__ for _, layer, *_ in model.plan] == [
+            "Conv2d", "_PooledActivation", "Conv2d", "MaxPool2",
+            "Conv2d", "Activation", "_PooledActivation", "MaxPool2",
+        ]
+        assert (model.cut, model.split) == (10, 8)
 
     def test_views_of_another_vector(self):
         model = build_model([Dense(2, 3), Dense(3, 2)], seed=0)

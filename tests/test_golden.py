@@ -15,10 +15,16 @@ The setups are the blobs MLP used across the CLI tests and a tiny generated
 CIFAR-10 archive run through every layer type of the reference CNN (conv,
 activation, pool, flatten, dense) with ``standardize`` on.
 
-The hashes hold for the numpy/BLAS environment they were recorded in: a
-different numpy or BLAS build may legitimately move the last bits of a
-matmul.  A change that moves bits on purpose (a new summation order, say)
-re-records them and says so in CHANGES.md.
+The hashes hold for the numpy/BLAS environment they were recorded in, and
+that includes the CPU: a different numpy or BLAS build may legitimately
+move the last bits of a matmul, and so do the same wheels on another CPU.
+There OpenBLAS picks another GEMM kernel, and numpy another SIMD dispatch
+for its transcendental functions.  Pinning ``OPENBLAS_CORETYPE=Haswell``
+on an AVX-512 host moves 12 of the 20 hashes (the GEMM-dependent
+``curves.csv``, ``fisher.csv``, ``landscape.csv``, ``model.bin`` and
+``property_report.json``), and also capping numpy's dispatch at AVX2 moves
+``kernels.csv``, a 13th.  A change that moves bits on purpose (a new
+summation order, say) re-records them and says so in CHANGES.md.
 """
 
 import hashlib
