@@ -577,9 +577,12 @@ def forward(
         _require_finite(chunk, "input batch")
         return chunk
 
-    # the prefix's shapes, checked before any arithmetic, size the array
-    # that each chunk writes its output into
-    joined = np.empty((n, *output_shape(model.layers[: model.cut], example)))
+    # every shape is checked before any arithmetic; the prefix's output
+    # shape sizes the array that each chunk writes its output into
+    shape = output_shape(model.layers[: model.cut], example)
+    if model.cut:
+        output_shape(model.layers[model.cut :], shape)
+    joined = np.empty((n, *shape))
     prefix = model.plan[: model.split]
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if model.cut else max(n, 1)

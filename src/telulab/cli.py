@@ -89,7 +89,7 @@ def cmd_kernels(args, spec, out: Path) -> tuple[int, dict]:
     xs = args.lo + args.step * np.arange(n)
     rows = []
     for kind in kinds:
-        f, d1 = kernels.value(kind, xs).tolist(), kernels.derivative(kind, xs).tolist()
+        f, d1 = (a.tolist() for a in kernels.value_and_derivative(kind, xs))
         if kernels.has_second_derivative(kind):
             d2 = kernels.second_derivative(kind, xs).tolist()
         else:

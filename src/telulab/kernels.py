@@ -6,8 +6,8 @@ tables) calls into it.  All arithmetic is 64-bit float.  Functions accept
 a scalar or an ndarray and return the matching type.
 
 One table, ``_KINDS``, holds a record per kind: its display name, its
-closed forms (f, f', f'' where provided, and a fused f-and-f' pass where
-one exists), the points where f'' jumps, and whether it takes ``alpha``
+closed forms (f alone, f and f' from one shared pass, and f'' where
+provided), the points where f'' jumps, and whether it takes ``alpha``
 (only ELU does).  Every per-kind question reads that record; the points
 where f' jumps are derived from it, as the f'' kinks at which f' differs
 between the two neighbouring floats.
@@ -141,10 +141,6 @@ def _telu_value_d1(x):
     return np.multiply(x, th, out=th), d
 
 
-def _telu_d1(x):
-    return _telu_value_d1(x)[1]
-
-
 def _telu_d2(x):
     # sech(u)^2 as 4e/(1+e)^2, e = exp(-2u): 1 - th*th cancels once th rounds
     # to 1 (x >~ 2.9).  Not 2*xm*u*th: 2*xm overflows below -9e307, u*th is 0.
@@ -160,9 +156,9 @@ def _relu_value(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_d1(x):
+def _relu_value_d1(x):
     # x == 0 deliberately falls in the zero branch: subgradient convention
-    return np.where(x > 0.0, 1.0, 0.0)
+    return _relu_value(x), np.where(x > 0.0, 1.0, 0.0)
 
 
 def _gelu_clamp(x):
@@ -177,12 +173,11 @@ def _gelu_value(x):
     return 0.5 * x * (1.0 + np.tanh(_gelu_t(_gelu_clamp(x))))
 
 
-def _gelu_d1(x):
+def _gelu_value_d1(x):
     xc = _gelu_clamp(x)
-    t = _gelu_t(xc)
+    th = np.tanh(_gelu_t(xc))
     tp = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
-    th = np.tanh(t)
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * tp
+    return 0.5 * x * (1.0 + th), 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * tp
 
 
 def _gelu_d2(x):
@@ -200,9 +195,9 @@ def _silu_value(x):
     return x * _sigmoid(x)
 
 
-def _silu_d1(x):
+def _silu_value_d1(x):
     s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    return x * s, s * (1.0 + x * (1.0 - s))
 
 
 def _silu_d2(x):
@@ -214,10 +209,9 @@ def _mish_value(x):
     return x * np.tanh(_softplus(x))
 
 
-def _mish_d1(x):
+def _mish_value_d1(x):
     w = np.tanh(_softplus(x))
-    s = _sigmoid(x)
-    return w + x * s * (1.0 - w * w)
+    return x * w, w + x * _sigmoid(x) * (1.0 - w * w)
 
 
 def _mish_d2(x):
@@ -232,9 +226,10 @@ def _logish_value(x):
     return x * np.log1p(_sigmoid(x))
 
 
-def _logish_d1(x):
+def _logish_value_d1(x):
     s = _sigmoid(x)
-    return np.log1p(s) + x * s * (1.0 - s) / (1.0 + s)
+    v = np.log1p(s)
+    return x * v, v + x * s * (1.0 - s) / (1.0 + s)
 
 
 def _logish_d2(x):
@@ -248,11 +243,11 @@ def _smish_value(x):
     return x * np.tanh(np.log1p(_sigmoid(x)))
 
 
-def _smish_d1(x):
+def _smish_value_d1(x):
     s = _sigmoid(x)
     w = np.tanh(np.log1p(s))
     vp = s * (1.0 - s) / (1.0 + s)
-    return w + x * (1.0 - w * w) * vp
+    return x * w, w + x * (1.0 - w * w) * vp
 
 
 def _smish_d2(x):
@@ -270,10 +265,11 @@ def _elu_value(x, alpha):
     return np.where(neg, alpha * np.expm1(_masked(x, neg)), x)
 
 
-def _elu_d1(x, alpha):
-    # piecewise convention: alpha * exp(x) on x <= 0, so d1(0) == alpha
+def _elu_value_d1(x, alpha):
+    # piecewise convention: alpha * exp(x) on x <= 0, so f'(0) == alpha
     neg = x <= 0.0
-    return np.where(neg, alpha * np.exp(_masked(x, neg)), 1.0)
+    xm = _masked(x, neg)
+    return np.where(neg, alpha * np.expm1(xm), x), np.where(neg, alpha * np.exp(xm), 1.0)
 
 
 def _elu_d2(x, alpha):
@@ -286,32 +282,30 @@ class _Kind:
     """Everything specific to one activation kind.
 
     The closed forms are called as ``fn(x)``, or as ``fn(x, alpha)`` when
-    ``takes_alpha``.  ``d2`` is None where f'' is not provided; ``value_d1``
-    returns (f, f') from one shared pass, and None means ``value`` then
-    ``d1``.  ``d2_kinks`` are the points where f'' jumps.
+    ``takes_alpha``.  ``value_d1`` returns (f, f') from one shared pass, its
+    f by the same float operations as ``value``, which value-only callers
+    use so as not to pay for f'.  ``d2`` is None where f'' is not provided.
+    ``d2_kinks`` are the points where f'' jumps.
     """
 
     display: str
     value: Callable
-    d1: Callable
-    d2: Optional[Callable] = None
-    value_d1: Optional[Callable] = None
+    value_d1: Callable
+    d2: Optional[Callable]
     d2_kinks: tuple[float, ...] = ()
     takes_alpha: bool = False
 
 
 _KINDS = {
-    "telu": _Kind("TeLU", _telu_value, _telu_d1, _telu_d2, _telu_value_d1),
-    "relu": _Kind("ReLU", _relu_value, _relu_d1, d2_kinks=(0.0,)),
-    "gelu": _Kind("GELU", _gelu_value, _gelu_d1, _gelu_d2),
-    "silu": _Kind("SiLU", _silu_value, _silu_d1, _silu_d2),
-    "mish": _Kind("Mish", _mish_value, _mish_d1, _mish_d2),
-    "logish": _Kind("Logish", _logish_value, _logish_d1, _logish_d2),
-    "smish": _Kind("Smish", _smish_value, _smish_d1, _smish_d2),
+    "telu": _Kind("TeLU", _telu_value, _telu_value_d1, _telu_d2),
+    "relu": _Kind("ReLU", _relu_value, _relu_value_d1, None, (0.0,)),
+    "gelu": _Kind("GELU", _gelu_value, _gelu_value_d1, _gelu_d2),
+    "silu": _Kind("SiLU", _silu_value, _silu_value_d1, _silu_d2),
+    "mish": _Kind("Mish", _mish_value, _mish_value_d1, _mish_d2),
+    "logish": _Kind("Logish", _logish_value, _logish_value_d1, _logish_d2),
+    "smish": _Kind("Smish", _smish_value, _smish_value_d1, _smish_d2),
     # f'' is alpha*exp(x) on x <= 0 and 0 above: it jumps at 0 for every alpha
-    "elu": _Kind(
-        "ELU", _elu_value, _elu_d1, _elu_d2, d2_kinks=(0.0,), takes_alpha=True
-    ),
+    "elu": _Kind("ELU", _elu_value, _elu_value_d1, _elu_d2, (0.0,), takes_alpha=True),
 }
 
 
@@ -367,23 +361,21 @@ def value(kind: ActivationKind, x):
 
 
 def derivative(kind: ActivationKind, x):
-    """Closed-form f'(x).
+    """Closed-form f'(x), the second half of :func:`value_and_derivative`,
+    which computes f as well.
 
     ReLU at exactly 0 returns the subgradient convention value 0.0; use
     :func:`derivative_kinks` to detect that case.
     """
     rec, args, scalar = _prepare(kind, x)
-    return _finish(rec.d1(*args), scalar)
+    return _finish(rec.value_d1(*args)[1], scalar)
 
 
 def value_and_derivative(kind: ActivationKind, x):
-    """(f(x), f'(x)), bit-identical to :func:`value` and :func:`derivative`
-    but sharing one pass where the kind has a fused form (TeLU)."""
+    """(f(x), f'(x)) from one pass that shares the work common to both,
+    bit-identical to :func:`value` and :func:`derivative`."""
     rec, args, scalar = _prepare(kind, x)
-    if rec.value_d1 is not None:
-        f, d = rec.value_d1(*args)
-    else:
-        f, d = rec.value(*args), rec.d1(*args)
+    f, d = rec.value_d1(*args)
     return _finish(f, scalar), _finish(d, scalar)
 
 
@@ -407,8 +399,7 @@ def derivative_kinks(kind: ActivationKind) -> tuple[float, ...]:
     floats."""
     kinks = []
     for k in second_derivative_kinks(kind):
-        rec, args, _ = _prepare(kind, np.nextafter(k, [-np.inf, np.inf]))
-        left, right = rec.d1(*args)
+        left, right = derivative(kind, np.nextafter(k, [-np.inf, np.inf]))
         if left != right:
             kinks.append(k)
     return tuple(kinks)

@@ -597,6 +597,23 @@ class TestChunkedPrefix:
         with pytest.raises(DivergenceError, match=r"output of layer 0 \(Conv2d\)$"):
             forward(model, x[-self.C :])
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_suffix_misfit_is_raised_before_any_chunk_runs(self, monkeypatch, record):
+        # the suffix's shapes are checked from the prefix's output shape, so
+        # a first Dense that does not fit the tower costs no conv chunk
+        rows, conv = [], Conv2d.forward
+
+        def spy(layer, x, *args):
+            if len(x):
+                rows.append(len(x))
+            return conv(layer, x, *args)
+
+        monkeypatch.setattr(Conv2d, "forward", spy)
+        model = build_model([Conv2d(3, 4, 3), Activation(TELU), MaxPool2(), Flatten(), Dense(99, 2)], 0)
+        with pytest.raises(ConfigError, match=r"^dense layer expects \(batch, 99\), got \(0, 36\)$"):
+            forward(model, np.ones((16 * self.C, 3, 8, 8)), record=record)
+        assert rows == []
+
     def test_one_chunk_never_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(autograd, "WORKERS", 2)
         monkeypatch.setattr(autograd, "_pool", None)
@@ -897,7 +914,7 @@ class TestDatasetBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("standardize", [False, True], ids=["plain", "standardized"])
     @pytest.mark.parametrize("squares", [False, True], ids=["sums", "squares"])
-    # GELU has no fused f-and-f' pass
+    # TeLU, and GELU, the kind the golden CNN trains
     @pytest.mark.parametrize("kind", [TELU, GELU], ids=lambda k: k.spec_string())
     def test_matches_forward_on_its_images(self, monkeypatch, kind, squares, standardize, workers):
         # a recorded dataset batch rebuilds conv1's features from its rows

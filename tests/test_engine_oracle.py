@@ -9,14 +9,14 @@ products, and softmax cross-entropy; its backward is the chain rule
 written out per layer.  A derandomized Hypothesis strategy draws stacks
 that fit their input: conv, activation and max-pool layers in any order
 that fits (activation->pool pairs and a conv right after them included),
-any kind in ``ALL_KINDS``, then flatten and dense layers, on batches of
-0-13 rows.  The logits and every parameter gradient, plain and
-``squares``, must match the reference to :data:`RTOL` of each array's
+any kind in ``ALL_KINDS`` or ``elu:2``, then flatten and dense layers, on
+batches of 0-13 rows, at input scales up to 30, where TeLU's exponent and
+GELU's cubic are clamped.  The logits and every parameter gradient, plain
+and ``squares``, must match the reference to :data:`RTOL` of each array's
 largest magnitude plus :data:`ATOL` (summation order differs, so the last
-bits do).  Across
-``WORKERS`` in {1, 2}, ``CHUNK`` in {1, 4}, a dataset batch against its
-float64 array, and a recorded against an unrecorded forward, they must be
-bitwise equal.
+bits do).  Across ``WORKERS`` in {1, 2}, ``CHUNK`` in {1, 4}, a dataset
+batch against its float64 array, and a recorded against an unrecorded
+forward, they must be bitwise equal.
 """
 
 import contextlib
@@ -40,7 +40,7 @@ from telulab.autograd import (
     softmax_cross_entropy,
 )
 from telulab.data import Dataset, DataMeta
-from telulab.kernels import ALL_KINDS
+from telulab.kernels import ALL_KINDS, elu
 
 # largest |engine - reference| allowed: RTOL of the reference array's
 # largest magnitude, plus ATOL.  Each row of the loss gradient is at most 1
@@ -203,7 +203,7 @@ def stacks(draw):
     or dense layers alone on vectors, then dense layers to the logits.  A
     block is a conv (the first may be left out) and then, as they fit, an
     activation, a max-pool, both, or neither."""
-    kinds = st.sampled_from(ALL_KINDS)
+    kinds = st.sampled_from([*ALL_KINDS, elu(2.0)])
     layers = []
     if draw(st.sampled_from([True, True, True, False])):
         # even sizes, which an odd k keeps even, so most pools fit
@@ -239,7 +239,7 @@ def stacks(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(stack=stacks(), n=st.integers(0, 13), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([0.5, 2.0, 8.0, 0.0]))
+       scale=st.sampled_from([0.5, 2.0, 8.0, 30.0, 0.0]))
 def test_engine_matches_the_reference_and_itself(stack, n, seed, scale):
     layers, example, classes = stack
     rng = np.random.default_rng(seed)

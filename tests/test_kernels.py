@@ -379,7 +379,7 @@ class TestKernelSweep:
             _bits(kernels.second_derivative(kind, xs)[finite]), _bits(old[finite])
         )
 
-    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("kind", [*ALL_KINDS, elu(2.0)], ids=lambda k: k.spec_string())
     def test_fused_matches_separate_bit_for_bit(self, kind):
         f, d = kernels.value_and_derivative(kind, self.XS)
         np.testing.assert_array_equal(_bits(f), _bits(kernels.value(kind, self.XS)))
