@@ -44,18 +44,20 @@ outlives its backward.  Nothing reads the input batch's gradient, so
 entries before the first parametric one are not recorded and that one
 computes no input gradient.
 
-The chunks run on :data:`WORKERS` threads, each taking one contiguous part
-of the chunk list (the calling thread the last), and their results are
-joined in batch order.  No chunk size or worker count moves a bit: every
-prefix layer computes each image on its own (features, activations and
-pooling are elementwise; conv's im2col, col2im and ``np.matmul`` run one
-GEMM per image), and :func:`backward` adds conv's per-example weight and
-bias gradients into a zero-filled buffer in example order, the sequential
-sum the unchunked conv took.  That sum also turns every zero into +0.0, so
+The chunks run on :data:`WORKERS` threads, chunk ``i`` on thread ``i mod
+WORKERS`` (the calling thread the last), and their results are joined in
+batch order.  No chunk size or worker count moves a bit: every prefix
+layer computes each image on its own (features, activations and pooling
+are elementwise; conv's im2col, col2im and ``np.matmul`` run one GEMM per
+image), and :func:`backward` adds conv's per-example weight and bias
+gradients into a zero-filled buffer in example order, the sequential sum
+the unchunked conv took.  It adds each chunk's as soon as every earlier
+chunk's are in, so each thread holds about one chunk of per-example
+gradients, not a batch.  That sum also turns every zero into +0.0, so
 the pooled activation's step, which leaves +0.0 at a losing position where
 the separate steps left ``(+0.0) * f'`` (-0.0 for a negative f'), gives
-the same parameter gradients bit for bit.  If several parts fail, the
-earliest part's error is raised, as a sequential loop would.
+the same parameter gradients bit for bit.  If several chunks fail, the
+earliest chunk's error is raised, as a sequential loop would.
 
 ``backward(tape, g, squares=True)`` returns, per parameter, the sum over
 the batch of every example's squared gradient instead of the sum of the
@@ -78,6 +80,7 @@ import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Optional, Union
@@ -169,24 +172,37 @@ def set_workers(n: int) -> None:
     WORKERS = n
 
 
-def _map_parts(fn: Callable[[list], list], items: list) -> list:
-    """``fn`` over one contiguous part of ``items`` per worker, the results
-    joined in order: the pool runs all parts but the last, the calling
-    thread the last.  All parts finish before the earliest error is raised."""
+def _map_parts(fn: Callable, items: list) -> list:
+    """``fn`` over ``items``, item ``i`` on worker ``i mod k`` of ``k`` (the
+    pool the first ``k - 1``, the calling thread the last), the results in
+    item order.  Each worker stops at its first error; once all have
+    stopped, the lowest-index item's error is raised, as a sequential loop
+    would.  No worker waits for another, so none can be left blocked."""
     k = min(WORKERS, len(items))
     if k <= 1:
-        return fn(items)
+        return [fn(item) for item in items]
     global _pool
     if _pool is None or _pool[0] != (os.getpid(), WORKERS):
         _pool = ((os.getpid(), WORKERS), concurrent.futures.ThreadPoolExecutor(WORKERS - 1))
-    cuts = [len(items) * i // k for i in range(k + 1)]
-    futures = [_pool[1].submit(fn, items[a:b]) for a, b in zip(cuts[:-2], cuts[1:-1])]
+    results = [None] * len(items)
+
+    def part(j: int) -> tuple[int, Optional[Exception]]:
+        for i in range(j, len(items), k):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                return i, exc
+        return len(items), None
+
+    futures = [_pool[1].submit(part, j) for j in range(k - 1)]
     try:
-        last = fn(items[cuts[-2] :])
+        stops = [part(k - 1)]
     finally:
         concurrent.futures.wait(futures)
-        joined = [r for f in futures for r in f.result()]
-    return joined + last
+    _, exc = min(stops + [f.result() for f in futures], key=lambda stop: stop[0])
+    if exc is not None:
+        raise exc
+    return results
 
 
 @dataclass
@@ -587,15 +603,12 @@ def forward(
     # an empty prefix (an MLP) is one chunk
     size = CHUNK if model.cut else max(n, 1)
 
-    def run_part(part: list[slice]) -> list[tuple[slice, Steps]]:
-        ran = []
+    def run_chunk(rows: slice) -> tuple[slice, Steps]:
         with np.errstate(**_QUIET):
-            for rows in part:
-                joined[rows], steps = _run(prefix, functools.partial(source, rows), record)
-                ran.append((rows, steps))
-        return ran
+            joined[rows], steps = _run(prefix, functools.partial(source, rows), record)
+        return rows, steps
 
-    ran = _map_parts(run_part, [slice(s, s + size) for s in range(0, max(n, 1), size)])
+    ran = _map_parts(run_chunk, [slice(s, s + size) for s in range(0, max(n, 1), size)])
     chunks = [(rows, steps) for rows, steps in ran if steps]
     with np.errstate(**_QUIET):
         y, steps = _run(model.plan[model.split :], lambda: joined, record)
@@ -628,18 +641,27 @@ def backward(
         g, pairs = _unwind(steps, g, squares)
     grads = dict(pairs)
 
-    def run_part(part: list[tuple[slice, Steps]]) -> list[list[tuple[Tensor, np.ndarray]]]:
-        with np.errstate(**_QUIET):
-            return [_unwind(chunk_steps, g[rows], squares)[1] for rows, chunk_steps in part]
+    # conv's per-example gradients, added in example order from +0.0: the
+    # sequential sum over the batch the unchunked conv took.  A chunk waits
+    # in ``ready`` until every earlier one is added; the thread that
+    # finishes the next chunk adds it and the ready ones after it.
+    ready, lock, turn = {}, threading.Lock(), 0
 
-    with np.errstate(**_QUIET):
-        # conv's per-example gradients, added in example order from +0.0:
-        # the sequential sum over the batch the unchunked conv took
-        for chunk_pairs in _map_parts(run_part, chunks):
-            for p, pg in chunk_pairs:
-                total = grads.setdefault(p, np.zeros(pg.shape[1:]))
-                for row in pg:
-                    total += row
+    def run_chunk(job: tuple[int, tuple[slice, Steps]]) -> None:
+        nonlocal turn
+        i, (rows, chunk_steps) = job
+        with np.errstate(**_QUIET):
+            pairs = _unwind(chunk_steps, g[rows], squares)[1]
+            with lock:
+                ready[i] = pairs
+                while turn in ready:
+                    for p, pg in ready.pop(turn):
+                        total = grads.setdefault(p, np.zeros(pg.shape[1:]))
+                        for row in pg:
+                            total += row
+                    turn += 1
+
+    _map_parts(run_chunk, list(enumerate(chunks)))
     for pg in grads.values():
         _require_finite(pg, "parameter gradient")
     return grads

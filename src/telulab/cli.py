@@ -29,7 +29,8 @@ replaced on that module is the one called.
 Exit codes: 0 success (training divergence counts as success: it is
 data), 1 at least one property claim failed, 2 usage or configuration
 error, 3 any other error (a one-line ``error:`` message on stderr, never a
-traceback), so a crash is never mistaken for a failed claim.
+traceback), so a crash is never mistaken for a failed claim, and 130 an
+interrupt (SIGINT, Ctrl-C), also with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 #: most rows one ``kernels`` table may hold, over all its activations
 MAX_KERNEL_ROWS = 10**6
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted (SIGINT)", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

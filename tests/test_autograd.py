@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -587,7 +588,7 @@ class TestChunkedPrefix:
         conv1_w[...], conv2_w[...] = 1.0, 10.0
         # conv1 sums 27 inputs, conv2 256: images of 1e304 overflow conv2
         # (layer 3), images of 1e307 already conv1 (layer 0); with two
-        # workers the pool runs the first chunk, the calling thread the last
+        # workers the pool runs chunks 0 and 2 and stops at chunk 0
         x = np.zeros((3 * self.C, 3, 32, 32))
         x[: self.C], x[-self.C :] = 1e304, 1e307
         for record in (False, True):
@@ -596,6 +597,97 @@ class TestChunkedPrefix:
             assert str(err.value) == "non-finite value in output of layer 3 (Conv2d)"
         with pytest.raises(DivergenceError, match=r"output of layer 0 \(Conv2d\)$"):
             forward(model, x[-self.C :])
+
+    @pytest.mark.parametrize("workers, failing", [(2, (1, 2)), (3, (1, 2)), (3, (2, 3))])
+    def test_the_earliest_failing_chunk_wins_on_any_worker(self, monkeypatch, workers, failing):
+        # chunk i runs on worker i mod workers, the calling thread the last,
+        # so the two failing chunks run on different workers, and the later
+        # one fails first, at conv1; the earlier one's conv2 error is raised
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        model = reference_cnn(TELU)
+        conv1_w, _, conv2_w, *_ = model.views(model.flat)
+        conv1_w[...], conv2_w[...] = 1.0, 10.0
+        x = np.zeros(((workers + 1) * self.C, 3, 32, 32))
+        early, late = (slice(i * self.C, (i + 1) * self.C) for i in failing)
+        x[early], x[late] = 1e304, 1e307
+        for record in (False, True):
+            with pytest.raises(DivergenceError, match=r"output of layer 3 \(Conv2d\)$"):
+                forward(model, x, record=record)
+
+    def test_an_interrupted_backward_leaves_no_worker_blocked(self, monkeypatch):
+        monkeypatch.setattr(autograd, "WORKERS", 2)
+        model = reference_cnn(TELU)
+        x, labels = cifar_batch(8 * self.C, seed=12)
+        want = train_step(forward, backward, model, x, labels)
+        calls, unwind = [], autograd._unwind
+
+        def interrupt(steps, g, squares):
+            # the suffix is the calling thread's first call, its chunks the rest
+            if threading.current_thread() is threading.main_thread():
+                calls.append(len(g))
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+            return unwind(steps, g, squares)
+
+        monkeypatch.setattr(autograd, "_unwind", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            train_step(forward, backward, model, x, labels)
+        monkeypatch.setattr(autograd, "_unwind", unwind)
+        # every pool thread is free, and the next step gives the same bits
+        assert autograd._pool[1].submit(lambda: "free").result(timeout=5) == "free"
+        assert_same_step(model, train_step(forward, backward, model, x, labels), want)
+
+    @staticmethod
+    def backward_peak(model, n, squares):
+        """Least traced peak above its entry, in bytes, of three backwards
+        of an ``n``-image batch."""
+        x, labels = cifar_batch(n, seed=n)
+        x = x[:, :, :8, :8]
+        peaks = []
+        for _ in range(3):
+            logits, tape = forward(model, x, record=True)
+            g = (cross_entropy_rows if squares else softmax_cross_entropy)(logits, labels)[1]
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                backward(tape, g, squares=squares)
+                peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    @staticmethod
+    def conv_stack():
+        """Conv 3->32->64 on 8x8 images: 155 136 B of conv gradients per
+        example, against a 512 B gradient at the prefix's output."""
+        return build_model(
+            [Conv2d(3, 32, 3), Activation(TELU), MaxPool2(), Conv2d(32, 64, 3), Activation(TELU),
+             Flatten(), Dense(64, 10)],
+            seed=0,
+        )
+
+    @pytest.mark.parametrize("squares", [False, True])
+    @pytest.mark.parametrize("workers, bound", [(1, 4_000_000), (2, 10_000_000)])
+    def test_b128_backward_holds_no_batch_of_per_example_gradients(
+        self, monkeypatch, workers, bound, squares
+    ):
+        # a batch of the conv gradients is 19.9 MB at b128: adding them only
+        # once every chunk was in peaked at 20.3 MB above backward's entry
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        peak = self.backward_peak(self.conv_stack(), 128, squares)
+        assert peak < bound, f"peak {peak} B"
+
+    @pytest.mark.parametrize("squares", [False, True])
+    def test_backward_grows_with_the_batch_only_by_the_suffix_gradient(self, monkeypatch, squares):
+        # on one worker, from b32 to b128 backward's peak grows by the
+        # gradient at the prefix's output, plus less than one example's conv
+        # gradients; it grew by a batch of them, 15.0 MB
+        monkeypatch.setattr(autograd, "WORKERS", 1)
+        model = self.conv_stack()
+        per_example = sum(p.data.nbytes for p in model.params[:4])
+        suffix = (128 - 32) * 64 * 8
+        growth = self.backward_peak(model, 128, squares) - self.backward_peak(model, 32, squares)
+        assert growth < suffix + per_example, f"growth {growth} B"
 
     @pytest.mark.parametrize("record", [False, True])
     def test_suffix_misfit_is_raised_before_any_chunk_runs(self, monkeypatch, record):

@@ -1,10 +1,13 @@
 """CLI contract: exit codes, file artifacts, byte-level determinism."""
 
+import contextlib
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -83,6 +86,22 @@ def no_data(monkeypatch):
 
     for module in (harness, data):
         monkeypatch.setattr(module, "materialize_datasets", no_loading)
+
+
+# restores Python's own SIGINT handler, which a shell leaves ignored for a
+# background job, then runs the CLI
+INTERRUPTIBLE_CLI = """
+import runpy, signal
+signal.signal(signal.SIGINT, signal.default_int_handler)
+runpy.run_module("telulab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def kill_group(child):
+    """Kill whatever is left of ``child``'s process group and reap it."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(child.pid, signal.SIGKILL)
+    child.communicate()
 
 
 # blob_cfg's dataset made a CIFAR-10 one
@@ -570,6 +589,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no engine thread")
+    def test_sigint_exits_130_with_one_line(self, blob_cfg, tmp_path, request):
+        # a small CNN for a million epochs, interrupted once the engine's
+        # thread exists, so the interrupt lands mid-training
+        archive = tmp_path / "cifar"
+        archive.mkdir()
+        rng = np.random.default_rng(0)
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            records = rng.integers(0, 256, size=(8, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            (archive / name).write_bytes(records.tobytes())
+        cfg = json.loads(Path(blob_cfg).read_text())
+        cfg["model"]["layers"] = [
+            {"type": "conv2d", "in_ch": 3, "out_ch": 4, "k": 3},
+            {"type": "activation"},
+            {"type": "maxpool2"},
+            {"type": "flatten"},
+            {"type": "dense", "in": 900, "out": 10},
+        ]
+        cfg.update(epochs=10**6, batch=8, schedule={"gamma": 1.0, "milestones": []})
+        cfg["dataset"] = {
+            "name": "cifar10", "path": str(archive), "split": {"train": 32, "valid": 8, "seed": 0}
+        }
+        path = tmp_path / "cnn.json"
+        path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **dict.fromkeys(BLAS_VARS, "1"))
+        argv = ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+        child = subprocess.Popen(
+            [sys.executable, "-c", INTERRUPTIBLE_CLI, *argv], env=env, text=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        request.addfinalizer(lambda: kill_group(child))
+        # one BLAS thread each, so the second thread is the engine's
+        deadline = time.monotonic() + 60
+        while len(os.listdir(f"/proc/{child.pid}/task")) < 2:
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=5)
+        assert (child.returncode, err) == (130, "error: interrupted (SIGINT)\n")
+        with pytest.raises(ProcessLookupError):  # nothing is left of its process group
+            os.killpg(child.pid, 0)
 
     def test_truncated_archive_exits_two(self, blob_cfg, tmp_path, capsys):
         archive = tmp_path / "cifar"
