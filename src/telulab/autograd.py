@@ -194,7 +194,14 @@ def _map_parts(fn: Callable, items: list) -> list:
                 return i, exc
         return len(items), None
 
-    futures = [_pool[1].submit(part, j) for j in range(k - 1)]
+    try:
+        futures = [_pool[1].submit(part, j) for j in range(k - 1)]
+    except BaseException:
+        # an interrupt in submit can start a thread the exit hook never wakes,
+        # which exit would wait on for good; shutdown wakes all of them
+        _pool[1].shutdown(wait=False)
+        _pool = None
+        raise
     try:
         stops = [part(k - 1)]
     finally:
@@ -465,8 +472,8 @@ class Model:
     reshaped view of ``flat``, so a write to either is a write to both.
     ``plan`` holds (name, layer, parameters, grad_x) per layer, but one
     :class:`_PooledActivation`, named after the pool, per :class:`Activation`
-    directly followed by a :class:`MaxPool2` (see :func:`_run`).  ``cut`` is
-    the first :class:`Dense`'s index in ``layers``, ``split`` in ``plan``.
+    directly followed by a :class:`MaxPool2` (see :func:`_run`).  ``split``
+    is the first :class:`Dense`'s index in ``plan``.
     """
 
     def __init__(self, layers: tuple[LayerSpec, ...]):
@@ -489,7 +496,6 @@ class Model:
             params = tuple(next(tensors) for _ in layer.shapes)
             self.plan.append((name, layer, params, grad_x))
             grad_x = grad_x or bool(params)
-        self.cut = next((i for i, layer in enumerate(layers) if isinstance(layer, Dense)), len(layers))
         self.split = next((j for j, e in enumerate(self.plan) if isinstance(e[1], Dense)), len(self.plan))
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
@@ -595,13 +601,13 @@ def forward(
 
     # every shape is checked before any arithmetic; the prefix's output
     # shape sizes the array that each chunk writes its output into
-    shape = output_shape(model.layers[: model.cut], example)
-    if model.cut:
-        output_shape(model.layers[model.cut :], shape)
+    prefix, suffix = model.plan[: model.split], model.plan[model.split :]
+    shape = output_shape([layer for _, layer, *_ in prefix], example)
+    if prefix:
+        output_shape([layer for _, layer, *_ in suffix], shape)
     joined = np.empty((n, *shape))
-    prefix = model.plan[: model.split]
     # an empty prefix (an MLP) is one chunk
-    size = CHUNK if model.cut else max(n, 1)
+    size = CHUNK if prefix else max(n, 1)
 
     def run_chunk(rows: slice) -> tuple[slice, Steps]:
         with np.errstate(**_QUIET):
@@ -611,7 +617,7 @@ def forward(
     ran = _map_parts(run_chunk, [slice(s, s + size) for s in range(0, max(n, 1), size)])
     chunks = [(rows, steps) for rows, steps in ran if steps]
     with np.errstate(**_QUIET):
-        y, steps = _run(model.plan[model.split :], lambda: joined, record)
+        y, steps = _run(suffix, lambda: joined, record)
     return y, (Tape(chunks, steps, y.shape) if record else None)
 
 

@@ -29,14 +29,16 @@ replaced on that module is the one called.
 Exit codes: 0 success (training divergence counts as success: it is
 data), 1 at least one property claim failed, 2 usage or configuration
 error, 3 any other error (a one-line ``error:`` message on stderr, never a
-traceback), so a crash is never mistaken for a failed claim, and 130 an
-interrupt (SIGINT, Ctrl-C), also with one ``error:`` line.
+traceback), so a crash is never mistaken for a failed claim, and 130 or
+143 an interrupt (SIGINT, as from Ctrl-C, or SIGTERM: 128 plus the
+signal's number, as a shell reports it), also with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 import time
 from pathlib import Path
@@ -50,7 +52,7 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
+EXIT_SIGNAL = 128  # plus the interrupting signal's number, as a shell reports it
 
 #: most rows one ``kernels`` table may hold, over all its activations
 MAX_KERNEL_ROWS = 10**6
@@ -278,9 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where SIGINT raises ``KeyboardInterrupt``."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     fn, _, flags = COMMANDS[args.command]
+    # SIGTERM ends a run as SIGINT does, until main returns (tests call it)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         for flag, _, *bounds in flags:
             value = getattr(args, flag[2:].replace("-", "_"))
@@ -302,13 +314,16 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FormatError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyboardInterrupt:
-        print("error: interrupted (SIGINT)", file=sys.stderr)
-        return EXIT_INTERRUPTED
+    except KeyboardInterrupt as exc:
+        sig = signal.SIGTERM if isinstance(exc, _Terminated) else signal.SIGINT
+        print(f"error: interrupted ({sig.name})", file=sys.stderr)
+        return EXIT_SIGNAL + sig
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)  # None: set outside Python
 
 
 if __name__ == "__main__":

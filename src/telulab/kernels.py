@@ -6,11 +6,13 @@ tables) calls into it.  All arithmetic is 64-bit float.  Functions accept
 a scalar or an ndarray and return the matching type.
 
 One table, ``_KINDS``, holds a record per kind: its display name, its
-closed forms (f alone, f and f' from one shared pass, and f'' where
-provided), the points where f'' jumps, and whether it takes ``alpha``
-(only ELU does).  Every per-kind question reads that record; the points
-where f' jumps are derived from it, as the f'' kinks at which f' differs
-between the two neighbouring floats.
+closed forms, the points where f'' jumps, and whether it takes ``alpha``
+(only ELU does).  Each kind states f once, in one form that gives f, or f
+and f' from the work they share, f last: so f takes the same float
+operations either way, and f alone allocates no more than it needs.  f''
+is a form of its own, as GELU's and Mish's clamp x in every term.  Every
+per-kind question reads that record; the points where f' jumps are the
+f'' kinks at which f' differs between the two neighbouring floats.
 
 Formula sources: TeLU is x*tanh(exp(x)); GELU uses the cubic tanh
 approximation (0.044715 x^3 term), not the exact erf form; Logish and
@@ -119,26 +121,20 @@ def _masked(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # --- per-kind closed forms --------------------------------------------------
 
 
-def _telu_value(x):
-    # x*tanh(exp(min(x, 20))) in one buffer; tanh(exp(20)) is exactly 1.0
-    th = np.minimum(x, _TELU_HI, out=np.empty_like(x))
-    np.exp(th, out=th)
-    np.tanh(th, out=th)
-    return np.multiply(x, th, out=th)
-
-
-def _telu_value_d1(x):
+def _telu(x, d):
+    # x*tanh(exp(min(x, 20))); tanh(exp(20)) is exactly 1.0, and f alone
+    # runs in one buffer
     m = np.minimum(x, _TELU_HI, out=np.empty_like(x))
-    u = np.exp(m, out=np.empty_like(x))
-    th = np.tanh(u, out=np.empty_like(x))
-    # f' = th + m*u*(1 - th*th); at x >= 20 th is exactly 1.0, the product
-    # vanishes and f' is 1.0 with no branch
-    d = np.multiply(m, u, out=m)
-    np.multiply(th, th, out=u)
-    np.subtract(1.0, u, out=u)
-    d *= u
-    d += th
-    return np.multiply(x, th, out=th), d
+    u = np.exp(m, out=np.empty_like(x) if d else m)
+    th = np.tanh(u, out=np.empty_like(x) if d else u)
+    d1 = None
+    if d:
+        # f' = th + m*u*(1 - th*th); at x >= 20 th is exactly 1.0, the
+        # product vanishes and f' is 1.0 with no branch
+        d1 = np.multiply(m, u, out=m)
+        d1 *= np.subtract(1.0, np.multiply(th, th, out=u), out=u)
+        d1 += th
+    return np.multiply(x, th, out=th), d1
 
 
 def _telu_d2(x):
@@ -152,13 +148,10 @@ def _telu_d2(x):
     return u * sech2 * (2.0 + xm - xm * (2.0 * u * th))
 
 
-def _relu_value(x):
-    return np.maximum(x, 0.0)
-
-
-def _relu_value_d1(x):
+def _relu(x, d):
     # x == 0 deliberately falls in the zero branch: subgradient convention
-    return _relu_value(x), np.where(x > 0.0, 1.0, 0.0)
+    d1 = np.where(x > 0.0, 1.0, 0.0) if d else None
+    return np.maximum(x, 0.0), d1
 
 
 def _gelu_clamp(x):
@@ -169,15 +162,16 @@ def _gelu_t(xc):
     return _GELU_C * (xc + _GELU_A * xc**3)
 
 
-def _gelu_value(x):
-    return 0.5 * x * (1.0 + np.tanh(_gelu_t(_gelu_clamp(x))))
-
-
-def _gelu_value_d1(x):
+def _gelu(x, d):
+    # f alone takes tanh into the clamp buffer, which it reads no more
     xc = _gelu_clamp(x)
-    th = np.tanh(_gelu_t(xc))
-    tp = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
-    return 0.5 * x * (1.0 + th), 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * tp
+    th = np.tanh(_gelu_t(xc), out=np.empty_like(x) if d else xc)
+    d1 = None
+    if d:
+        tp = _GELU_C * (1.0 + 3.0 * _GELU_A * xc * xc)
+        d1 = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * tp
+    np.add(1.0, th, out=th)
+    return np.multiply(0.5 * x, th, out=th), d1
 
 
 def _gelu_d2(x):
@@ -191,13 +185,10 @@ def _gelu_d2(x):
     return (1.0 - th * th) * (tp + 0.5 * x * (tpp - 2.0 * th * tp * tp))
 
 
-def _silu_value(x):
-    return x * _sigmoid(x)
-
-
-def _silu_value_d1(x):
+def _silu(x, d):
     s = _sigmoid(x)
-    return x * s, s * (1.0 + x * (1.0 - s))
+    d1 = s * (1.0 + x * (1.0 - s)) if d else None
+    return np.multiply(x, s, out=s), d1
 
 
 def _silu_d2(x):
@@ -205,13 +196,10 @@ def _silu_d2(x):
     return s * (1.0 - s) * (2.0 + x * (1.0 - 2.0 * s))
 
 
-def _mish_value(x):
-    return x * np.tanh(_softplus(x))
-
-
-def _mish_value_d1(x):
-    w = np.tanh(_softplus(x))
-    return x * w, w + x * _sigmoid(x) * (1.0 - w * w)
+def _mish(x, d):
+    w = np.tanh(_softplus(x), out=np.empty_like(x))
+    d1 = w + x * _sigmoid(x) * (1.0 - w * w) if d else None
+    return np.multiply(x, w, out=w), d1
 
 
 def _mish_d2(x):
@@ -222,14 +210,11 @@ def _mish_d2(x):
     return (1.0 - w * w) * (2.0 * s + x * (sp - 2.0 * w * s * s))
 
 
-def _logish_value(x):
-    return x * np.log1p(_sigmoid(x))
-
-
-def _logish_value_d1(x):
+def _logish(x, d):
     s = _sigmoid(x)
-    v = np.log1p(s)
-    return x * v, v + x * s * (1.0 - s) / (1.0 + s)
+    v = np.log1p(s, out=np.empty_like(x) if d else s)
+    d1 = v + x * s * (1.0 - s) / (1.0 + s) if d else None
+    return np.multiply(x, v, out=v), d1
 
 
 def _logish_d2(x):
@@ -239,15 +224,12 @@ def _logish_d2(x):
     return 2.0 * sp / (1.0 + s) + x * (spp * (1.0 + s) - sp * sp) / (1.0 + s) ** 2
 
 
-def _smish_value(x):
-    return x * np.tanh(np.log1p(_sigmoid(x)))
-
-
-def _smish_value_d1(x):
+def _smish(x, d):
     s = _sigmoid(x)
-    w = np.tanh(np.log1p(s))
-    vp = s * (1.0 - s) / (1.0 + s)
-    return x * w, w + x * (1.0 - w * w) * vp
+    w = np.log1p(s, out=np.empty_like(x) if d else s)
+    np.tanh(w, out=w)
+    d1 = w + x * (1.0 - w * w) * (s * (1.0 - s) / (1.0 + s)) if d else None
+    return np.multiply(x, w, out=w), d1
 
 
 def _smish_d2(x):
@@ -260,16 +242,13 @@ def _smish_d2(x):
     return (1.0 - w * w) * (2.0 * vp + x * (vpp - 2.0 * w * vp * vp))
 
 
-def _elu_value(x, alpha):
-    neg = x <= 0.0
-    return np.where(neg, alpha * np.expm1(_masked(x, neg)), x)
-
-
-def _elu_value_d1(x, alpha):
+def _elu(x, alpha, d):
     # piecewise convention: alpha * exp(x) on x <= 0, so f'(0) == alpha
     neg = x <= 0.0
     xm = _masked(x, neg)
-    return np.where(neg, alpha * np.expm1(xm), x), np.where(neg, alpha * np.exp(xm), 1.0)
+    d1 = np.where(neg, alpha * np.exp(xm), 1.0) if d else None
+    np.expm1(xm, out=xm)
+    return np.where(neg, np.multiply(alpha, xm, out=xm), x), d1
 
 
 def _elu_d2(x, alpha):
@@ -281,31 +260,31 @@ def _elu_d2(x, alpha):
 class _Kind:
     """Everything specific to one activation kind.
 
-    The closed forms are called as ``fn(x)``, or as ``fn(x, alpha)`` when
-    ``takes_alpha``.  ``value_d1`` returns (f, f') from one shared pass, its
-    f by the same float operations as ``value``, which value-only callers
-    use so as not to pay for f'.  ``d2`` is None where f'' is not provided.
-    ``d2_kinks`` are the points where f'' jumps.
+    The forms take ``x``, then ``alpha`` when ``takes_alpha``.  ``closed``
+    (last argument ``d``) is the kind's one statement of f: it computes what
+    f and f' share, then f' only when ``d`` is true, then f last, in place
+    where the f-only path has a buffer of its own; it returns (f, f') or
+    (f, None).  ``d2`` (None where f'' is not provided) stays separate, as
+    GELU's and Mish's clamp x in every term.  f'' jumps at ``d2_kinks``.
     """
 
     display: str
-    value: Callable
-    value_d1: Callable
+    closed: Callable
     d2: Optional[Callable]
     d2_kinks: tuple[float, ...] = ()
     takes_alpha: bool = False
 
 
 _KINDS = {
-    "telu": _Kind("TeLU", _telu_value, _telu_value_d1, _telu_d2),
-    "relu": _Kind("ReLU", _relu_value, _relu_value_d1, None, (0.0,)),
-    "gelu": _Kind("GELU", _gelu_value, _gelu_value_d1, _gelu_d2),
-    "silu": _Kind("SiLU", _silu_value, _silu_value_d1, _silu_d2),
-    "mish": _Kind("Mish", _mish_value, _mish_value_d1, _mish_d2),
-    "logish": _Kind("Logish", _logish_value, _logish_value_d1, _logish_d2),
-    "smish": _Kind("Smish", _smish_value, _smish_value_d1, _smish_d2),
+    "telu": _Kind("TeLU", _telu, _telu_d2),
+    "relu": _Kind("ReLU", _relu, None, (0.0,)),
+    "gelu": _Kind("GELU", _gelu, _gelu_d2),
+    "silu": _Kind("SiLU", _silu, _silu_d2),
+    "mish": _Kind("Mish", _mish, _mish_d2),
+    "logish": _Kind("Logish", _logish, _logish_d2),
+    "smish": _Kind("Smish", _smish, _smish_d2),
     # f'' is alpha*exp(x) on x <= 0 and 0 above: it jumps at 0 for every alpha
-    "elu": _Kind("ELU", _elu_value, _elu_value_d1, _elu_d2, (0.0,), takes_alpha=True),
+    "elu": _Kind("ELU", _elu, _elu_d2, (0.0,), takes_alpha=True),
 }
 
 
@@ -357,7 +336,7 @@ def _finish(out: np.ndarray, scalar: bool):
 def value(kind: ActivationKind, x):
     """f(x) for the given kind; overflow-safe over at least [-500, 500]."""
     rec, args, scalar = _prepare(kind, x)
-    return _finish(rec.value(*args), scalar)
+    return _finish(rec.closed(*args, False)[0], scalar)
 
 
 def derivative(kind: ActivationKind, x):
@@ -367,16 +346,15 @@ def derivative(kind: ActivationKind, x):
     ReLU at exactly 0 returns the subgradient convention value 0.0; use
     :func:`derivative_kinks` to detect that case.
     """
-    rec, args, scalar = _prepare(kind, x)
-    return _finish(rec.value_d1(*args)[1], scalar)
+    return value_and_derivative(kind, x)[1]
 
 
 def value_and_derivative(kind: ActivationKind, x):
     """(f(x), f'(x)) from one pass that shares the work common to both,
     bit-identical to :func:`value` and :func:`derivative`."""
     rec, args, scalar = _prepare(kind, x)
-    f, d = rec.value_d1(*args)
-    return _finish(f, scalar), _finish(d, scalar)
+    f, d1 = rec.closed(*args, True)
+    return _finish(f, scalar), _finish(d1, scalar)
 
 
 def second_derivative(kind: ActivationKind, x):

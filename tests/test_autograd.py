@@ -637,6 +637,30 @@ class TestChunkedPrefix:
         assert autograd._pool[1].submit(lambda: "free").result(timeout=5) == "free"
         assert_same_step(model, train_step(forward, backward, model, x, labels), want)
 
+    def test_an_interrupt_while_the_pool_starts_leaves_no_thread_behind(self, monkeypatch):
+        # the interrupt lands in Thread.start, inside the pool's submit, once
+        # the thread runs but before the pool's exit hook records it: that
+        # thread must end all the same, or interpreter exit waits on it
+        started, start = [], threading.Thread.start
+
+        def start_then_interrupt(thread):
+            start(thread)
+            started.append(thread)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(autograd, "WORKERS", 2)
+        monkeypatch.setattr(autograd, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            autograd._map_parts(abs, [-1, -2])
+        monkeypatch.setattr(threading.Thread, "start", start)
+        try:
+            started[0].join(timeout=5)
+            assert not started[0].is_alive()
+        finally:
+            if autograd._pool is not None:  # wake a stuck thread, so this run can exit
+                autograd._pool[1].shutdown(wait=False)
+
     @staticmethod
     def backward_peak(model, n, squares):
         """Least traced peak above its entry, in bytes, of three backwards
@@ -961,7 +985,9 @@ class TestPooledActivation:
         check = autograd._require_finite
 
         def spy(arr, context):
-            seen.append(context)
+            # the zero-row shape check before any data checks nothing
+            if arr.size:
+                seen.append(context)
             check(arr, context)
 
         monkeypatch.setattr(autograd, "_require_finite", spy)
@@ -1161,7 +1187,7 @@ class TestFlatParameters:
         ]
         # nothing before the first parameter computes its input gradient
         assert [grad_x for *_, grad_x in model.plan] == [False, False, True, True, True, True]
-        assert (model.cut, model.split) == (6, 4)
+        assert model.split == 4
         model = Model((
             Conv2d(1, 2, 3), Activation(TELU), MaxPool2(), Conv2d(2, 2, 1), MaxPool2(),
             Conv2d(2, 2, 1), Activation(TELU), Activation(TELU), MaxPool2(), MaxPool2(),
@@ -1176,7 +1202,7 @@ class TestFlatParameters:
             "Conv2d", "_PooledActivation", "Conv2d", "MaxPool2",
             "Conv2d", "Activation", "_PooledActivation", "MaxPool2",
         ]
-        assert (model.cut, model.split) == (10, 8)
+        assert model.split == 8
 
     def test_views_of_another_vector(self):
         model = build_model([Dense(2, 3), Dense(3, 2)], seed=0)

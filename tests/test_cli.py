@@ -591,7 +591,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no engine thread")
-    def test_sigint_exits_130_with_one_line(self, blob_cfg, tmp_path, request):
+    @pytest.mark.parametrize(
+        "sig, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_sigint_exits_130_with_one_line(self, blob_cfg, tmp_path, request, sig, code):
         # a small CNN for a million epochs, interrupted once the engine's
         # thread exists, so the interrupt lands mid-training
         archive = tmp_path / "cifar"
@@ -627,9 +630,9 @@ class TestExitCodes:
         while len(os.listdir(f"/proc/{child.pid}/task")) < 2:
             assert child.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        child.send_signal(signal.SIGINT)
+        child.send_signal(sig)
         _, err = child.communicate(timeout=5)
-        assert (child.returncode, err) == (130, "error: interrupted (SIGINT)\n")
+        assert (child.returncode, err) == (code, f"error: interrupted ({sig.name})\n")
         with pytest.raises(ProcessLookupError):  # nothing is left of its process group
             os.killpg(child.pid, 0)
 

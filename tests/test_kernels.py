@@ -5,6 +5,7 @@ extended-precision arithmetic and frozen here as literals.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,27 @@ class TestKernelSweep:
             assert isinstance(fs, float) and isinstance(ds, float)
             assert _bits(fs) == _bits(kernels.value(kind, float(x)))
             assert _bits(ds) == _bits(kernels.derivative(kind, float(x)))
+
+    @pytest.mark.parametrize("kind", [*ALL_KINDS, elu(2.0)], ids=lambda k: k.spec_string())
+    def test_allocations_stay_at_the_separate_forms_peaks(self, kind):
+        # tracemalloc peaks of (value, value_and_derivative) in multiples of
+        # the input's bytes, as read when f and (f, f') were separate forms:
+        # one form for both must not make f alone, or the pair, allocate more
+        bounds = {
+            "telu": (1.00, 3.00), "relu": (1.00, 2.13), "gelu": (3.00, 8.00),
+            "silu": (4.13, 4.13), "mish": (3.00, 6.13), "logish": (4.13, 5.00),
+            "smish": (4.13, 6.00), "elu": (2.13, 4.13),
+        }
+        x = np.linspace(-30.0, 30.0, 57_600)
+        for fn, bound in zip((kernels.value, kernels.value_and_derivative), bounds[kind.tag]):
+            fn(kind, x)
+            tracemalloc.start()
+            try:
+                fn(kind, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / x.nbytes <= bound + 0.05, fn.__name__
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.spec_string())
     def test_derivative_matches_central_difference(self, kind):
