@@ -53,6 +53,8 @@ METRIC_DEFINITIONS = {
     "split_policy": "unstratified shuffle, Philox-keyed by (seed, split-tag)",
     "divergence": "first non-finite value ends the trial; such trials stay in the statistics",
     "wall_time": "seconds, reported only in this metadata file",
+    "loss": "mean per-example cross-entropy: the exactly rounded sum (math.fsum) of every "
+    "example's loss divided by the split size, independent of eval batching and order",
 }
 
 

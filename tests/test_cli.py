@@ -855,6 +855,7 @@ class TestVerifyArtifacts:
         assert meta["tool"] == "telulab"
         assert meta["command"] == "verify"
         assert "conc" in meta["definitions"]
+        assert "math.fsum" in meta["definitions"]["loss"]
 
 
 class TestKernelsCommand:

@@ -59,12 +59,22 @@ class TestCifar10:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(3072))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="bad.bin: length 3072 is not a positive multiple of 3073"):
             load_cifar10(path)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         path = make_cifar10_fixture(tmp_path, labels=[10], fill=[0])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"fixture.bin: label 10 out of range \[0, 10\)"):
+            load_cifar10(path)
+
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_file_resized_while_loading_rejected(self, tmp_path, monkeypatch, records):
+        # the store is sized by the two-record file's length before it is read
+        path = make_cifar10_fixture(tmp_path, labels=[1, 2], fill=[0, 255])
+        read = type(path).read_bytes
+        monkeypatch.setattr(type(path), "read_bytes", lambda p: (read(p) * 2)[: 3073 * records])
+        match = f"fixture.bin: length changed from 6146 to {3073 * records} while loading"
+        with pytest.raises(FormatError, match=match):
             load_cifar10(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -2,8 +2,10 @@
 splits match a frozen copy of the float64 loader bit for bit, standardized
 CIFAR features use the exact per-channel statistics of the train split's
 bytes whatever its row order, a CIFAR trial never holds the archive as
-float64, standardizing never holds the train split as float64, and a
-conv net's evaluation never holds its batch as float64."""
+float64, standardizing never holds the train split as float64, a
+conv net's evaluation never holds its batch as float64 nor a 512-row
+batch of its dense inputs, and a CIFAR load holds its store plus one
+file, not every file beside the store."""
 
 import math
 import tracemalloc
@@ -11,8 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from telulab.autograd import Activation, Conv2d, Dense, Flatten, MaxPool2, build_model
-from telulab.data import SplitSpec, batch_iter, channel_statistics, synthetic_blobs
+from telulab import autograd
+from telulab.autograd import (
+    Activation,
+    Conv2d,
+    Dense,
+    Flatten,
+    MaxPool2,
+    build_model,
+    set_workers,
+)
+from telulab.data import SplitSpec, batch_iter, channel_statistics, load_cifar, synthetic_blobs
 from telulab.harness import (
     BlobsSpec,
     DatasetSpec,
@@ -182,6 +193,55 @@ def test_cnn_evaluation_peaks_below_float64_batch(tmp_path, standardize):
     finally:
         tracemalloc.stop()
     assert peak < float64_batch, f"peak {peak} B >= float64 batch {float64_batch} B"
+
+
+def _reference_cnn():
+    return build_model(
+        [Conv2d(3, 16, 3), Activation(TELU), MaxPool2(), Conv2d(16, 32, 4), Activation(TELU),
+         MaxPool2(), Flatten(), Dense(1152, 64), Activation(TELU), Dense(64, 10)],
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_cnn_evaluation_peaks_below_a_float64_suffix_batch(tmp_path, standardize):
+    # 512 rows on one engine thread: below one float64 batch of 512 rows of
+    # the 1152 dense inputs, so the rows are forwarded in smaller batches
+    archive = write_archive(tmp_path / "cifar", per_file=103, n_test=10)
+    spec = DatasetSpec(
+        name="cifar10",
+        split=SplitSpec(train=512, valid=3, seed=0),
+        path=str(archive),
+        standardize=standardize,
+    )
+    train, _, _ = materialize_datasets(spec)
+    model = _reference_cnn()
+    suffix_batch = 512 * 1152 * 8
+    workers = autograd.WORKERS
+    set_workers(1)
+    tracemalloc.start()
+    try:
+        _evaluate(model, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_workers(workers)
+    assert peak < suffix_batch, f"peak {peak} B >= float64 suffix batch {suffix_batch} B"
+
+
+def test_cifar_load_peaks_below_its_store_plus_two_files(tmp_path):
+    # the files' bytes are copied into one store as each is read
+    per_file = 200
+    archive = write_archive(tmp_path / "cifar", per_file, n_test=10)
+    store, one_file = 5 * per_file * 3072, per_file * 3073
+    tracemalloc.start()
+    try:
+        ds = load_cifar("cifar10", archive, "train")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.store.nbytes == store
+    assert peak < store + 2 * one_file, f"peak {peak} B, store {store} B, file {one_file} B"
 
 
 def _cifar_spec(tmp_path, red=None):

@@ -89,7 +89,7 @@ GOLDEN = {
         "2d09f92e2b67b77055b24397748fc0a5fdfac928092db294f78a5f7f195ff68b"
     ),
     "blobs/train/curves.csv": (
-        "b965cc4b3aad4125ce56e3cee56c4b495c7395e5de5bbb1c236e1d13e6e4c742"
+        "244ce0efe356360de301241fe1ce0d6991ee38aba89eb6061e32ef03a57c6a39"
     ),
     "blobs/fisher/fisher.csv": (
         "661e0ae753881f85ef1d8af8cb3e41c0be997fdb97d5c210704c11df78e40a08"
@@ -107,7 +107,7 @@ GOLDEN = {
         "337319b3ba514513b17a82fe7c8aa931490d619a71e3bd3555046f505ce14a3c"
     ),
     "blobs/landscape/landscape.csv": (
-        "606d8715d1c2d3ab3974ccf2607953eaf273c6e77a7ecab6e93fcfccb667abe3"
+        "f1db46563eec0ac5b6d0d12a16870a0b9426b365f4679d87e4164182de857ff2"
     ),
     "blobs/landscape/model.bin": (
         "6a495b6a71c6dc6bff26b3ef6b00806c4377aa37ac54dd6085ac0611d201a66b"
@@ -129,7 +129,7 @@ GOLDEN = {
         "07adb072479203075177d822f74350f1b2dd39bb4e2e7d1780faa8d542e2a1e2"
     ),
     "cifar/landscape/landscape.csv": (
-        "6765d06182971dc74ac2d3bfbf114eddc750ce7e0baa63db8fd7deb561249473"
+        "19b7bcc1f59ffecedf0da99b75820a6785a4ff1791758449e53e05613914cdd8"
     ),
     "cifar/landscape/model.bin": (
         "82c2ae501c6317975bbd48eee0ce462f8988e18e2867233604881243482a2b82"

@@ -19,6 +19,7 @@ from telulab.autograd import (
     Model,
     backward,
     build_model,
+    cross_entropy_rows,
     forward,
     softmax_cross_entropy,
 )
@@ -360,6 +361,16 @@ class TestMaterialize:
         assert abs(float(valid.images.mean())) < 0.5
 
 
+def exact_mean_loss(model: Model, ds: Dataset) -> float:
+    """The model's loss by definition: the exactly rounded sum of every
+    example's cross-entropy over the dataset size."""
+    losses = []
+    for xb, yb in batch_iter(ds, 512, shuffle=False):
+        logits, _ = forward(model, xb)
+        losses.extend(cross_entropy_rows(logits, yb)[0].tolist())
+    return math.fsum(losses) / len(ds)
+
+
 def toy_quadratic_model() -> Model:
     model = build_model([Dense(1, 1)], seed=0)
     model.flat[:] = 0.0
@@ -371,21 +382,49 @@ def tiny_blobs() -> Dataset:
     return synthetic_blobs(4, classes=2, dim=2, spread=0.1, seed=0)
 
 
+def one_input_dataset(n: int) -> Dataset:
+    """``n`` examples of the one feature 1.0, all of class 1."""
+    meta = DataMeta("blobs", 2, "train")
+    return Dataset(np.ones((n, 1)), np.ones(n, dtype=np.int64), meta)
+
+
+class TestEvaluate:
+    def test_loss_is_the_exact_mean_of_the_per_example_losses(self):
+        model, _ = train_model(blob_config(epochs=2))
+        train, _, _ = materialize_datasets(blob_config().dataset)
+        # several evaluation batches, the last one short
+        assert len(train) % harness._EVAL_BATCH and len(train) > harness._EVAL_BATCH
+        assert _evaluate(model, train)[1] == exact_mean_loss(model, train)
+
+    def test_mean_loss_is_the_same_for_any_order_of_the_losses(self):
+        losses = [1.0, 2.0**-53, 0.5, 2.0**-53, 0.25]
+        orders = list(itertools.permutations(losses))
+        assert len({sum(order) for order in orders}) > 1  # a plain sum is not
+        means = {harness._mean_loss(np.array(order)) for order in orders}
+        assert means == {math.fsum(losses) / len(losses)}
+
+    def test_mean_of_losses_whose_sum_overflows_is_finite(self):
+        assert harness._mean_loss(np.array([1.5e308, 1.5e308])) == 1.5e308
+        assert harness._mean_loss(np.array([1.5e308, 0.0, 1.5e308, 0.0])) == 0.75e308
+        # logits (1.5e308, 0) and label 1: each example's loss is 1.5e308
+        model = build_model([Dense(1, 2)], seed=0)
+        model.flat[:] = [1.5e308, 0.0, 0.0, 0.0]
+        assert _evaluate(model, one_input_dataset(2)) == (0.0, 1.5e308)
+
+    def test_non_finite_example_loss_raises(self):
+        # logits (1.5e308, -1.5e308): the row's spread, and so its loss, is inf
+        model = build_model([Dense(1, 2)], seed=0)
+        model.flat[:] = [1.5e308, -1.5e308, 0.0, 0.0]
+        with pytest.raises(DivergenceError, match="non-finite loss"):
+            _evaluate(model, one_input_dataset(2))
+
+
 class TestLandscape:
     def test_center_cell_equals_model_loss_exactly(self):
         model, _ = train_model(blob_config(epochs=2))
         train, _, _ = materialize_datasets(blob_config().dataset)
         surface = landscape_slice(model, train, grid_n=5, radius=0.5, seed=3)
-        logits_loss = 0.0
-        total = 0
-        from telulab.data import batch_iter
-
-        for xb, yb in batch_iter(train, 512, shuffle=False):
-            logits, _ = forward(model, xb)
-            loss, _ = softmax_cross_entropy(logits, yb)
-            logits_loss += loss * len(yb)
-            total += len(yb)
-        assert surface.losses[2, 2] == logits_loss / total
+        assert surface.losses[2, 2] == exact_mean_loss(model, train)
 
     def test_seeded_surfaces_identical(self):
         model, _ = train_model(blob_config(epochs=2))
