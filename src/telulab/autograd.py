@@ -110,7 +110,6 @@ __all__ = [
     "backward",
     "softmax_cross_entropy",
     "cross_entropy_rows",
-    "finite_difference_check",
     "save_params",
     "load_params",
 ]
@@ -722,43 +721,6 @@ def cross_entropy_rows(
     if not np.isfinite(losses).all():
         raise DivergenceError("non-finite loss")
     return losses, grad
-
-
-def finite_difference_check(
-    model: Model, batch: np.ndarray, labels: np.ndarray, h: float = 1e-6
-) -> float:
-    """Worst relative disagreement between backprop and central differences.
-
-    Perturbs every parameter entry by +-h (two forward passes each), so
-    cost scales with the parameter count; intended for models of at most
-    a few thousand parameters.  Entries where both gradients are below
-    1e-8 in magnitude are compared absolutely.
-    """
-    logits, tape = forward(model, batch, record=True)
-    _, loss_grad = softmax_cross_entropy(logits, labels)
-    grads = backward(tape, loss_grad)
-    analytic = np.zeros_like(model.flat)
-    for view, p in zip(model.views(analytic), model.params):
-        view[...] = grads[p]
-
-    def loss_at() -> float:
-        out, _ = forward(model, batch, record=False)
-        return softmax_cross_entropy(out, labels)[0]
-
-    worst = 0.0
-    flat = model.flat
-    for i, a in enumerate(analytic):
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = loss_at()
-        flat[i] = orig - h
-        lm = loss_at()
-        flat[i] = orig
-        fd = (lp - lm) / (2.0 * h)
-        denom = max(abs(a), abs(fd))
-        err = abs(a - fd) if denom < 1e-8 else abs(a - fd) / denom
-        worst = max(worst, err)
-    return worst
 
 
 # --- checkpoints -------------------------------------------------------------------

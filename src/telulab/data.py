@@ -48,7 +48,7 @@ __all__ = [
     "batch_iter",
 ]
 
-# rows per chunk of the byte counts behind the CIFAR statistics
+# rows per chunk of the byte sums behind the CIFAR statistics
 _STATS_CHUNK = 64
 # rows per block of float64 pixels that write_cifar converts to bytes
 _WRITE_ROWS = 1024
@@ -355,22 +355,23 @@ def channel_statistics(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     A std of zero reads 1.0, so a constant channel standardizes to 0.
 
     For uint8 bytes the statistics are exact and do not depend on the
-    order of the rows.  ``np.bincount`` counts each channel's n bytes over
-    chunks of the rows, which gives s1 = sum(b) and s2 = sum(b*b) as
-    integers; mean = s1 / (255 n) and var = (n s2 - s1 s1) / (255 n)**2
-    are then each one correctly rounded int division.  A float store
-    (blobs) takes numpy's mean and std over its rows.
+    order of the rows.  Each chunk's float64 sums of a channel's bytes b and
+    of b*b are integers far below 2**53, so exact in any order; added as
+    ints they give s1 = sum(b) and s2 = sum(b*b) over all n bytes, and
+    mean = s1 / (255 n) and var = (n s2 - s1 s1) / (255 n)**2 are each one
+    correctly rounded int division.  A float store (blobs) takes numpy's
+    mean and std over its rows.
     """
     if ds.store.dtype == np.uint8:
         channels = ds.store.shape[1]
-        counts = np.zeros((channels, 256), dtype=np.int64)
+        s1, s2 = [0] * channels, [0] * channels
         for start in range(0, len(ds), _STATS_CHUNK):
             block = ds.store[ds.rows[start : start + _STATS_CHUNK]]
             for c in range(channels):
-                counts[c] += np.bincount(block[:, c].ravel(), minlength=256)
+                x = block[:, c].astype(np.float64).ravel()
+                s1[c] += int(x.sum())
+                s2[c] += int(x @ x)
         n = len(ds) * math.prod(ds.store.shape[2:])
-        byte = np.arange(256, dtype=np.int64)
-        s1, s2 = (counts @ byte).tolist(), (counts @ (byte * byte)).tolist()
         shape = (1, channels) + (1,) * (ds.store.ndim - 2)
         mean = np.reshape([a / (255 * n) for a in s1], shape)
         var = [(n * q - a * a) / (255 * n) ** 2 for a, q in zip(s1, s2)]

@@ -14,12 +14,7 @@ import numpy as np
 import pytest
 
 from telulab import kernels
-from telulab.autograd import (
-    Activation,
-    Dense,
-    build_model,
-    finite_difference_check,
-)
+from telulab.autograd import Activation, Dense, build_model
 from telulab.cli import main
 from telulab.data import SplitSpec, load_cifar10, synthetic_blobs, write_cifar10
 from telulab.errors import FormatError, UnsupportedOperationError
@@ -55,6 +50,8 @@ from telulab.properties import (
     sup_abs_derivative,
     verify_activation,
 )
+
+from oracles import finite_difference_check
 
 
 def test_c01_gradient_consistency_all_kinds():

@@ -25,7 +25,6 @@ from telulab.autograd import (
     backward,
     build_model,
     cross_entropy_rows,
-    finite_difference_check,
     forward,
     load_params,
     save_params,
@@ -34,6 +33,8 @@ from telulab.autograd import (
 from telulab.data import Dataset, DataMeta, channel_statistics
 from telulab.errors import ConfigError, DataError, DivergenceError, FormatError
 from telulab.kernels import ALL_KINDS, GELU, RELU, TELU, elu
+
+from oracles import finite_difference_check
 
 TANH_E = 0.9913289158005998378
 TANH_1 = 0.76159415595576488812

@@ -58,6 +58,7 @@ class TestInterval:
     def test_grid_endpoints(self):
         g = Interval(-1.0, 1.0, 5).grid()
         assert g[0] == -1.0 and g[-1] == 1.0 and len(g) == 5
+        assert Interval(0.0, 1.0, samples=2).grid().tolist() == [0.0, 1.0]
 
 
 class TestPropertyReport:
