@@ -20,8 +20,11 @@ and is recorded as data, never raised to the caller.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import itertools
 import math
+import os
+import signal
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -252,8 +255,9 @@ def fit(
             for b in batches(train, cfg.batch, shuffle=True, seed=cfg.seed, epoch=epoch):
                 logits, tape = forward(model, b, record=True)
                 _, loss_grad = softmax_cross_entropy(logits, b.labels)
-                grads = backward(tape, loss_grad)
-                step(state, model.params, grads, lr_now)
+                # the gradients live only through the step, not through
+                # the next batch's forward and backward
+                step(state, model.params, backward(tape, loss_grad), lr_now)
             epochs.append(Epoch(*_evaluate(model, train), *_evaluate(model, valid)))
         except DivergenceError:
             divergence_epoch = epoch
@@ -288,6 +292,30 @@ def trial_threads(jobs: int, n_trials: int) -> tuple[int, int]:
     return workers, max(1, usable_cpus() // workers)
 
 
+# <linux/prctl.h>
+_PR_SET_PDEATHSIG = 1
+
+
+def _start_worker(threads: int, parent: int) -> None:
+    """A pool worker's set-up: it has Linux kill it when its parent dies
+    (``prctl(PR_SET_PDEATHSIG, SIGKILL)``), which reaches it even while it
+    waits on the pool's queue, and exits at once if ``parent`` has died
+    already; then it runs its chunks on ``threads`` engine threads.  Where
+    libc has no ``prctl`` it only sets its threads.  The signal follows the
+    thread that forked the worker: the one in :func:`_run_trials`, which
+    outlasts its pool."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError):
+        pass
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os._exit(1)
+    set_workers(threads)
+
+
 def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     workers, threads = trial_threads(jobs, len(configs))
     if workers == 1:
@@ -301,8 +329,8 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
     with concurrent.futures.ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=set_workers,
-        initargs=(threads,),
+        initializer=_start_worker,
+        initargs=(threads, os.getpid()),
     ) as pool:
         return list(pool.map(run_trial, configs))
 
@@ -534,7 +562,8 @@ def empirical_fisher_diag(model: Model, dataset: Dataset, n_samples: int) -> np.
         squares = backward(tape, ce_rows, squares=True)
         with np.errstate(over="ignore"):  # caught by the finiteness check below
             for view, p in zip(views, model.params):
-                view += squares[p]
+                # popped, so none outlives its batch
+                view += squares.pop(p)
     if not np.isfinite(accum).all():
         raise DivergenceError("non-finite Fisher diagonal")
     return accum / n_samples

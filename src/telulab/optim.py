@@ -3,7 +3,9 @@ and the step-decay schedule of ``OptimizerConfig.lr``.
 
 Update rules, written out exactly since implementations differ; :func:`step`
 applies one to the whole parameter list at once, with values, gradients and
-buffers flat vectors in list order (elementwise, so the same bits):
+buffers flat vectors in list order (elementwise, so the same bits).  Between
+calls only the kind's buffers are kept; the gradient and value vectors and
+one scratch vector are made by each call and freed with it:
 
     SGD       p <- p - lr * (g + wd * p)
     Momentum  buf <- m * buf + g + wd * p;  p <- p - lr * buf
@@ -21,6 +23,7 @@ the square root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -95,13 +98,15 @@ def lr_at_epoch(schedule: LrSchedule, lr: float, epoch: int) -> float:
 
 @dataclass
 class OptimizerState:
-    """Flat vectors over the concatenated ``params`` of :func:`step`, made at its
-    first call: the kind's buffers (``momentum``, ``m``, ``v``, ``s``, zero at
-    first) and the step's reused work vectors; plus AdamW's step count."""
+    """What :func:`step` keeps between calls, all made at its first call:
+    the kind's flat buffers over the concatenated ``params`` (``momentum``,
+    ``m``, ``v``, ``s``, zero at first; none for SGD) and ``size``, the
+    parameters' total size then; plus AdamW's step count."""
 
     cfg: OptimizerConfig
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    size: Optional[int] = None
 
 
 def step(
@@ -116,22 +121,27 @@ def step(
     A non-finite gradient (or a non-finite updated parameter) raises
     :class:`DivergenceError` before any parameter is modified, so a
     diverging trial never commits a partial parameter update.  Parameters
-    of another total size than at the state's first step raise ``ValueError``
-    (the work vectors do not fit them).
+    (or gradients) of another total size than at the state's first step
+    raise ``ValueError`` before anything is modified.
     """
     cfg = state.cfg
     bufs = state.buffers
-    if not bufs:
-        size = sum(p.data.size for p in params)
-        names = ("grad", "value", "scratch", *_BUFFERS[cfg.kind])
-        bufs.update((name, np.zeros(size)) for name in names)
-    g = np.concatenate([np.empty(0), *(grads[p] for p in params)], axis=None, out=bufs["grad"])
+    size = sum(p.data.size for p in params)
+    if state.size is None:
+        state.size = size
+        bufs.update((name, np.zeros(size)) for name in _BUFFERS[cfg.kind])
+    g = np.concatenate([np.empty(0), *(grads[p] for p in params)], axis=None)
+    if size != state.size or g.size != size:
+        raise ValueError(
+            f"optimizer state made for {state.size} parameter values, "
+            f"stepped with {size} and {g.size} gradient values"
+        )
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in optimizer step")
-    x = np.concatenate([np.empty(0), *(p.data for p in params)], axis=None, out=bufs["value"])
+    x = np.concatenate([np.empty(0), *(p.data for p in params)], axis=None)
 
     # the rules above, op for op, in place on g, x and one scratch vector
-    tmp = bufs["scratch"]
+    tmp = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if cfg.kind == "sgd":
             direction = g

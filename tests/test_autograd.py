@@ -544,15 +544,32 @@ def assert_same_step(model, got, want):
         assert_same_bits(grads[p], want_grads[p])
 
 
-def cifar_batch(n, seed):
+def wide_cnn(kind, seed=0):
+    """Convs of 64 and 128 output channels, on 10x10 images."""
+    return build_model(
+        [
+            Conv2d(3, 64, 3),
+            Activation(kind),
+            MaxPool2(),
+            Conv2d(64, 128, 3),
+            Activation(kind),
+            Flatten(),
+            Dense(512, 10),
+        ],
+        seed=seed,
+    )
+
+
+def cifar_batch(n, seed, size=32):
     rng = np.random.default_rng(seed)
     # whole-byte pixels, so ReLU and the pools see exact ties
-    return rng.integers(0, 256, size=(n, 3, 32, 32)) / 255.0 - 0.5, rng.integers(0, 10, size=n)
+    x = rng.integers(0, 256, size=(n, 3, size, size)) / 255.0 - 0.5
+    return x, rng.integers(0, 10, size=n)
 
 
-def assert_matches_frozen_engine(kind, n):
-    model = reference_cnn(kind, seed=n)
-    x, labels = cifar_batch(n, seed=100 + n)
+def assert_matches_frozen_engine(kind, n, cnn=reference_cnn, size=32):
+    model = cnn(kind, seed=n)
+    x, labels = cifar_batch(n, seed=100 + n, size=size)
     got = train_step(forward, backward, model, x, labels)
     want = train_step(frozen_forward, frozen_backward, model, x, labels)
     assert_same_step(model, got, want)
@@ -580,6 +597,15 @@ class TestChunkedPrefix:
             assert_matches_frozen_engine(kind, n)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", [TELU, RELU], ids=lambda k: k.spec_string())
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_convs_match_unchunked_engine_bit_for_bit(self, monkeypatch, workers, n, kind):
+        # the reference CNN's convs are at most 32 wide; a conv variant that
+        # moves bits only from 64 output channels on shows only here
+        monkeypatch.setattr(autograd, "WORKERS", workers)
+        assert_matches_frozen_engine(kind, n, cnn=wide_cnn, size=10)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_names_the_earliest_failing_layer(self, monkeypatch, workers):

@@ -636,6 +636,51 @@ class TestExitCodes:
         with pytest.raises(ProcessLookupError):  # nothing is left of its process group
             os.killpg(child.pid, 0)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; the pool's workers use prctl")
+    def test_sigkill_of_the_parent_ends_its_pool_workers(self, blob_cfg, tmp_path, request):
+        # three trials of a million epochs on two workers, so both are busy
+        # when the parent dies; without the parent-death signal both were
+        # still alive minutes later, holding the parent's stderr
+        cfg = json.loads(Path(blob_cfg).read_text())
+        cfg["epochs"] = 10**6
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["replicate", "--config", str(path), "--jobs", "2", "--out", str(tmp_path / "out")]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "telulab.cli", *argv], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        workers = []
+
+        def kill_all():
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            kill_group(child)
+
+        request.addfinalizer(kill_all)
+        children = Path(f"/proc/{child.pid}/task/{child.pid}/children")
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+            workers = [int(pid) for pid in children.read_text().split()]
+        child.kill()
+
+        def running(pid):
+            """Neither gone nor a zombie: the state follows the command's ')'."""
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat[stat.rindex(")") + 2] != "Z"
+
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)):
+            assert time.monotonic() < deadline, f"workers {workers} outlived their parent by 5 s"
+            time.sleep(0.05)
+
     def test_truncated_archive_exits_two(self, blob_cfg, tmp_path, capsys):
         archive = tmp_path / "cifar"
         archive.mkdir()

@@ -6,6 +6,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -237,10 +239,21 @@ class TestReplicate:
         # each worker runs its chunk threads on its share of the CPUs
         threads = max(1, len(os.sched_getaffinity(0)) // workers)
         # fork on every Python, so the workers inherit the names replaced on
-        # harness, not a fresh import of it
+        # harness, not a fresh import of it; each worker dies with this process
         fork = multiprocessing.get_context("fork")
-        assert widths == [(workers, fork, autograd.set_workers, (threads,))]
+        assert widths == [(workers, fork, harness._start_worker, (threads, os.getpid()))]
         assert [t.config.seed for t in trials] == seeds
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's")
+    @pytest.mark.parametrize("parent, code", [(os.getpid, 0), (lambda: 0, 1)], ids=["own", "other"])
+    def test_worker_of_another_parent_exits(self, parent, code):
+        # a worker whose parent died before its set-up has another parent
+        worker = multiprocessing.get_context("fork").Process(
+            target=harness._start_worker, args=(1, parent())
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert worker.exitcode == code
 
     def test_deterministic_across_calls(self):
         sum_a, trials_a = replicate(blob_config(epochs=2), [0, 1])
@@ -683,6 +696,48 @@ class TestBatchedFisher:
         assert np.all(np.isfinite(empirical_fisher_diag(model, ds, 32)))
         with pytest.raises(DivergenceError, match="Fisher"):
             empirical_fisher_diag(model, ds, 64)
+
+
+@pytest.fixture
+def freed_gradients(monkeypatch):
+    """Takes a weak reference to every array of each gradient dict that
+    ``harness.backward`` returns, and asserts at each recorded
+    ``harness.forward`` that every one taken so far is freed: no step's
+    gradients live through the next step's forward and backward.  Yields
+    the counts of recorded forwards and of backwards."""
+    counts = {"forward": 0, "backward": 0}
+    taken = []
+    real_forward, real_backward = harness.forward, harness.backward
+
+    def watched_forward(model, batch, record=False):
+        if record:
+            assert all(ref() is None for ref in taken)
+            counts["forward"] += 1
+        return real_forward(model, batch, record=record)
+
+    def watched_backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        taken.extend(weakref.ref(g) for g in grads.values())
+        counts["backward"] += 1
+        return grads
+
+    monkeypatch.setattr(harness, "forward", watched_forward)
+    monkeypatch.setattr(harness, "backward", watched_backward)
+    yield counts
+
+
+class TestGradientsFreedEachStep:
+    @pytest.mark.parametrize("opt", ["sgd", "adamw"])
+    def test_fit(self, freed_gradients, opt):
+        # 800 training rows in batches of 64: 13 steps an epoch
+        train_model(blob_config(opt=opt, epochs=2))
+        assert freed_gradients == {"forward": 26, "backward": 26}
+
+    @pytest.mark.parametrize("case", ["cnn", "mlp"])
+    def test_fisher(self, freed_gradients, case):
+        model, ds = (small_cnn(), image_dataset(80)) if case == "cnn" else mlp_case()
+        empirical_fisher_diag(model, ds, 70)
+        assert freed_gradients == {"forward": 3, "backward": 3}
 
 
 def assert_params_share_flat(model):

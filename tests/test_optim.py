@@ -7,6 +7,7 @@ import pytest
 from telulab.autograd import Tensor
 from telulab.errors import ConfigError, DivergenceError
 from telulab.optim import (
+    _BUFFERS,
     OPTIMIZER_KINDS,
     LrSchedule,
     OptimizerConfig,
@@ -288,6 +289,36 @@ class TestFlatPass:
         with pytest.raises(ValueError):
             step(state, others, {others[0]: np.ones(second)}, 0.1)
         np.testing.assert_array_equal(others[0].data, np.ones(second))
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_state_keeps_only_the_kinds_buffers(self, kind):
+        # the gradient, value and scratch vectors are each step's own
+        rng = np.random.default_rng(14)
+        params = random_params(rng)
+        state = OptimizerState(OptimizerConfig(kind, lr=0.01, weight_decay=1e-3))
+        for _ in range(3):
+            step(state, params, random_grads(rng, params), 0.01)
+            assert list(state.buffers) == list(_BUFFERS[kind])
+        size = sum(p.data.size for p in params)
+        assert state.size == size
+        assert all(buf.shape == (size,) for buf in state.buffers.values())
+
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_gradients_of_another_size_raise(self, kind):
+        rng = np.random.default_rng(15)
+        params = random_params(rng)
+        state = OptimizerState(OptimizerConfig(kind, lr=0.1))
+        step(state, params, random_grads(rng, params), 0.1)
+        grads = random_grads(rng, params)
+        grads[params[1]] = np.ones(3)
+        before, t = snapshot(params), state.t
+        buffers = [buf.copy() for buf in state.buffers.values()]
+        with pytest.raises(ValueError):
+            step(state, params, grads, 0.1)
+        assert_unchanged(params, before)
+        for buf, b in zip(state.buffers.values(), buffers):
+            np.testing.assert_array_equal(buf.view(np.uint64), b.view(np.uint64))
+        assert state.t == t
 
     @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
     def test_no_parameters_is_a_no_op(self, kind):
