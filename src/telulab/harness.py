@@ -296,23 +296,20 @@ def trial_threads(jobs: int, n_trials: int) -> tuple[int, int]:
 _PR_SET_PDEATHSIG = 1
 
 
-def _start_worker(threads: int, parent: int) -> None:
+def _start_worker(threads: int) -> None:
     """A pool worker's set-up: it has Linux kill it when its parent dies
     (``prctl(PR_SET_PDEATHSIG, SIGKILL)``), which reaches it even while it
-    waits on the pool's queue, and exits at once if ``parent`` has died
-    already; then it runs its chunks on ``threads`` engine threads.  Where
-    libc has no ``prctl`` it only sets its threads.  The signal follows the
-    thread that forked the worker: the one in :func:`_run_trials`, which
-    outlasts its pool."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError):
-        pass
-    else:
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:
-            os._exit(1)
+    waits on the pool's queue, and exits at once if its parent has died
+    already; then it runs its chunks on ``threads`` engine threads.  The
+    signal follows the thread that forked the worker: the one in
+    :func:`_run_trials`, which outlasts its pool."""
+    import multiprocessing
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != multiprocessing.parent_process().pid:
+        os._exit(1)
     set_workers(threads)
 
 
@@ -330,7 +327,7 @@ def _run_trials(configs: list[TrainConfig], jobs: int) -> list[TrialResult]:
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(threads, os.getpid()),
+        initargs=(threads,),
     ) as pool:
         return list(pool.map(run_trial, configs))
 

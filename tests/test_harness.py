@@ -6,7 +6,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import sys
 import weakref
 
 import numpy as np
@@ -239,18 +238,21 @@ class TestReplicate:
         # each worker runs its chunk threads on its share of the CPUs
         threads = max(1, len(os.sched_getaffinity(0)) // workers)
         # fork on every Python, so the workers inherit the names replaced on
-        # harness, not a fresh import of it; each worker dies with this process
+        # harness, not a fresh import of it
         fork = multiprocessing.get_context("fork")
-        assert widths == [(workers, fork, harness._start_worker, (threads, os.getpid()))]
+        assert widths == [(workers, fork, harness._start_worker, (threads,))]
         assert [t.config.seed for t in trials] == seeds
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's")
-    @pytest.mark.parametrize("parent, code", [(os.getpid, 0), (lambda: 0, 1)], ids=["own", "other"])
-    def test_worker_of_another_parent_exits(self, parent, code):
-        # a worker whose parent died before its set-up has another parent
-        worker = multiprocessing.get_context("fork").Process(
-            target=harness._start_worker, args=(1, parent())
-        )
+    @pytest.mark.parametrize("orphaned, code", [(False, 0), (True, 1)], ids=["own", "other"])
+    def test_worker_of_another_parent_exits(self, orphaned, code):
+        # a worker whose parent died before its set-up has another parent:
+        # init, once it has been reparented
+        def start():
+            if orphaned:
+                os.getppid = lambda: 1
+            harness._start_worker(1)
+
+        worker = multiprocessing.get_context("fork").Process(target=start)
         worker.start()
         worker.join(timeout=30)
         assert worker.exitcode == code
